@@ -24,7 +24,6 @@ from .engine import (
     RunResult,
     SlotRecord,
     audit_conservation,
-    run_batch,
     run_scenario,
     summarize_run,
 )
@@ -34,7 +33,6 @@ from .scenario import (
     HeaterFleetConfig,
     Scenario,
     ThermalConfig,
-    fig3_scenario,
     fleet_scenario,
     load_scenario,
     save_scenario,
@@ -44,7 +42,6 @@ from .server import (
     CommitmentLedger,
     ReferenceSignal,
     SupplyView,
-    admit,
     allocate_slot,
     compute_forced_start,
     dispatch_supply,
@@ -77,16 +74,13 @@ __all__ = [
     "ThermalTargetRequest",
     "TimeGrid",
     "WindowInfeasible",
-    "admit",
     "allocate_slot",
     "audit_conservation",
     "compute_forced_start",
     "dispatch_supply",
-    "fig3_scenario",
     "fleet_scenario",
     "load_scenario",
     "quantize",
-    "run_batch",
     "run_scenario",
     "save_scenario",
     "summarize_run",

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import MalformedRequest, WindowInfeasible
@@ -195,15 +196,52 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     return summary
 
 
-def _run_and_write(scenario: Scenario, out_dir: str | Path) -> int:
-    result = run_scenario(scenario)
+def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None, str | None]:
+    """One seed as `run` and `batch` both do it: run the scenario, audit
+    conservation, write the bundle. Returns (exit code, summary, error).
+    A run that raises writes no bundle and has no summary."""
+    try:
+        result = run_scenario(scenario)
+    except (MalformedRequest, WindowInfeasible) as exc:
+        return EXIT_VALIDATION, None, f"validation error: {exc}"
+    except (CapacityViolation, ContiguityViolation, UnderSupply) as exc:
+        return EXIT_INVARIANT, None, f"invariant violation: {exc}"
     bad_slot = audit_conservation(result)
     summary = write_bundle(result, out_dir)
     if bad_slot is not None:
-        print(f"conservation violated at slot {bad_slot}", file=sys.stderr)
-        return EXIT_INVARIANT
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+        return EXIT_INVARIANT, summary, f"conservation violated at slot {bad_slot}"
+    return EXIT_OK, summary, None
+
+
+def _run_and_write(scenario: Scenario, out_dir: str | Path) -> int:
+    code, summary, error = _run_seed(scenario, out_dir)
+    if error is not None:
+        print(error, file=sys.stderr)
+    else:
+        print(json.dumps(summary, indent=2, sort_keys=True))
+    return code
+
+
+def run_batch(
+    scenario: Scenario, seeds: list[int], out_dir: str | Path
+) -> tuple[int, list[dict]]:
+    """Independent runs of one scenario across seeds, each as `run` does it,
+    into out_dir/seed_<n>, indexed by out_dir/batch.json. A failed seed does
+    not stop the batch; its error is recorded. Results depend only on each
+    seed, never on execution order. Returns (the worst exit code over the
+    seeds, the batch.json entries)."""
+    out = Path(out_dir)
+    worst = EXIT_OK
+    entries = []
+    for seed in seeds:
+        code, summary, error = _run_seed(replace(scenario, seed=seed), out / f"seed_{seed}")
+        worst = max(worst, code)
+        entries.append({"seed": seed, "summary": summary, "error": error})
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "batch.json", "w", newline="\n") as fh:
+        json.dump(entries, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return worst, entries
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -304,33 +342,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             scenario = _load(args.scenario)
             if args.seed is not None:
-                from dataclasses import replace
-
                 scenario = replace(scenario, seed=args.seed)
             return _run_and_write(scenario, args.out)
 
         if args.command == "batch":
             scenario = _load(args.scenario)
-            seeds = _parse_seed_range(args.seeds)
-            from dataclasses import replace
-
-            entries = []
-            code = EXIT_OK
-            for seed in seeds:
-                run_dir = Path(args.out) / f"seed_{seed}"
-                try:
-                    result = run_scenario(replace(scenario, seed=seed))
-                    bad = audit_conservation(result)
-                    summary = write_bundle(result, run_dir)
-                    if bad is not None:
-                        code = EXIT_INVARIANT
-                    entries.append({"seed": seed, "summary": summary, "error": None})
-                except Exception as exc:  # per-seed isolation
-                    entries.append({"seed": seed, "summary": None, "error": str(exc)})
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            with open(Path(args.out) / "batch.json", "w", newline="\n") as fh:
-                json.dump(entries, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            code, entries = run_batch(scenario, _parse_seed_range(args.seeds), args.out)
+            for entry in entries:
+                if entry["error"] is not None:
+                    print(f"seed {entry['seed']}: {entry['error']}", file=sys.stderr)
             print(f"wrote {len(entries)} runs under {args.out}")
             return code
 
@@ -354,9 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     except (MalformedRequest, WindowInfeasible) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CapacityViolation, ContiguityViolation, UnderSupply) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     return EXIT_VALIDATION
 
 

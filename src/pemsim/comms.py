@@ -4,7 +4,7 @@ aggregation.
 
 Delays follow a shifted exponential (offset + Exp(mean - offset)): two
 parameters, a closed-form tail for tests, and a deterministic limit when
-mean == offset. Message size is carried but does not affect delay.
+mean == offset.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ MMTC_DEFAULT = ChannelProfile(
 
 
 @dataclass(frozen=True)
-class MessageEnvelope:
-    kind: MessageKind
-    sent_at_ms: float
-    size: int = 1
-    payload: object = None
-
-
-@dataclass(frozen=True)
 class Delivered:
     at_ms: float
     attempts: int
@@ -104,7 +96,7 @@ def sample_delay(profile: ChannelProfile, rng: random.Random) -> float:
 
 
 def transmit(
-    message: MessageEnvelope, profile: ChannelProfile, rng: random.Random
+    sent_at_ms: float, profile: ChannelProfile, rng: random.Random
 ) -> TransmitOutcome:
     """Send with per-attempt loss and fixed retransmit timeout.
 
@@ -117,7 +109,7 @@ def transmit(
             elapsed += profile.retransmit_timeout_ms
             continue
         return Delivered(
-            at_ms=message.sent_at_ms + elapsed + sample_delay(profile, rng),
+            at_ms=sent_at_ms + elapsed + sample_delay(profile, rng),
             attempts=attempt,
         )
     return Dropped(attempts=profile.max_attempts)

@@ -104,9 +104,6 @@ class TimeGrid:
     def clock_of(self, slot: int) -> str:
         return format_hhmm(self.epoch_start_min + slot * self.slot_min)
 
-    def contains(self, slot: int) -> bool:
-        return 0 <= slot < self.horizon
-
 
 @dataclass(frozen=True)
 class PacketSpec:
@@ -158,10 +155,6 @@ class FixedProfileRequest:
     def deadline(self) -> int:
         """Completion boundary: the slot after the latest admissible run."""
         return self.latest_start + len(self.profile_w)
-
-    @property
-    def energy_wh_per_slot_hour(self) -> float:
-        return sum(self.profile_w)
 
 
 @dataclass(frozen=True)
@@ -287,15 +280,6 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
         raise MalformedRequest(f"unknown request type {type(request).__name__}")
     if request.priority < 0:
         raise MalformedRequest("priority level must be non-negative")
-
-
-def request_deadline(request: LoadRequest) -> int:
-    """Completion boundary used for deadline accounting, per request kind."""
-    if isinstance(request, FixedProfileRequest):
-        return request.deadline
-    if isinstance(request, FlexibleTotalRequest):
-        return request.deadline
-    return request.service_start
 
 
 def substream(seed: int, *labels: object) -> random.Random:

@@ -59,8 +59,9 @@ def step_thermal(state: ThermalLoadState, applied_w: float, dt_min: float) -> Th
 
 
 def decay_temp(state: ThermalLoadState, steps: int, dt_min: float) -> float:
-    """Temperature after `steps` zero-power slots (closed form of the Euler
-    recursion, exact w.r.t. step_thermal)."""
+    """Temperature after `steps` zero-power slots: the closed form of the
+    Euler recursion of step_thermal. It rounds differently from iterating
+    step_thermal, so the two agree to within rounding, not bit for bit."""
     a = 1.0 - (dt_min / 60.0) * state.loss_w_per_c / state.capacitance_wh_per_c
     return state.ambient_c + (state.temp_c - state.ambient_c) * a**steps
 
@@ -193,16 +194,6 @@ class WaterHeaterParams:
             raise MalformedRequest("draw probability must lie in [0, 1]")
         if not 0 <= self.draw_min_c <= self.draw_max_c:
             raise MalformedRequest("draw magnitudes out of order")
-
-    def thermal_state(self, temp_c: float) -> ThermalLoadState:
-        return ThermalLoadState(
-            temp_c=temp_c,
-            ambient_c=self.ambient_c,
-            capacitance_wh_per_c=self.capacitance_wh_per_c,
-            loss_w_per_c=self.loss_w_per_c,
-            rated_w=self.rated_w,
-            efficiency=self.efficiency,
-        )
 
 
 def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float:

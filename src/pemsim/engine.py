@@ -19,7 +19,6 @@ from .comms import (
     AggregationWindow,
     Dropped,
     LatencyBudget,
-    MessageEnvelope,
     MessageKind,
     MessageRecord,
     aggregate_reports,
@@ -192,7 +191,7 @@ class _ChannelLayer:
         msg_id = self._next_id
         self._next_id += 1
         rng = substream(self.seed, "msg", msg_id)
-        outcome = transmit(MessageEnvelope(kind=kind, sent_at_ms=sent_ms), profile, rng)
+        outcome = transmit(sent_ms, profile, rng)
         if isinstance(outcome, Dropped):
             self.records.append(
                 MessageRecord(msg_id, kind, profile.cls, sent_ms, None, outcome.attempts)
@@ -211,6 +210,54 @@ class _ChannelLayer:
         if delivered_ms is None:
             return None
         return slot + math.ceil((delivered_ms - sent_ms) / self.grid.slot_ms)
+
+
+class _Supply:
+    """The supply side of a run: the renewable trace and the storage asset,
+    settled slot by slot."""
+
+    def __init__(self, scenario: Scenario):
+        self.grid = scenario.grid
+        self.trace = scenario.renewable_trace()
+        self.storage = scenario.storage
+        self.import_allowed = scenario.import_allowed
+        self.feeder_capacity_w = scenario.feeder_capacity_w
+
+    def view(self, t: int) -> SupplyView:
+        return SupplyView(
+            renewable_w=self.trace.at(t),
+            storage=self.storage,
+            import_allowed=self.import_allowed,
+            feeder_capacity_w=self.feeder_capacity_w,
+        )
+
+    def settle(
+        self,
+        supply: SupplyView,
+        t: int,
+        granted_w: dict[str, float],
+        consumed_w: dict[str, float],
+        emergency: bool = False,
+    ) -> SlotRecord:
+        """Serve slot t's consumption from its supply view, step the storage,
+        and record the slot."""
+        grid = self.grid
+        plan = dispatch_supply(math.fsum(consumed_w.values()), supply, grid.slot_min)
+        if self.storage is not None and plan.storage_flow_w != 0.0:
+            self.storage, _ = step_storage(self.storage, plan.storage_flow_w, grid.slot_min)
+        return SlotRecord(
+            slot=t,
+            clock=grid.clock_of(t),
+            granted_w=granted_w,
+            consumed_w=consumed_w,
+            renewable_available_w=supply.renewable_w,
+            renewable_used_w=plan.renewable_used_w,
+            storage_soc_wh=self.storage.soc_wh if self.storage is not None else 0.0,
+            storage_flow_w=plan.storage_flow_w,
+            imported_w=plan.imported_w,
+            curtailed_w=plan.curtailed_w,
+            emergency=emergency,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +710,7 @@ def _emit_trip_traffic(channels: _ChannelLayer, rate_per_hour: float, grid: Time
 def _run_household(scenario: Scenario) -> RunResult:
     grid = scenario.grid
     policy = scenario.policy
-    trace = scenario.renewable_trace()
-    storage = scenario.storage
+    supply_side = _Supply(scenario)
     ledger = CommitmentLedger(grid, scenario.feeder_capacity_w)
     channels = _ChannelLayer(scenario.channels, grid, scenario.seed)
     server_rng = substream(scenario.seed, "server")
@@ -715,12 +761,7 @@ def _run_household(scenario: Scenario) -> RunResult:
 
         # (4) per-slot allocation
         needs = [n for n in (job.slot_need(t) for job in jobs) if n is not None]
-        supply = SupplyView(
-            renewable_w=trace.at(t),
-            storage=storage,
-            import_allowed=scenario.import_allowed,
-            feeder_capacity_w=scenario.feeder_capacity_w,
-        )
+        supply = supply_side.view(t)
         grants = allocate_slot(
             ledger, needs, supply, server_rng, now=t,
             renewable_first=policy.renewable_first,
@@ -730,7 +771,9 @@ def _run_household(scenario: Scenario) -> RunResult:
         emergency = False
         if not scenario.import_allowed:
             capability = supply.renewable_w + (
-                storage.max_discharge_w(grid.slot_min) if storage is not None else 0.0
+                supply.storage.max_discharge_w(grid.slot_min)
+                if supply.storage is not None
+                else 0.0
             )
             if math.fsum(grants.values()) > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
@@ -742,27 +785,10 @@ def _run_household(scenario: Scenario) -> RunResult:
         consumed: dict[str, float] = {}
         for job in jobs:
             consumed[job.device_id] = job.apply(grants.get(job.device_id, 0.0), t, ledger)
-        total_consumed = math.fsum(consumed.values())
-        plan = dispatch_supply(total_consumed, supply, grid.slot_min)
-        if storage is not None and plan.storage_flow_w != 0.0:
-            storage, _ = step_storage(storage, plan.storage_flow_w, grid.slot_min)
+        granted = {i: grants.get(i, 0.0) for i in device_ids}
 
-        # (7) metrics
-        slots.append(
-            SlotRecord(
-                slot=t,
-                clock=grid.clock_of(t),
-                granted_w={i: grants.get(i, 0.0) for i in device_ids},
-                consumed_w=consumed,
-                renewable_available_w=trace.at(t),
-                renewable_used_w=plan.renewable_used_w,
-                storage_soc_wh=storage.soc_wh if storage is not None else 0.0,
-                storage_flow_w=plan.storage_flow_w,
-                imported_w=plan.imported_w,
-                curtailed_w=plan.curtailed_w,
-                emergency=emergency,
-            )
-        )
+        # (7) supply dispatch, storage and metrics
+        slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
         for job in jobs:
             traces[job.device_id].append(job.trace_value())
         if channels.enabled:
@@ -814,8 +840,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     n = cfg.count
     reference = scenario.reference
     packet = quantize(params.rated_w, grid.slot_min)
-    trace = scenario.renewable_trace()
-    storage = scenario.storage
+    supply_side = _Supply(scenario)
 
     init_rng = substream(scenario.seed, "fleet", "init")
     temps = [init_rng.uniform(params.t_low_c, params.t_high_c) for _ in range(n)]
@@ -862,8 +887,9 @@ def _run_fleet(scenario: Scenario) -> RunResult:
         heating = on_ids | set(accepted)
         aggregate_w = params.rated_w * len(heating)
 
-        # physics: inline Euler step (identical arithmetic to step_thermal)
-        # plus stochastic draw events, for the n*epochs inner loop
+        # physics: the Euler step of step_thermal, inlined for the n*epochs
+        # inner loop with its terms grouped differently (so a temperature can
+        # differ from step_thermal's in the last bit), plus stochastic draws
         for i in range(n):
             temp = temps[i]
             temp += (heat_gain if i in heating else 0.0) - loss_rate * (temp - params.ambient_c)
@@ -874,30 +900,8 @@ def _run_fleet(scenario: Scenario) -> RunResult:
             if packets_left[i] > 0:
                 packets_left[i] -= 1
 
-        supply = SupplyView(
-            renewable_w=trace.at(e),
-            storage=storage,
-            import_allowed=scenario.import_allowed,
-            feeder_capacity_w=scenario.feeder_capacity_w,
-        )
-        plan = dispatch_supply(aggregate_w, supply, grid.slot_min)
-        if storage is not None and plan.storage_flow_w != 0.0:
-            storage, _ = step_storage(storage, plan.storage_flow_w, grid.slot_min)
-
-        slots.append(
-            SlotRecord(
-                slot=e,
-                clock=grid.clock_of(e),
-                granted_w={cfg.device_id: aggregate_w},
-                consumed_w={cfg.device_id: aggregate_w},
-                renewable_available_w=trace.at(e),
-                renewable_used_w=plan.renewable_used_w,
-                storage_soc_wh=storage.soc_wh if storage is not None else 0.0,
-                storage_flow_w=plan.storage_flow_w,
-                imported_w=plan.imported_w,
-                curtailed_w=plan.curtailed_w,
-            )
-        )
+        power = {cfg.device_id: aggregate_w}
+        slots.append(supply_side.settle(supply_side.view(e), e, power, power))
         epochs.append(
             FleetEpochRecord(
                 epoch=e,
@@ -1029,17 +1033,3 @@ def summarize_run(result: RunResult) -> dict:
         }
     return summary
 
-
-def run_batch(scenario: Scenario, seeds: list[int]) -> list[dict]:
-    """Independent runs of one scenario across seeds. Results depend only on
-    each seed, never on execution order; failures are reported per seed."""
-    from dataclasses import replace
-
-    entries = []
-    for seed in seeds:
-        try:
-            result = run_scenario(replace(scenario, seed=seed))
-            entries.append({"seed": seed, "summary": summarize_run(result), "error": None})
-        except Exception as exc:  # noqa: BLE001 - per-seed isolation is the point
-            entries.append({"seed": seed, "summary": None, "error": str(exc)})
-    return entries

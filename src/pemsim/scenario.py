@@ -9,11 +9,14 @@ strings and must land exactly on the configured grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Union
+from types import UnionType
+from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .comms import ChannelClass, ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
 from .core import MalformedRequest, TimeGrid, parse_hhmm, substream
@@ -152,6 +155,13 @@ class Scenario:
             raise MalformedRequest("at most one heater fleet per scenario")
         if fleet and self.reference is None:
             raise MalformedRequest("fleet scenarios need a reference signal")
+        # the fleet loop has no channel layer and no admission queue
+        if fleet and self.channels is not None:
+            raise MalformedRequest("fleet runs use no channels; set channels to null")
+        if fleet and self.trip_rate_per_hour > 0:
+            raise MalformedRequest("fleet runs send no trip signals; set trip_rate_per_hour to 0")
+        if fleet and self.policy != ServerPolicy():
+            raise MalformedRequest("fleet runs ignore the server policy; leave it at its defaults")
         if self.channels is not None:
             missing = {"request", "grant", "meter", "trip"} - set(self.channels)
             if missing:
@@ -209,139 +219,135 @@ def null_channels() -> dict[str, ChannelProfile]:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _profile_to_dict(p: ChannelProfile) -> dict:
-    return {
-        "class": p.cls.value,
-        "offset_ms": p.offset_ms,
-        "mean_ms": p.mean_ms,
-        "loss": p.loss_prob,
-        "timeout_ms": p.retransmit_timeout_ms,
-        "max_attempts": p.max_attempts,
-    }
+# Document keys that differ from the dataclass field they hold.
+_ALIASES = {
+    "device_id": "id",
+    "arrival": "arrive",
+    "cls": "class",
+    "loss_prob": "loss",
+    "retransmit_timeout_ms": "timeout_ms",
+    "policy": "server",
+}
+
+_DEVICE_TYPES: dict[str, type] = {
+    "thermal": ThermalConfig,
+    "battery": BatteryConfig,
+    "cycle": CycleConfig,
+    "heater_fleet": HeaterFleetConfig,
+}
+_TYPE_NAMES = {cls: name for name, cls in _DEVICE_TYPES.items()}
 
 
-def _profile_from_dict(d: dict) -> ChannelProfile:
-    return ChannelProfile(
-        cls=ChannelClass(d["class"]),
-        offset_ms=float(d["offset_ms"]),
-        mean_ms=float(d["mean_ms"]),
-        loss_prob=float(d["loss"]),
-        retransmit_timeout_ms=float(d["timeout_ms"]),
-        max_attempts=int(d["max_attempts"]),
+def _encode(obj, clock) -> dict:
+    """Document of a config dataclass: one key per field, slot fields as
+    clock strings. Device documents carry their `type`, and a heater fleet's
+    parameters sit flat beside its own fields."""
+    doc = {}
+    if type(obj) in _TYPE_NAMES:
+        doc["type"] = _TYPE_NAMES[type(obj)]
+    times = _TIME_FIELDS.get(type(obj), ())
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, WaterHeaterParams):
+            doc.update(_encode(value, clock))
+            continue
+        doc[_ALIASES.get(f.name, f.name)] = (
+            clock(value) if f.name in times else _plain(value, clock)
+        )
+    return doc
+
+
+def _plain(value, clock):
+    if is_dataclass(value):
+        return _encode(value, clock)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v, clock) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v, clock) for k, v in value.items()}
+    return value
+
+
+def _converter(kind) -> Callable[[object, TimeGrid], object]:
+    """Function (document value, grid) -> field value for an annotated type."""
+    if kind == DeviceConfig:
+        return _decode_device
+    if get_origin(kind) in (Union, UnionType):  # X | None; a null is handled by _decode
+        (kind,) = [a for a in get_args(kind) if a is not type(None)]
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        item = _converter(args[0])
+        return lambda value, grid: tuple(item(v, grid) for v in value)
+    if origin is dict:
+        item = _converter(args[1])
+        return lambda value, grid: {k: item(v, grid) for k, v in value.items()}
+    if is_dataclass(kind):
+        return lambda value, grid: _decode(kind, value, grid)
+    # float, int, bool, str, Enum; an int in a float field becomes a float
+    return lambda value, grid: kind(value)
+
+
+def _on_grid(value, grid: TimeGrid) -> int:
+    return grid.slot_of(value)
+
+
+@functools.cache
+def _decoder(cls) -> tuple[tuple[str, str, Callable, bool], ...]:
+    """(field, document key, converter, required) per field of `cls`. The
+    annotations are resolved once per class: resolving them costs far more
+    than decoding a document."""
+    hints = get_type_hints(cls)
+    times = _TIME_FIELDS.get(cls, ())
+    return tuple(
+        (
+            f.name,
+            _ALIASES.get(f.name, f.name),
+            _on_grid if f.name in times else _converter(hints[f.name]),
+            f.default is MISSING and f.default_factory is MISSING,
+        )
+        for f in fields(cls)
     )
+
+
+def _decode(cls, doc: dict, grid: TimeGrid, /, **given):
+    """Build `cls` from its document. A missing or null key takes the
+    field's default; a required one raises KeyError naming the key. Fields
+    in `given` are taken as they are."""
+    for name, key, convert, required in _decoder(cls):
+        if name in given:
+            continue
+        value = doc.get(key)
+        if value is None:
+            if required:
+                raise KeyError(key)
+            continue
+        given[name] = convert(value, grid)
+    return cls(**given)
+
+
+def _decode_device(doc: dict, grid: TimeGrid) -> DeviceConfig:
+    cls = _DEVICE_TYPES.get(doc.get("type"))
+    if cls is None:
+        raise MalformedRequest(f"unknown device type {doc.get('type')!r}")
+    if cls is HeaterFleetConfig:
+        return _decode(cls, doc, grid, params=_decode(WaterHeaterParams, doc, grid))
+    if cls is CycleConfig and "profile_w" not in doc:
+        # legacy form: one power level held for a number of slots
+        doc = {**doc, "profile_w": [doc["power_w"]] * int(doc["duration_slots"])}
+    return _decode(cls, doc, grid)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     grid = scenario.grid
-    clock = grid.clock_of
-
-    def device_dict(device: DeviceConfig) -> dict:
-        if isinstance(device, ThermalConfig):
-            return {
-                "type": "thermal",
-                "id": device.device_id,
-                "rated_w": device.rated_w,
-                "target_c": device.target_c,
-                "service_start": clock(device.service_start),
-                "service_end": clock(device.service_end),
-                "preheat_from": clock(device.preheat_from),
-                "force_check_at": clock(device.force_check_at),
-                "priority": device.priority,
-                "capacitance_wh_per_c": device.capacitance_wh_per_c,
-                "loss_w_per_c": device.loss_w_per_c,
-                "ambient_c": device.ambient_c,
-                "initial_c": device.initial_c,
-                "efficiency": device.efficiency,
-                "packet_w": device.packet_w,
-            }
-        if isinstance(device, BatteryConfig):
-            return {
-                "type": "battery",
-                "id": device.device_id,
-                "capacity_wh": device.capacity_wh,
-                "p_max_w": device.p_max_w,
-                "arrive": clock(device.arrival),
-                "deadline": clock(device.deadline),
-                "priority": device.priority,
-                "packet_w": device.packet_w,
-                "initial_soc_wh": device.initial_soc_wh,
-            }
-        if isinstance(device, CycleConfig):
-            return {
-                "type": "cycle",
-                "id": device.device_id,
-                "profile_w": list(device.profile_w),
-                "earliest_start": clock(device.earliest_start),
-                "deadline": clock(device.deadline),
-                "priority": device.priority,
-            }
-        if isinstance(device, HeaterFleetConfig):
-            p = device.params
-            return {
-                "type": "heater_fleet",
-                "id": device.device_id,
-                "count": device.count,
-                "packet_epochs": device.packet_epochs,
-                "t_low_c": p.t_low_c,
-                "t_high_c": p.t_high_c,
-                "override_margin_c": p.override_margin_c,
-                "mu_max": p.mu_max,
-                "rated_w": p.rated_w,
-                "capacitance_wh_per_c": p.capacitance_wh_per_c,
-                "loss_w_per_c": p.loss_w_per_c,
-                "ambient_c": p.ambient_c,
-                "efficiency": p.efficiency,
-                "draw_prob": p.draw_prob,
-                "draw_min_c": p.draw_min_c,
-                "draw_max_c": p.draw_max_c,
-            }
-        raise MalformedRequest(f"unknown device config {type(device).__name__}")
-
-    doc: dict = {
-        "grid": {
-            "start": clock(0),
-            "slot_min": grid.slot_min,
-            "horizon": grid.horizon,
-        },
-        "feeder_capacity_w": scenario.feeder_capacity_w,
-        "devices": [device_dict(d) for d in scenario.devices],
-        "renewable": {
-            "kind": scenario.renewable.kind,
-            "mean_w": scenario.renewable.mean_w,
-            "volatility_w": scenario.renewable.volatility_w,
-            "values_w": (
-                list(scenario.renewable.values_w)
-                if scenario.renewable.values_w is not None
-                else None
-            ),
-        },
-        "storage": (
-            None
-            if scenario.storage is None
-            else {
-                "soc_wh": scenario.storage.soc_wh,
-                "capacity_wh": scenario.storage.capacity_wh,
-                "p_charge_max_w": scenario.storage.p_charge_max_w,
-                "p_discharge_max_w": scenario.storage.p_discharge_max_w,
-                "efficiency": scenario.storage.efficiency,
-            }
-        ),
-        "import_allowed": scenario.import_allowed,
-        "channels": (
-            None
-            if scenario.channels is None
-            else {k: _profile_to_dict(v) for k, v in scenario.channels.items()}
-        ),
-        "server": {
-            "backoff_max": scenario.policy.backoff_max,
-            "renewable_first": scenario.policy.renewable_first,
-            "emergency_shedding": scenario.policy.emergency_shedding,
-        },
-        "trip_rate_per_hour": scenario.trip_rate_per_hour,
-        "seed": scenario.seed,
+    doc = _encode(scenario, grid.clock_of)
+    doc["grid"] = {
+        "start": grid.clock_of(0),
+        "slot_min": grid.slot_min,
+        "horizon": grid.horizon,
     }
-    if scenario.reference is not None:
-        doc["reference"] = {"values_w": list(scenario.reference.values_w)}
+    if scenario.reference is None:
+        del doc["reference"]
     return doc
 
 
@@ -352,129 +358,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         slot_min=int(doc["grid"]["slot_min"]),
         horizon=int(doc["grid"]["horizon"]),
     )
-    slot = grid.slot_of
-
-    def device_from(d: dict) -> DeviceConfig:
-        kind = d.get("type")
-        if kind == "thermal":
-            return ThermalConfig(
-                device_id=d["id"],
-                rated_w=float(d["rated_w"]),
-                target_c=float(d["target_c"]),
-                service_start=slot(d["service_start"]),
-                service_end=slot(d["service_end"]),
-                preheat_from=slot(d["preheat_from"]),
-                force_check_at=slot(d["force_check_at"]),
-                priority=int(d.get("priority", 2)),
-                capacitance_wh_per_c=float(d.get("capacitance_wh_per_c", 60.0)),
-                loss_w_per_c=float(d.get("loss_w_per_c", 10.0)),
-                ambient_c=float(d.get("ambient_c", 20.0)),
-                initial_c=float(d.get("initial_c", 20.0)),
-                efficiency=float(d.get("efficiency", 1.0)),
-                packet_w=(None if d.get("packet_w") is None else float(d["packet_w"])),
-            )
-        if kind == "battery":
-            return BatteryConfig(
-                device_id=d["id"],
-                capacity_wh=float(d["capacity_wh"]),
-                p_max_w=float(d["p_max_w"]),
-                arrival=slot(d["arrive"]),
-                deadline=slot(d["deadline"]),
-                priority=int(d.get("priority", 3)),
-                packet_w=float(d.get("packet_w", 1000.0)),
-                initial_soc_wh=(
-                    None if d.get("initial_soc_wh") is None else float(d["initial_soc_wh"])
-                ),
-            )
-        if kind == "cycle":
-            if "profile_w" in d:
-                profile = tuple(float(w) for w in d["profile_w"])
-            else:
-                profile = (float(d["power_w"]),) * int(d["duration_slots"])
-            return CycleConfig(
-                device_id=d["id"],
-                profile_w=profile,
-                earliest_start=slot(d["earliest_start"]),
-                deadline=slot(d["deadline"]),
-                priority=int(d.get("priority", 1)),
-            )
-        if kind == "heater_fleet":
-            params = WaterHeaterParams(
-                t_low_c=float(d.get("t_low_c", 50.0)),
-                t_high_c=float(d.get("t_high_c", 60.0)),
-                override_margin_c=float(d.get("override_margin_c", 2.0)),
-                mu_max=float(d.get("mu_max", 0.3)),
-                rated_w=float(d.get("rated_w", 4500.0)),
-                capacitance_wh_per_c=float(d.get("capacitance_wh_per_c", 300.0)),
-                loss_w_per_c=float(d.get("loss_w_per_c", 5.0)),
-                ambient_c=float(d.get("ambient_c", 20.0)),
-                efficiency=float(d.get("efficiency", 1.0)),
-                draw_prob=float(d.get("draw_prob", 0.7)),
-                draw_min_c=float(d.get("draw_min_c", 0.2)),
-                draw_max_c=float(d.get("draw_max_c", 0.45)),
-            )
-            return HeaterFleetConfig(
-                device_id=d["id"],
-                count=int(d["count"]),
-                params=params,
-                packet_epochs=int(d.get("packet_epochs", 8)),
-            )
-        raise MalformedRequest(f"unknown device type {kind!r}")
-
-    renewable_doc = doc.get("renewable", {}) or {}
-    renewable = RenewableConfig(
-        kind=renewable_doc.get("kind", "random_walk"),
-        mean_w=float(renewable_doc.get("mean_w", 3000.0)),
-        volatility_w=float(renewable_doc.get("volatility_w", 600.0)),
-        values_w=(
-            None
-            if renewable_doc.get("values_w") is None
-            else tuple(float(v) for v in renewable_doc["values_w"])
-        ),
-    )
-    storage_doc = doc.get("storage")
-    storage = (
-        None
-        if storage_doc is None
-        else StorageAsset(
-            soc_wh=float(storage_doc["soc_wh"]),
-            capacity_wh=float(storage_doc["capacity_wh"]),
-            p_charge_max_w=float(storage_doc["p_charge_max_w"]),
-            p_discharge_max_w=float(storage_doc["p_discharge_max_w"]),
-            efficiency=float(storage_doc.get("efficiency", 1.0)),
-        )
-    )
-    channels_doc = doc.get("channels")
-    channels = (
-        None
-        if channels_doc is None
-        else {k: _profile_from_dict(v) for k, v in channels_doc.items()}
-    )
-    server_doc = doc.get("server", {}) or {}
-    policy = ServerPolicy(
-        backoff_max=int(server_doc.get("backoff_max", 3)),
-        renewable_first=bool(server_doc.get("renewable_first", True)),
-        emergency_shedding=bool(server_doc.get("emergency_shedding", True)),
-    )
-    reference_doc = doc.get("reference")
-    reference = (
-        None
-        if reference_doc is None
-        else ReferenceSignal(values_w=tuple(float(v) for v in reference_doc["values_w"]))
-    )
-    scenario = Scenario(
-        grid=grid,
-        feeder_capacity_w=float(doc["feeder_capacity_w"]),
-        devices=tuple(device_from(d) for d in doc.get("devices", [])),
-        renewable=renewable,
-        storage=storage,
-        import_allowed=bool(doc.get("import_allowed", True)),
-        channels=channels,
-        policy=policy,
-        reference=reference,
-        trip_rate_per_hour=float(doc.get("trip_rate_per_hour", 0.0)),
-        seed=int(doc.get("seed", 0)),
-    )
+    # a document without devices is an empty feeder
+    scenario = _decode(Scenario, {"devices": [], **doc}, grid, grid=grid)
     scenario.validate()
     return scenario
 
@@ -535,11 +420,6 @@ def three_household_scenario(seed: int = 1, *, with_channels: bool = True) -> Sc
         trip_rate_per_hour=2.0 if with_channels else 0.0,
         seed=seed,
     )
-
-
-# The three-household case is the package's reference scenario; the CLI
-# exposes it under the `fig3` subcommand name.
-fig3_scenario = three_household_scenario
 
 
 def fleet_scenario(

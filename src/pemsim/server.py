@@ -216,10 +216,7 @@ def _envelope(request: LoadRequest, grid: TimeGrid) -> tuple[float, ...]:
 class JobCommitment:
     request: LoadRequest
     decision: Accept
-    forced_start: int
-    deadline: int
     profile_w: list[float]
-    admitted_at: int
     released: bool = False
 
 
@@ -237,9 +234,6 @@ class CommitmentLedger:
         self.feeder_capacity_w = feeder_capacity_w
         self.jobs: dict[str, JobCommitment] = {}
         self.committed_w = [0.0] * grid.horizon
-
-    def committed_at(self, slot: int) -> float:
-        return self.committed_w[slot]
 
     def admit(self, request: LoadRequest, now: int = 0) -> GrantDecision:
         """Admission decision; extends the ledger on acceptance.
@@ -262,16 +256,9 @@ class CommitmentLedger:
                 return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t)
         for t in range(self.grid.horizon):
             self.committed_w[t] += profile[t]
-        from .core import request_deadline
-
         decision = Accept(envelope_w=_envelope(request, self.grid), forced_start=start)
         self.jobs[request.device_id] = JobCommitment(
-            request=request,
-            decision=decision,
-            forced_start=start,
-            deadline=request_deadline(request),
-            profile_w=profile,
-            admitted_at=now,
+            request=request, decision=decision, profile_w=profile
         )
         return decision
 
@@ -315,11 +302,6 @@ class CommitmentLedger:
         for i, watts in enumerate(request.profile_w):
             job.profile_w[start_slot + i] = watts
             self.committed_w[start_slot + i] += watts
-
-
-def admit(request: LoadRequest, ledger: CommitmentLedger, now: int = 0) -> GrantDecision:
-    """Admission against the ledger's committed forced profiles."""
-    return ledger.admit(request, now=now)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from pemsim.comms import (
     ChannelProfile,
     Delivered,
     LatencyBudget,
-    MessageEnvelope,
     MessageKind,
     MessageRecord,
     URLLC_DEFAULT,
@@ -28,14 +27,14 @@ from pemsim.comms import (
     transmit,
 )
 from pemsim.core import Accept, TimeGrid
-from pemsim.cli import write_bundle
-from pemsim.engine import audit_conservation, run_batch, run_scenario
+from pemsim.cli import run_batch, write_bundle
+from pemsim.engine import audit_conservation, run_scenario
 from pemsim.scenario import (
     fleet_scenario,
     null_channels,
     three_household_scenario,
 )
-from pemsim.server import CommitmentLedger, admit, compute_forced_start
+from pemsim.server import CommitmentLedger, compute_forced_start
 
 
 def _report(number: int, description: str, failures: list[str]) -> None:
@@ -90,7 +89,7 @@ def test_criterion_2_forced_start_derivation():
         earliest_start=grid.slot_of("20:00"), latest_start=grid.slot_of("24:00") - 6,
         priority=1, issued_at=0,
     )
-    decision = admit(dishwasher, ledger)
+    decision = ledger.admit(dishwasher)
     if not isinstance(decision, Accept) or grid.clock_of(decision.forced_start) != "23:00":
         failures.append("dishwasher forced start != 23:00")
     _report(2, "forced starts: 9166.7 Wh @ 5 kW -> 22:10; 1-h cycle -> 23:00", failures)
@@ -103,7 +102,7 @@ def test_criterion_3_admission_oracle_equivalence():
         grid, capacity, requests = random_admission_instance(seed)
         expected = oracle_admit_sequence(requests, capacity, grid)
         ledger = CommitmentLedger(grid, capacity)
-        got = [isinstance(admit(r, ledger), Accept) for r in requests]
+        got = [isinstance(ledger.admit(r), Accept) for r in requests]
         if got != expected:
             failures.append(f"instance {seed}: {got} != {expected}")
     elapsed = time.perf_counter() - t0
@@ -187,7 +186,7 @@ def test_criterion_6_channel_statistics():
     rng = random.Random(31415)
     attempts = 0
     for _ in range(n):
-        outcome = transmit(MessageEnvelope(MessageKind.METER_REPORT, 0.0), lossy, rng)
+        outcome = transmit(0.0, lossy, rng)
         attempts += outcome.attempts
     if abs(attempts / n - 2.0) > 0.04:
         failures.append(f"mean attempts {attempts / n:.3f} not within 2% of 2")
@@ -195,7 +194,7 @@ def test_criterion_6_channel_statistics():
     rng = random.Random(9999)
     records = []
     for i in range(n):
-        outcome = transmit(MessageEnvelope(MessageKind.TRIP_SIGNAL, 0.0), URLLC_DEFAULT, rng)
+        outcome = transmit(0.0, URLLC_DEFAULT, rng)
         if isinstance(outcome, Delivered):
             records.append(MessageRecord(i, MessageKind.TRIP_SIGNAL, ChannelClass.URLLC,
                                          0.0, outcome.at_ms, outcome.attempts))
@@ -242,10 +241,11 @@ def test_criterion_8_determinism(tmp_path):
         failures.append("same-seed bundles differ byte-wise")
 
     seeds = list(range(1, 21))
-    forward = run_batch(scenario, seeds)
+    _, forward = run_batch(scenario, seeds, tmp_path / "forward")
     shuffled_order = seeds[:]
     random.Random(4).shuffle(shuffled_order)
-    shuffled = {e["seed"]: e for e in run_batch(scenario, shuffled_order)}
+    _, shuffled_entries = run_batch(scenario, shuffled_order, tmp_path / "shuffled")
+    shuffled = {e["seed"]: e for e in shuffled_entries}
     if any(shuffled[e["seed"]] != e for e in forward):
         failures.append("batch results depend on execution order")
     _report(8, "identical seeds give byte-identical bundles; batch order irrelevant", failures)

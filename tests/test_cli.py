@@ -4,7 +4,7 @@ import json
 
 from pemsim.cli import main, write_bundle
 from pemsim.engine import run_scenario
-from pemsim.scenario import save_scenario, three_household_scenario
+from pemsim.scenario import save_scenario, scenario_to_dict, three_household_scenario
 
 SLOTS_HEADER = (
     "slot,clock,"
@@ -49,6 +49,14 @@ class TestValidate:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["run", "--scenario", "x", "--out", "y", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_missing_required_key_is_named(self, tmp_path, capsys):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        del next(d for d in doc["devices"] if d["id"] == "sauna")["target_c"]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "'target_c'" in capsys.readouterr().err
 
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
@@ -129,6 +137,26 @@ class TestBatch:
         assert all(e["error"] is None for e in entries)
         for seed in (1, 2, 3):
             assert (out / f"seed_{seed}" / "summary.json").exists()
+
+    def test_invariant_error_exits_two_from_run_and_batch(self, tmp_path, capsys):
+        # islanded, no shedding: seeds 1 and 2 run short of supply
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        doc["import_allowed"] = False
+        doc["server"]["emergency_shedding"] = False
+        scenario_file = tmp_path / "islanded.json"
+        scenario_file.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scenario_file), "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "invariant violation: supply short by" in capsys.readouterr().err
+        out = tmp_path / "batch"
+        assert main(["batch", "--scenario", str(scenario_file), "--seeds", "1..3",
+                     "--out", str(out)]) == 2
+        entries = json.loads((out / "batch.json").read_text())
+        assert [e["seed"] for e in entries] == [1, 2, 3]
+        for entry in entries[:2]:
+            assert entry["summary"] is None
+            assert entry["error"].startswith("invariant violation: supply short by")
+        assert entries[2]["error"] is None and entries[2]["summary"]["seed"] == 3
 
 
 class TestFleetCommand:

@@ -13,7 +13,6 @@ from pemsim.comms import (
     Delivered,
     Dropped,
     LatencyBudget,
-    MessageEnvelope,
     MessageKind,
     MessageRecord,
     aggregate_reports,
@@ -55,20 +54,17 @@ class TestSampleDelay:
 
 
 class TestTransmit:
-    def _msg(self):
-        return MessageEnvelope(kind=MessageKind.GRANT, sent_at_ms=0.0)
-
     def test_lossless_single_attempt(self):
         profile = ChannelProfile(cls=ChannelClass.URLLC, offset_ms=1.0, mean_ms=5.0,
                                  loss_prob=0.0, retransmit_timeout_ms=20.0, max_attempts=3)
-        outcome = transmit(self._msg(), profile, random.Random(1))
+        outcome = transmit(0.0, profile, random.Random(1))
         assert isinstance(outcome, Delivered) and outcome.attempts == 1
 
     def test_certain_loss_drops_after_max_attempts(self):
         profile = ChannelProfile(cls=ChannelClass.URLLC, offset_ms=1.0, mean_ms=5.0,
                                  loss_prob=0.999999, retransmit_timeout_ms=20.0, max_attempts=3)
         rng = random.Random(2)
-        drops = [transmit(self._msg(), profile, rng) for _ in range(200)]
+        drops = [transmit(0.0, profile, rng) for _ in range(200)]
         assert all(isinstance(o, Dropped) and o.attempts == 3 for o in drops)
 
     def test_geometric_mean_attempts(self):
@@ -79,7 +75,7 @@ class TestTransmit:
         n = 100_000
         total = 0
         for _ in range(n):
-            outcome = transmit(self._msg(), profile, rng)
+            outcome = transmit(0.0, profile, rng)
             assert isinstance(outcome, Delivered)
             total += outcome.attempts
         assert total / n == pytest.approx(2.0, rel=0.02)
@@ -89,7 +85,7 @@ class TestTransmit:
                                  loss_prob=0.5, retransmit_timeout_ms=20.0, max_attempts=50)
         rng = random.Random(9)
         for _ in range(500):
-            outcome = transmit(self._msg(), profile, rng)
+            outcome = transmit(0.0, profile, rng)
             assert outcome.at_ms == pytest.approx((outcome.attempts - 1) * 20.0 + 2.0)
 
 
@@ -105,7 +101,7 @@ class TestAuditBudget:
         rng = random.Random(42)
         records = []
         for i in range(100_000):
-            outcome = transmit(MessageEnvelope(MessageKind.TRIP_SIGNAL, 0.0), URLLC_TEST, rng)
+            outcome = transmit(0.0, URLLC_TEST, rng)
             if isinstance(outcome, Delivered):
                 records.append(self._record(i, MessageKind.TRIP_SIGNAL, outcome.at_ms))
         rates = audit_budget(records, LatencyBudget())

@@ -2,6 +2,8 @@
 scenario serialization."""
 
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +20,18 @@ from pemsim.core import (
     validate_request,
 )
 from pemsim.scenario import (
+    CycleConfig,
+    ServerPolicy,
+    default_channels,
     fleet_scenario,
+    load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     three_household_scenario,
 )
+
+REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
 
 GRID = TimeGrid(epoch_start_min=16 * 60, slot_min=10, horizon=48)
 
@@ -135,6 +144,56 @@ class TestScenarioSerialization:
         assert ev["deadline"] == "24:00"
         sauna = next(d for d in doc["devices"] if d["id"] == "sauna")
         assert sauna["force_check_at"] == "18:20"
+
+    def test_reference_file_roundtrips_byte_identically(self, tmp_path):
+        save_scenario(load_scenario(REFERENCE_FILE), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == REFERENCE_FILE.read_bytes()
+
+    def test_legacy_cycle_form(self):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        dishwasher = next(d for d in doc["devices"] if d["id"] == "dishwasher")
+        assert dishwasher["profile_w"] == [2000.0] * 6
+        legacy = {k: v for k, v in dishwasher.items() if k != "profile_w"}
+        legacy.update(power_w=2000, duration_slots=6)
+        doc["devices"] = [legacy if d is dishwasher else d for d in doc["devices"]]
+        [cycle] = [d for d in scenario_from_dict(doc).devices if isinstance(d, CycleConfig)]
+        assert cycle == CycleConfig("dishwasher", (2000.0,) * 6, 24, 48, priority=1)
+        assert all(type(w) is float for w in cycle.profile_w)
+
+    def test_int_in_float_field_decodes_to_float(self):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        doc["feeder_capacity_w"] = 10000
+        doc["storage"] = {"soc_wh": 5000, "capacity_wh": 10000,
+                          "p_charge_max_w": 3000, "p_discharge_max_w": 3000}
+        scenario = scenario_from_dict(doc)
+        assert type(scenario.feeder_capacity_w) is float
+        assert type(scenario.storage.soc_wh) is float
+        assert scenario.storage.efficiency == 1.0
+
+
+class TestFleetValidation:
+    """A fleet run ignores channels, trip traffic and the server policy, so a
+    fleet scenario that sets them is rejected."""
+
+    def test_defaults_validate(self):
+        fleet_scenario(count=10, hours=1.0).validate()
+
+    def test_channels_rejected(self):
+        scenario = replace(fleet_scenario(count=10, hours=1.0), channels=default_channels())
+        with pytest.raises(MalformedRequest, match="channels"):
+            scenario.validate()
+
+    def test_trip_rate_rejected(self):
+        scenario = replace(fleet_scenario(count=10, hours=1.0), trip_rate_per_hour=2.0)
+        with pytest.raises(MalformedRequest, match="trip_rate_per_hour"):
+            scenario.validate()
+
+    def test_server_policy_rejected(self):
+        scenario = replace(
+            fleet_scenario(count=10, hours=1.0), policy=ServerPolicy(renewable_first=False)
+        )
+        with pytest.raises(MalformedRequest, match="server policy"):
+            scenario.validate()
 
 
 class TestSubstream:

@@ -15,6 +15,7 @@ from pemsim.devices import (
     StorageAsset,
     ThermalLoadState,
     WaterHeaterParams,
+    decay_temp,
     fleet_request_probability,
     local_override,
     min_heating_slots,
@@ -76,6 +77,22 @@ class TestThermal:
     def test_power_clamped_to_rated(self):
         boosted = step_thermal(SAUNA, 99_999.0, 10)
         assert boosted.temp_c == pytest.approx(30.0)
+
+    def test_decay_temp_matches_iterated_step_thermal(self):
+        # closed form and recursion round differently; they agree to 1e-12
+        rng = random.Random(5)
+        for _ in range(2000):
+            state = ThermalLoadState(
+                temp_c=rng.uniform(-20.0, 95.0), ambient_c=rng.uniform(-10.0, 35.0),
+                capacitance_wh_per_c=rng.uniform(20.0, 400.0),
+                loss_w_per_c=rng.uniform(0.0, 20.0), rated_w=1000.0,
+            )
+            dt_min, steps = rng.choice([1, 3, 5, 10, 15]), rng.randint(0, 100)
+            iterated = state
+            for _ in range(steps):
+                iterated = step_thermal(iterated, 0.0, dt_min)
+            scale = max(abs(state.temp_c), abs(state.ambient_c))
+            assert abs(decay_temp(state, steps, dt_min) - iterated.temp_c) <= 1e-12 * scale
 
     def test_min_heating_slots(self):
         assert min_heating_slots(SAUNA, 70.0, 10) == 6

@@ -12,7 +12,8 @@ from scenario_gen import random_household_scenario
 
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid
-from pemsim.engine import audit_conservation, run_batch, run_scenario, summarize_run
+from pemsim.cli import run_batch
+from pemsim.engine import audit_conservation, run_scenario, summarize_run
 from pemsim.scenario import (
     BatteryConfig,
     CycleConfig,
@@ -77,20 +78,21 @@ class TestDeterminism:
         assert a.channel == b.channel
         assert a.device_traces == b.device_traces
 
-    def test_batch_order_independence(self):
+    def test_batch_order_independence(self, tmp_path):
         scenario = three_household_scenario(seed=0)
         seeds = list(range(1, 11))
-        forward = run_batch(scenario, seeds)
+        _, forward = run_batch(scenario, seeds, tmp_path / "forward")
         shuffled_seeds = seeds[:]
         random.Random(9).shuffle(shuffled_seeds)
-        shuffled = run_batch(scenario, shuffled_seeds)
+        _, shuffled = run_batch(scenario, shuffled_seeds, tmp_path / "shuffled")
         by_seed = {e["seed"]: e for e in shuffled}
         for entry in forward:
             assert by_seed[entry["seed"]] == entry
 
-    def test_batch_of_one_equals_single_run(self):
+    def test_batch_of_one_equals_single_run(self, tmp_path):
         scenario = three_household_scenario(seed=0)
-        [entry] = run_batch(scenario, [5])
+        code, [entry] = run_batch(scenario, [5], tmp_path)
+        assert code == 0
         single = summarize_run(run_scenario(replace(scenario, seed=5)))
         assert entry["summary"] == single and entry["error"] is None
 

@@ -29,7 +29,6 @@ from pemsim.server import (
     SlotNeed,
     SupplyView,
     UnderSupply,
-    admit,
     allocate_slot,
     compute_forced_start,
     dispatch_supply,
@@ -74,7 +73,7 @@ class TestComputeForcedStart:
             latest_start=GRID.slot_of("24:00") - 6,
             priority=1, issued_at=0,
         )
-        decision = admit(request, ledger)
+        decision = ledger.admit(request)
         assert isinstance(decision, Accept)
         assert GRID.clock_of(decision.forced_start) == "23:00"
 
@@ -163,7 +162,7 @@ def oracle_admit_sequence(requests, capacity, grid):
 class TestAdmission:
     def test_single_job_under_capacity(self):
         ledger = CommitmentLedger(GRID, 8000.0)
-        decision = admit(flexible("ev", 30_000.0, 5000.0, 0, 48), ledger)
+        decision = ledger.admit(flexible("ev", 30_000.0, 5000.0, 0, 48))
         assert isinstance(decision, Accept)
 
     def test_capacity_clash_reports_first_violating_slot(self):
@@ -171,9 +170,9 @@ class TestAdmission:
         # exceeds an 8 kW feeder exactly at 23:00
         ledger = CommitmentLedger(GRID, 8000.0)
         first = flexible("a", 10_000.0, 5000.0, 0, GRID.slot_of("24:00"))
-        assert isinstance(admit(first, ledger), Accept)
+        assert isinstance(ledger.admit(first), Accept)
         second = flexible("b", 5000.0, 5000.0, 0, GRID.slot_of("24:00"))
-        decision = admit(second, ledger)
+        decision = ledger.admit(second)
         assert isinstance(decision, Reject)
         assert decision.reason is RejectReason.CAPACITY_EXCEEDED
         assert GRID.clock_of(decision.at_slot) == "23:00"
@@ -193,35 +192,35 @@ class TestAdmission:
             earliest_start=GRID.slot_of("20:00"), latest_start=GRID.slot_of("23:00"),
             priority=1, issued_at=0,
         )
-        decisions = [admit(r, ledger) for r in (sauna, ev, dishwasher)]
+        decisions = [ledger.admit(r) for r in (sauna, ev, dishwasher)]
         assert all(isinstance(d, Accept) for d in decisions)
         # worst superposed forced power is EV + dishwasher late in the evening
         assert max(ledger.committed_w) <= 10_000.0
-        assert ledger.committed_at(GRID.slot_of("23:00")) == pytest.approx(7000.0)
+        assert ledger.committed_w[GRID.slot_of("23:00")] == pytest.approx(7000.0)
 
     def test_readmission_is_idempotent(self):
         ledger = CommitmentLedger(GRID, 8000.0)
         request = flexible("ev", 20_000.0, 5000.0, 0, 48)
-        first = admit(request, ledger)
+        first = ledger.admit(request)
         committed = list(ledger.committed_w)
-        again = admit(request, ledger)
+        again = ledger.admit(request)
         assert first == again
         assert ledger.committed_w == committed
 
     def test_release_frees_capacity(self):
         ledger = CommitmentLedger(GRID, 5000.0)
-        assert isinstance(admit(flexible("a", 20_000.0, 5000.0, 0, 48), ledger), Accept)
+        assert isinstance(ledger.admit(flexible("a", 20_000.0, 5000.0, 0, 48)), Accept)
         blocked = flexible("b", 20_000.0, 5000.0, 0, 48)
-        assert isinstance(admit(blocked, ledger), Reject)
+        assert isinstance(ledger.admit(blocked), Reject)
         ledger.release("a", 0)
-        assert isinstance(admit(blocked, ledger), Accept)
+        assert isinstance(ledger.admit(blocked), Accept)
 
     def test_oracle_equivalence_sample(self):
         for seed in range(200):
             grid, capacity, requests = random_admission_instance(seed)
             expected = oracle_admit_sequence(requests, capacity, grid)
             ledger = CommitmentLedger(grid, capacity)
-            got = [isinstance(admit(r, ledger), Accept) for r in requests]
+            got = [isinstance(ledger.admit(r), Accept) for r in requests]
             assert got == expected, f"instance {seed} disagrees"
 
     def test_scheduled_requests_always_validate(self):
@@ -230,7 +229,7 @@ class TestAdmission:
             grid, capacity, requests = random_admission_instance(seed)
             ledger = CommitmentLedger(grid, capacity)
             for request in requests:
-                if isinstance(admit(request, ledger), Accept):
+                if isinstance(ledger.admit(request), Accept):
                     validate_request(request, grid)
 
     def test_ledger_commitment_invariants(self):
@@ -241,7 +240,7 @@ class TestAdmission:
             grid, capacity, requests = random_admission_instance(seed)
             ledger = CommitmentLedger(grid, capacity)
             for request in requests:
-                admit(request, ledger)
+                ledger.admit(request)
             assert max(ledger.committed_w, default=0.0) <= capacity + 1e-6
             for job in ledger.jobs.values():
                 request = job.request
@@ -263,11 +262,11 @@ class TestAdmission:
         for seed in range(400):
             grid, capacity, requests = random_admission_instance(seed)
             ledger = CommitmentLedger(grid, capacity)
-            verdicts = [isinstance(admit(r, ledger), Accept) for r in requests]
+            verdicts = [isinstance(ledger.admit(r), Accept) for r in requests]
             if not all(verdicts):
                 continue
             bigger = CommitmentLedger(grid, capacity * rng.uniform(1.01, 3.0))
-            assert all(isinstance(admit(r, bigger), Accept) for r in requests)
+            assert all(isinstance(bigger.admit(r), Accept) for r in requests)
             checked += 1
         assert checked > 50
 
