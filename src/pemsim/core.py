@@ -19,14 +19,16 @@ from enum import Enum
 from typing import Union
 
 # Relative slack used when an energy requirement is converted into a whole
-# number of full-power slots. Scenario energies often arrive rounded to a few
-# decimals; without the slack, an input rounded up by a fraction of a
-# watt-hour would force a whole extra slot of reserved capacity.
+# number of full-power slots, capped at COMPLETION_TOL_WH. Scenario energies
+# often arrive rounded to a few decimals; without the slack, an input rounded
+# up by a fraction of a watt-hour would force a whole extra slot of reserved
+# capacity.
 ENERGY_REL_TOL = 1e-4
 
-# A job whose remaining need falls below this is considered complete. Bounds
-# the bookkeeping slack introduced by ENERGY_REL_TOL (sub-watt-hour at the
-# power levels this simulator targets).
+# A job whose remaining need falls below this is considered complete. It also
+# caps the slack of ENERGY_REL_TOL: above 10 kWh the relative slack alone
+# would exceed it, and a plan could end short of a job's need by more than
+# this tolerance.
 COMPLETION_TOL_WH = 1.0
 
 

@@ -69,10 +69,12 @@ class UnderSupply(RuntimeError):
 
 
 def needed_full_slots(remaining_wh: float, p_max_w: float, slot_hours: float) -> int:
-    """Whole slots of full-power service needed to finish `remaining_wh`."""
+    """Whole slots of full-power service needed to finish `remaining_wh`,
+    short of it by at most COMPLETION_TOL_WH."""
     if remaining_wh <= COMPLETION_TOL_WH:
         return 0
-    return math.ceil(remaining_wh * (1.0 - ENERGY_REL_TOL) / (p_max_w * slot_hours))
+    slack_wh = min(remaining_wh * ENERGY_REL_TOL, COMPLETION_TOL_WH)
+    return math.ceil((remaining_wh - slack_wh) / (p_max_w * slot_hours))
 
 
 def compute_forced_start(
@@ -84,8 +86,9 @@ def compute_forced_start(
 ) -> int:
     """Latest slot from which full-power service still finishes by `deadline`.
 
-    Rounds the start earlier, never later, apart from the sub-watt-hour
-    slack of ENERGY_REL_TOL which absorbs decimal-rounded inputs.
+    Rounds the start earlier, never later, apart from the slack of
+    needed_full_slots (at most COMPLETION_TOL_WH) which absorbs
+    decimal-rounded inputs.
     """
     if remaining_wh < 0 or p_max_w <= 0:
         raise MalformedRequest("forced start needs remaining >= 0 and p_max > 0")
@@ -258,7 +261,9 @@ class CommitmentLedger:
             self.committed_w[t] += profile[t]
         decision = Accept(envelope_w=_envelope(request, self.grid), forced_start=start)
         self.jobs[request.device_id] = JobCommitment(
-            request=request, decision=decision, profile_w=profile
+            request=request,
+            decision=decision,
+            profile_w=profile,
         )
         return decision
 

@@ -33,6 +33,7 @@ from pemsim.server import (
     compute_forced_start,
     dispatch_supply,
     handle_rejection_retry,
+    needed_full_slots,
     track_reference,
 )
 
@@ -59,6 +60,18 @@ class TestComputeForcedStart:
     def test_full_battery_six_hours(self):
         start = compute_forced_start(30_000.0, 5000.0, GRID.slot_of("24:00"), GRID)
         assert GRID.clock_of(start) == "18:00"
+
+    def test_full_power_plan_never_short_beyond_tolerance(self):
+        # above 10 kWh a relative 1e-4 slack exceeds the completion tolerance
+        slot_h = GRID.slot_hours
+        assert needed_full_slots(20_001.5, 5000.0, slot_h) == 25
+        rng = random.Random(17)
+        for _ in range(5000):
+            p_max = rng.choice([1000.0, 3500.0, 5000.0, 11_000.0])
+            slots = rng.randint(1, 48)
+            remaining = slots * p_max * slot_h + rng.uniform(-3.0, 3.0)
+            planned = needed_full_slots(remaining, p_max, slot_h) * p_max * slot_h
+            assert planned >= remaining - COMPLETION_TOL_WH
 
     def test_infeasible_deadline(self):
         with pytest.raises(InfeasibleDeadline):
@@ -103,9 +116,10 @@ def oracle_forced_profile(request, grid):
         if remaining <= COMPLETION_TOL_WH:
             return profile
         start = None
+        slack = min(remaining * ENERGY_REL_TOL, COMPLETION_TOL_WH)
         for t in range(request.deadline, -1, -1):
             covered = request.p_max_w * (request.deadline - t) * slot_h
-            if covered >= remaining * (1.0 - ENERGY_REL_TOL):
+            if covered >= remaining - slack:
                 start = t
                 break
         if start is None:
@@ -247,7 +261,7 @@ class TestAdmission:
                 if isinstance(request, FlexibleTotalRequest):
                     committed_wh = sum(job.profile_w[: request.deadline]) * slot_h
                     need = request.energy_needed_wh
-                    assert committed_wh >= need * (1 - ENERGY_REL_TOL) - COMPLETION_TOL_WH
+                    assert committed_wh >= need - COMPLETION_TOL_WH
                     assert all(w == 0.0 for w in job.profile_w[request.deadline:])
                 elif isinstance(request, FixedProfileRequest):
                     anchored = job.profile_w[request.latest_start:request.deadline]
