@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .core import MalformedRequest
 
@@ -155,19 +154,20 @@ def step_cycle(
     return replace(state, progress=state.progress + 1), consumed
 
 
-class OverrideState(Enum):
-    FORCE_ON = "force_on"
-    FORCE_OFF = "force_off"
-    NORMAL = "normal"
-
-
 @dataclass(frozen=True)
 class WaterHeaterParams:
     """Deadband heater with local overrides and stochastic draw events.
 
+    Each epoch a heater classifies itself against its comfort band:
+    FORCE_ON below t_low_c - override_margin_c, FORCE_OFF above t_high_c
+    (which aborts a running packet), NORMAL otherwise, boundaries included.
+    Local overrides guarantee the comfort band regardless of what the server
+    grants. A NORMAL heater that carries no packet requests one with
+    probability mu_max * clamp((t_high_c - T) / (t_high_c - t_low_c), 0, 1):
+    zero at the top of the band, mu_max at (or below) the bottom.
+
     A draw removes a random number of degrees in [draw_min_c, draw_max_c]
-    with probability draw_prob per epoch. Local overrides guarantee the
-    comfort band regardless of what the server grants.
+    with probability draw_prob per epoch.
     """
 
     t_low_c: float = 50.0
@@ -194,23 +194,6 @@ class WaterHeaterParams:
             raise MalformedRequest("draw probability must lie in [0, 1]")
         if not 0 <= self.draw_min_c <= self.draw_max_c:
             raise MalformedRequest("draw magnitudes out of order")
-
-
-def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float:
-    """Packet-request probability, linear in deadband position: zero at the
-    top of the band, mu_max at (or below) the bottom."""
-    span = params.t_high_c - params.t_low_c
-    urgency = (params.t_high_c - temp_c) / span
-    return params.mu_max * min(max(urgency, 0.0), 1.0)
-
-
-def local_override(temp_c: float, params: WaterHeaterParams) -> OverrideState:
-    """Comfort-band override, evaluated locally each epoch."""
-    if temp_c < params.t_low_c - params.override_margin_c:
-        return OverrideState.FORCE_ON
-    if temp_c > params.t_high_c:
-        return OverrideState.FORCE_OFF
-    return OverrideState.NORMAL
 
 
 @dataclass(frozen=True)

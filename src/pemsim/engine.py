@@ -42,10 +42,7 @@ from .core import (
 from .devices import (
     BatteryLoadState,
     FixedCycleState,
-    OverrideState,
     ThermalLoadState,
-    fleet_request_probability,
-    local_override,
     step_battery,
     step_cycle,
     step_storage,
@@ -852,51 +849,61 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     dt_h = grid.slot_min / 60.0
     heat_gain = dt_h * params.efficiency * params.rated_w / params.capacitance_wh_per_c
     loss_rate = dt_h * params.loss_w_per_c / params.capacitance_wh_per_c
+    ambient = params.ambient_c
+    force_on_below = params.t_low_c - params.override_margin_c
+    t_low, t_high = params.t_low_c, params.t_high_c
+    span = t_high - t_low
+    mu_max = params.mu_max
+    draw_prob = params.draw_prob
+    draw_min = params.draw_min_c
+    draw_width = params.draw_max_c - params.draw_min_c
+    request_random = request_rng.random
+    draw_random = draw_rng.random
 
     slots: list[SlotRecord] = []
     epochs: list[FleetEpochRecord] = []
     aggregate_trace: list[float] = []
 
     for e in range(grid.horizon):
-        force_on: list[int] = []
-        force_off = 0
-        for i in range(n):
-            state = local_override(temps[i], params)
-            if state is OverrideState.FORCE_ON:
-                force_on.append(i)
-            elif state is OverrideState.FORCE_OFF:
+        # pass 1: classify each heater against the comfort band (see
+        # WaterHeaterParams) and draw the requests of the free NORMAL ones,
+        # in index order, since track_reference's sample depends on it
+        heating = bytearray(n)
+        requesters: list[int] = []
+        force_on = force_off = carrying = 0
+        for i, temp in enumerate(temps):
+            if temp < force_on_below:
+                force_on += 1
+                heating[i] = 1
+            elif temp > t_high:
                 force_off += 1
                 packets_left[i] = 0  # abort any running packet
+            elif packets_left[i] > 0:
+                carrying += 1
+                heating[i] = 1
+            elif request_random() < (
+                # the clamped urgency: (t_high - temp) / span rounds to at
+                # least 1 below t_low and to at most 1 from t_low up
+                mu_max if temp < t_low else mu_max * ((t_high - temp) / span)
+            ):
+                requesters.append(i)
 
-        carrying = {i for i in range(n) if packets_left[i] > 0}
-        on_ids = set(force_on) | carrying
-        on_power = params.rated_w * len(on_ids)
-
-        requesters = [
-            i
-            for i in range(n)
-            if i not in on_ids
-            and local_override(temps[i], params) is OverrideState.NORMAL
-            and request_rng.random() < fleet_request_probability(temps[i], params)
-        ]
-        accepted = track_reference(
-            requesters, reference.at(e), on_power, packet, server_rng
-        )
+        on_power = params.rated_w * (force_on + carrying)
+        accepted = track_reference(requesters, reference.at(e), on_power, packet, server_rng)
         for i in accepted:
             packets_left[i] = cfg.packet_epochs
-        heating = on_ids | set(accepted)
-        aggregate_w = params.rated_w * len(heating)
+            heating[i] = 1
+        aggregate_w = params.rated_w * (force_on + carrying + len(accepted))
 
-        # physics: the Euler step of step_thermal, inlined for the n*epochs
-        # inner loop with its terms grouped differently (so a temperature can
-        # differ from step_thermal's in the last bit), plus stochastic draws
-        for i in range(n):
-            temp = temps[i]
-            temp += (heat_gain if i in heating else 0.0) - loss_rate * (temp - params.ambient_c)
-            if draw_rng.random() < params.draw_prob:
-                temp -= draw_rng.uniform(params.draw_min_c, params.draw_max_c)
+        # pass 2, physics: the Euler step of step_thermal, inlined for the
+        # n*epochs inner loop with its terms grouped differently (so a
+        # temperature can differ from step_thermal's in the last bit), then a
+        # random.uniform draw inlined, then the packet countdown
+        for i, temp in enumerate(temps):
+            temp += (heat_gain if heating[i] else 0.0) - loss_rate * (temp - ambient)
+            if draw_random() < draw_prob:
+                temp -= draw_min + draw_width * draw_random()
             temps[i] = temp
-        for i in range(n):
             if packets_left[i] > 0:
                 packets_left[i] -= 1
 
@@ -909,7 +916,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
                 aggregate_w=aggregate_w,
                 requests=len(requesters),
                 accepted=len(accepted),
-                force_on=len(force_on),
+                force_on=force_on,
                 force_off=force_off,
                 temp_min_c=min(temps),
                 temp_max_c=max(temps),

@@ -269,23 +269,50 @@ def _plain(value, clock):
     return value
 
 
-def _converter(kind) -> Callable[[object, TimeGrid], object]:
-    """Function (document value, grid) -> field value for an annotated type."""
+# The JSON values a scalar field accepts, and how an error names them. A
+# JSON bool decodes to a Python bool, which is an int, so the numeric
+# fields reject it by a check of their own.
+_SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _scalar(kind: type, key: str) -> Callable[[object, TimeGrid], object]:
+    """Converter for a scalar field: no coercion, so "false" in a bool field
+    and 2.7 in an int field are rejected naming `key`; an int in a float
+    field becomes a float."""
+    accepted, expected = _SCALARS[kind]
+
+    def convert(value, grid):
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+            raise MalformedRequest(f"{key} must be {expected}, got {value!r}")
+        return kind(value)
+
+    return convert
+
+
+def _converter(kind, key: str) -> Callable[[object, TimeGrid], object]:
+    """Function (document value, grid) -> field value for an annotated type;
+    `key` is the document key an error names."""
     if kind == DeviceConfig:
         return _decode_device
     if get_origin(kind) in (Union, UnionType):  # X | None; a null is handled by _decode
         (kind,) = [a for a in get_args(kind) if a is not type(None)]
     origin, args = get_origin(kind), get_args(kind)
     if origin is tuple:
-        item = _converter(args[0])
+        item = _converter(args[0], key)
         return lambda value, grid: tuple(item(v, grid) for v in value)
     if origin is dict:
-        item = _converter(args[1])
+        item = _converter(args[1], key)
         return lambda value, grid: {k: item(v, grid) for k, v in value.items()}
     if is_dataclass(kind):
         return lambda value, grid: _decode(kind, value, grid)
-    # float, int, bool, str, Enum; an int in a float field becomes a float
-    return lambda value, grid: kind(value)
+    if issubclass(kind, Enum):
+        return lambda value, grid: kind(value)
+    return _scalar(kind, key)
 
 
 def _on_grid(value, grid: TimeGrid) -> int:
@@ -299,15 +326,16 @@ def _decoder(cls) -> tuple[tuple[str, str, Callable, bool], ...]:
     than decoding a document."""
     hints = get_type_hints(cls)
     times = _TIME_FIELDS.get(cls, ())
-    return tuple(
-        (
+    decoder = []
+    for f in fields(cls):
+        key = _ALIASES.get(f.name, f.name)
+        decoder.append((
             f.name,
-            _ALIASES.get(f.name, f.name),
-            _on_grid if f.name in times else _converter(hints[f.name]),
+            key,
+            _on_grid if f.name in times else _converter(hints[f.name], key),
             f.default is MISSING and f.default_factory is MISSING,
-        )
-        for f in fields(cls)
-    )
+        ))
+    return tuple(decoder)
 
 
 def _decode(cls, doc: dict, grid: TimeGrid, /, **given):
@@ -334,7 +362,8 @@ def _decode_device(doc: dict, grid: TimeGrid) -> DeviceConfig:
         return _decode(cls, doc, grid, params=_decode(WaterHeaterParams, doc, grid))
     if cls is CycleConfig and "profile_w" not in doc:
         # legacy form: one power level held for a number of slots
-        doc = {**doc, "profile_w": [doc["power_w"]] * int(doc["duration_slots"])}
+        slots = _scalar(int, "duration_slots")(doc["duration_slots"], grid)
+        doc = {**doc, "profile_w": [doc["power_w"]] * slots}
     return _decode(cls, doc, grid)
 
 
@@ -355,8 +384,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     start = doc["grid"]["start"]
     grid = TimeGrid(
         epoch_start_min=start if isinstance(start, int) else parse_hhmm(start),
-        slot_min=int(doc["grid"]["slot_min"]),
-        horizon=int(doc["grid"]["horizon"]),
+        slot_min=_scalar(int, "slot_min")(doc["grid"]["slot_min"], None),
+        horizon=_scalar(int, "horizon")(doc["grid"]["horizon"], None),
     )
     # a document without devices is an empty feeder
     scenario = _decode(Scenario, {"devices": [], **doc}, grid, grid=grid)

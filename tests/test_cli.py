@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pemsim.cli import main, write_bundle
 from pemsim.engine import run_scenario
 from pemsim.scenario import save_scenario, scenario_to_dict, three_household_scenario
@@ -57,6 +59,24 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "'target_c'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda doc: doc["server"].update(emergency_shedding="false"), "emergency_shedding"),
+            (lambda doc: doc.update(import_allowed="no"), "import_allowed"),
+            (lambda doc: doc["channels"]["meter"].update(max_attempts=2.7), "max_attempts"),
+            (lambda doc: doc["grid"].update(slot_min=10.5), "slot_min"),
+        ],
+        ids=["string_in_bool", "word_in_bool", "fraction_in_int", "fraction_in_grid"],
+    )
+    def test_value_of_wrong_json_type_is_named(self, tmp_path, capsys, edit, key):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        edit(doc)
+        bad = tmp_path / "coerced.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"

@@ -1,5 +1,6 @@
 """Device physics: thermal node against its closed-form oracle, battery and
-storage saturation, cycle contiguity, water-heater overrides."""
+storage saturation, cycle contiguity. The water-heater band and request rule
+are tested with the fleet loop in test_fleet.py."""
 
 import math
 import random
@@ -11,13 +12,9 @@ from pemsim.devices import (
     BatteryLoadState,
     ContiguityViolation,
     FixedCycleState,
-    OverrideState,
     StorageAsset,
     ThermalLoadState,
-    WaterHeaterParams,
     decay_temp,
-    fleet_request_probability,
-    local_override,
     min_heating_slots,
     random_walk_trace,
     step_battery,
@@ -158,25 +155,6 @@ class TestCycle:
         state = FixedCycleState(profile_w=(2000.0,) * 3, started_at=5, progress=1)
         with pytest.raises(ContiguityViolation):
             step_cycle(state, granted=False, now=6)
-
-
-class TestWaterHeater:
-    PARAMS = WaterHeaterParams()
-
-    def test_request_probability_shape(self):
-        p = self.PARAMS
-        assert fleet_request_probability(p.t_high_c, p) == 0.0
-        assert fleet_request_probability(p.t_low_c, p) == pytest.approx(p.mu_max)
-        mid = (p.t_low_c + p.t_high_c) / 2
-        assert fleet_request_probability(mid, p) == pytest.approx(p.mu_max / 2)
-        assert fleet_request_probability(p.t_low_c - 30.0, p) == pytest.approx(p.mu_max)
-
-    def test_override_boundaries(self):
-        p = self.PARAMS
-        assert local_override(p.t_low_c - p.override_margin_c - 0.1, p) is OverrideState.FORCE_ON
-        assert local_override(p.t_high_c + 0.1, p) is OverrideState.FORCE_OFF
-        assert local_override(55.0, p) is OverrideState.NORMAL
-        assert local_override(p.t_low_c - p.override_margin_c, p) is OverrideState.NORMAL
 
 
 class TestStorage:

@@ -1,0 +1,232 @@
+"""The heater-fleet epoch loop against a reference implementation.
+
+`reference_fleet` is the straightforward form of the loop: classify every
+heater with `local_override`, collect the requesters with
+`fleet_request_probability`, let `track_reference` accept a subset, then
+step the physics with `random.uniform` draws. The engine's loop does the
+same work in two passes over struct-of-arrays state and must give
+bit-identical results, draw for draw, on every parameter set below.
+"""
+
+import math
+from dataclasses import replace
+from enum import Enum
+
+import pytest
+
+from pemsim.core import quantize, substream
+from pemsim.devices import ThermalLoadState, WaterHeaterParams, step_thermal
+from pemsim.engine import FleetEpochRecord, _Supply, run_scenario
+from pemsim.scenario import HeaterFleetConfig, fleet_scenario
+from pemsim.server import ReferenceSignal, track_reference
+
+
+class OverrideState(Enum):
+    FORCE_ON = "force_on"
+    FORCE_OFF = "force_off"
+    NORMAL = "normal"
+
+
+def local_override(temp_c: float, params: WaterHeaterParams) -> OverrideState:
+    if temp_c < params.t_low_c - params.override_margin_c:
+        return OverrideState.FORCE_ON
+    if temp_c > params.t_high_c:
+        return OverrideState.FORCE_OFF
+    return OverrideState.NORMAL
+
+
+def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float:
+    span = params.t_high_c - params.t_low_c
+    urgency = (params.t_high_c - temp_c) / span
+    return params.mu_max * min(max(urgency, 0.0), 1.0)
+
+
+def reference_fleet(scenario):
+    """(epoch records, slot records, final state, aggregate trace) of a
+    fleet scenario, computed heater by heater."""
+    grid = scenario.grid
+    cfg = scenario.devices[0]
+    params = cfg.params
+    n = cfg.count
+    reference = scenario.reference
+    packet = quantize(params.rated_w, grid.slot_min)
+    supply_side = _Supply(scenario)
+
+    init_rng = substream(scenario.seed, "fleet", "init")
+    temps = [init_rng.uniform(params.t_low_c, params.t_high_c) for _ in range(n)]
+    request_rng = substream(scenario.seed, "fleet", "requests")
+    draw_rng = substream(scenario.seed, "fleet", "draws")
+    server_rng = substream(scenario.seed, "server")
+    packets_left = [0] * n
+
+    dt_h = grid.slot_min / 60.0
+    heat_gain = dt_h * params.efficiency * params.rated_w / params.capacitance_wh_per_c
+    loss_rate = dt_h * params.loss_w_per_c / params.capacitance_wh_per_c
+
+    slots, epochs, aggregate_trace = [], [], []
+    for e in range(grid.horizon):
+        force_on = []
+        force_off = 0
+        for i in range(n):
+            state = local_override(temps[i], params)
+            if state is OverrideState.FORCE_ON:
+                force_on.append(i)
+            elif state is OverrideState.FORCE_OFF:
+                force_off += 1
+                packets_left[i] = 0
+
+        carrying = {i for i in range(n) if packets_left[i] > 0}
+        on_ids = set(force_on) | carrying
+        on_power = params.rated_w * len(on_ids)
+
+        requesters = [
+            i
+            for i in range(n)
+            if i not in on_ids
+            and local_override(temps[i], params) is OverrideState.NORMAL
+            and request_rng.random() < fleet_request_probability(temps[i], params)
+        ]
+        accepted = track_reference(requesters, reference.at(e), on_power, packet, server_rng)
+        for i in accepted:
+            packets_left[i] = cfg.packet_epochs
+        heating = on_ids | set(accepted)
+        aggregate_w = params.rated_w * len(heating)
+
+        for i in range(n):
+            temp = temps[i]
+            temp += (heat_gain if i in heating else 0.0) - loss_rate * (temp - params.ambient_c)
+            if draw_rng.random() < params.draw_prob:
+                temp -= draw_rng.uniform(params.draw_min_c, params.draw_max_c)
+            temps[i] = temp
+        for i in range(n):
+            if packets_left[i] > 0:
+                packets_left[i] -= 1
+
+        power = {cfg.device_id: aggregate_w}
+        slots.append(supply_side.settle(supply_side.view(e), e, power, power))
+        epochs.append(
+            FleetEpochRecord(
+                epoch=e,
+                reference_w=reference.at(e),
+                aggregate_w=aggregate_w,
+                requests=len(requesters),
+                accepted=len(accepted),
+                force_on=len(force_on),
+                force_off=force_off,
+                temp_min_c=min(temps),
+                temp_max_c=max(temps),
+                temp_mean_c=math.fsum(temps) / n,
+            )
+        )
+        aggregate_trace.append(aggregate_w)
+
+    final = {
+        cfg.device_id: {
+            "temp_min_c": min(temps),
+            "temp_max_c": max(temps),
+            "temp_mean_c": math.fsum(temps) / n,
+        }
+    }
+    return epochs, slots, final, {cfg.device_id: tuple(aggregate_trace)}
+
+
+def stepped_fleet(count, seed, params=WaterHeaterParams(), packet_epochs=8, hours=4.0,
+                  low_w=1000.0, high_w=2500.0):
+    """A fleet whose reference steps every hour between low_w and high_w
+    per heater."""
+    epochs = int(hours * 20)
+    values = tuple(count * (high_w if (e // 20) % 2 else low_w) for e in range(epochs))
+    base = fleet_scenario(count=count, reference_w=ReferenceSignal(values_w=values),
+                          hours=hours, seed=seed)
+    fleet = HeaterFleetConfig(device_id="fleet", count=count, params=params,
+                              packet_epochs=packet_epochs)
+    return replace(base, devices=(fleet,))
+
+
+DEFAULT = WaterHeaterParams()
+VARIANTS = {
+    "default": dict(),
+    "narrow_band": dict(
+        params=replace(DEFAULT, t_low_c=54.0, t_high_c=55.0, override_margin_c=0.3)
+    ),
+    "no_margin": dict(params=replace(DEFAULT, t_low_c=54.0, t_high_c=56.0, override_margin_c=0.0)),
+    "large_draws": dict(params=replace(DEFAULT, draw_prob=0.4, draw_min_c=0.5, draw_max_c=1.5)),
+    "never_draws": dict(
+        params=replace(DEFAULT, draw_prob=0.0, override_margin_c=0.0), low_w=0.0, high_w=4000.0
+    ),
+    "always_draws": dict(params=replace(DEFAULT, draw_prob=1.0)),
+    "mu_max_one": dict(params=replace(DEFAULT, mu_max=1.0)),
+    "one_epoch_packets": dict(packet_epochs=1),
+    "three_epoch_packets": dict(packet_epochs=3),
+    "long_packets_narrow": dict(
+        params=replace(DEFAULT, t_low_c=55.0, t_high_c=56.0, mu_max=1.0), packet_epochs=12
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_engine_matches_reference_loop(variant, seed):
+    scenario = stepped_fleet(count=120, seed=seed, **VARIANTS[variant])
+    epochs, slots, final, traces = reference_fleet(scenario)
+    result = run_scenario(scenario)
+    assert result.fleet == epochs
+    assert result.slots == slots
+    assert result.final_states == final
+    assert result.device_traces == traces
+
+
+@pytest.mark.parametrize(
+    "variant", ["narrow_band", "no_margin", "large_draws", "long_packets_narrow", "never_draws"]
+)
+def test_variants_reach_both_overrides(variant):
+    """The equivalence above covers both override branches: these parameter
+    sets drive heaters below and above the band."""
+    epochs, _, _, _ = reference_fleet(stepped_fleet(count=120, seed=1, **VARIANTS[variant]))
+    assert sum(r.force_on for r in epochs) > 0
+    assert sum(r.force_off for r in epochs) > 0
+
+
+class TestWaterHeater:
+    """The comfort band and request rule the reference loop encodes."""
+
+    PARAMS = WaterHeaterParams()
+
+    def test_request_probability_shape(self):
+        p = self.PARAMS
+        assert fleet_request_probability(p.t_high_c, p) == 0.0
+        assert fleet_request_probability(p.t_low_c, p) == pytest.approx(p.mu_max)
+        mid = (p.t_low_c + p.t_high_c) / 2
+        assert fleet_request_probability(mid, p) == pytest.approx(p.mu_max / 2)
+        assert fleet_request_probability(p.t_low_c - 30.0, p) == pytest.approx(p.mu_max)
+
+    def test_override_boundaries(self):
+        p = self.PARAMS
+        assert local_override(p.t_low_c - p.override_margin_c - 0.1, p) is OverrideState.FORCE_ON
+        assert local_override(p.t_high_c + 0.1, p) is OverrideState.FORCE_OFF
+        assert local_override(55.0, p) is OverrideState.NORMAL
+        assert local_override(p.t_low_c - p.override_margin_c, p) is OverrideState.NORMAL
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_inline_euler_step_tracks_step_thermal(seed):
+    """The fleet inlines step_thermal's Euler step with its terms grouped
+    differently; without draws, a lone heater's temperature stays within
+    1e-9 C of iterated step_thermal at the power the fleet applied."""
+    params = replace(DEFAULT, draw_prob=0.0)
+    scenario = stepped_fleet(count=1, seed=seed, params=params, hours=8.0,
+                             low_w=0.0, high_w=params.rated_w)
+    result = run_scenario(scenario)
+    state = ThermalLoadState(
+        temp_c=substream(seed, "fleet", "init").uniform(params.t_low_c, params.t_high_c),
+        ambient_c=params.ambient_c,
+        capacitance_wh_per_c=params.capacitance_wh_per_c,
+        loss_w_per_c=params.loss_w_per_c,
+        rated_w=params.rated_w,
+        efficiency=params.efficiency,
+    )
+    for record in result.fleet:
+        state = step_thermal(state, record.aggregate_w, scenario.grid.slot_min)
+        assert abs(record.temp_min_c - state.temp_c) <= 1e-9
+    powers = {record.aggregate_w for record in result.fleet}
+    assert powers == {0.0, params.rated_w}
