@@ -40,6 +40,8 @@ EXIT_INVARIANT = 2
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells of a bundle; tested first for speed
+        return f"{value:.6f}"
     if value is None:
         return ""
     if isinstance(value, bool):

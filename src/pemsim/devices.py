@@ -5,16 +5,23 @@ Every transition is a pure function (state, input) -> state, so devices can
 be stepped independently within a slot. The thermal model is a first-order
 lumped node integrated with one explicit Euler step per slot:
 
-    T' = T + (dt/60) * (eta * P - U * (T - T_ambient)) / C
+    T' = T + dt_h * (eta * P - U * (T - T_ambient)) / C,   dt_h = dt_min / 60
 
 which converges to T_ambient + eta*P/U and admits the closed-form solution
-used as the test oracle.
+used as the test oracle. `_euler_temp` is the one implementation of that
+step, evaluated in exactly this grouping (the product dt_h * (...) first,
+then the division by C, then the addition to T). step_thermal and
+min_heating_slots both call it, so a heating run that min_heating_slots plans
+is exactly the run step_thermal simulates at rated power.
+
+Every step builds its new state with the class constructor, so each state
+passes its __post_init__ checks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import MalformedRequest
 
@@ -46,15 +53,26 @@ class ThermalLoadState:
             raise MalformedRequest("efficiency must lie in (0, 1]")
 
 
+def _euler_temp(state: ThermalLoadState, temp_c: float, power_w: float, dt_min: float) -> float:
+    """Temperature after one Euler step of `state`'s node from `temp_c` at
+    `power_w` heating power (not clamped here)."""
+    dt_h = dt_min / 60.0
+    return temp_c + dt_h * (
+        state.efficiency * power_w - state.loss_w_per_c * (temp_c - state.ambient_c)
+    ) / state.capacitance_wh_per_c
+
+
 def step_thermal(state: ThermalLoadState, applied_w: float, dt_min: float) -> ThermalLoadState:
     """One Euler step with `applied_w` heating power (clamped to [0, rated])."""
     power = min(max(applied_w, 0.0), state.rated_w)
-    dt_h = dt_min / 60.0
-    delta = dt_h * (
-        state.efficiency * power
-        - state.loss_w_per_c * (state.temp_c - state.ambient_c)
-    ) / state.capacitance_wh_per_c
-    return replace(state, temp_c=state.temp_c + delta)
+    return ThermalLoadState(
+        temp_c=_euler_temp(state, state.temp_c, power, dt_min),
+        ambient_c=state.ambient_c,
+        capacitance_wh_per_c=state.capacitance_wh_per_c,
+        loss_w_per_c=state.loss_w_per_c,
+        rated_w=state.rated_w,
+        efficiency=state.efficiency,
+    )
 
 
 def decay_temp(state: ThermalLoadState, steps: int, dt_min: float) -> float:
@@ -68,19 +86,21 @@ def decay_temp(state: ThermalLoadState, steps: int, dt_min: float) -> float:
 def min_heating_slots(
     state: ThermalLoadState, target_c: float, dt_min: float, max_steps: int = 10_000
 ) -> int | None:
-    """Fewest consecutive rated-power slots that lift the node to `target_c`.
+    """Fewest consecutive rated-power slots that lift the node to `target_c`,
+    stepped as step_thermal steps it.
 
-    None when the target is unreachable (steady state below target).
+    None when the target is unreachable (steady state below target) or needs
+    more than `max_steps` slots.
     """
-    if state.temp_c >= target_c:
+    temp = state.temp_c
+    if temp >= target_c:
         return 0
-    current = state
     for n in range(1, max_steps + 1):
-        nxt = step_thermal(current, current.rated_w, dt_min)
-        if nxt.temp_c <= current.temp_c:
+        nxt = _euler_temp(state, temp, state.rated_w, dt_min)
+        if nxt <= temp:
             return None
-        current = nxt
-        if current.temp_c >= target_c:
+        temp = nxt
+        if temp >= target_c:
             return n
     return None
 
@@ -114,7 +134,13 @@ def step_battery(
     power = min(max(applied_w, 0.0), state.p_max_w)
     offered = power * dt_min / 60.0
     absorbed = min(offered, state.capacity_wh - state.soc_wh)
-    return replace(state, soc_wh=state.soc_wh + absorbed), absorbed
+    new_state = BatteryLoadState(
+        soc_wh=state.soc_wh + absorbed,
+        capacity_wh=state.capacity_wh,
+        p_max_w=state.p_max_w,
+        arrival_slot=state.arrival_slot,
+    )
+    return new_state, absorbed
 
 
 @dataclass(frozen=True)
@@ -145,13 +171,16 @@ def step_cycle(
         if not granted:
             return state, 0.0
         consumed = state.profile_w[0]
-        return replace(state, started_at=now, progress=1), consumed
+        return FixedCycleState(state.profile_w, started_at=now, progress=1), consumed
     if not granted:
         raise ContiguityViolation(
             f"cycle started at {state.started_at} denied power at slot {now}"
         )
     consumed = state.profile_w[state.progress]
-    return replace(state, progress=state.progress + 1), consumed
+    advanced = FixedCycleState(
+        state.profile_w, started_at=state.started_at, progress=state.progress + 1
+    )
+    return advanced, consumed
 
 
 @dataclass(frozen=True)
@@ -264,10 +293,18 @@ def step_storage(
     """
     dt_h = dt_min / 60.0
     if command_w >= 0:
-        power = min(command_w, state.max_charge_w(dt_min))
-        stored = power * dt_h * state.efficiency
+        flow = min(command_w, state.max_charge_w(dt_min))
+        stored = flow * dt_h * state.efficiency
         new_soc = min(state.capacity_wh, state.soc_wh + stored)
-        return replace(state, soc_wh=new_soc), power
-    power = min(-command_w, state.max_discharge_w(dt_min))
-    new_soc = max(0.0, state.soc_wh - power * dt_h)
-    return replace(state, soc_wh=new_soc), -power
+    else:
+        power = min(-command_w, state.max_discharge_w(dt_min))
+        new_soc = max(0.0, state.soc_wh - power * dt_h)
+        flow = -power
+    new_state = StorageAsset(
+        soc_wh=new_soc,
+        capacity_wh=state.capacity_wh,
+        p_charge_max_w=state.p_charge_max_w,
+        p_discharge_max_w=state.p_discharge_max_w,
+        efficiency=state.efficiency,
+    )
+    return new_state, flow

@@ -162,6 +162,11 @@ class Scenario:
             raise MalformedRequest("fleet runs send no trip signals; set trip_rate_per_hour to 0")
         if fleet and self.policy != ServerPolicy():
             raise MalformedRequest("fleet runs ignore the server policy; leave it at its defaults")
+        for device in fleet:
+            if device.count < 1:
+                raise MalformedRequest(f"{device.device_id}.count must be at least 1")
+            if device.packet_epochs < 1:
+                raise MalformedRequest(f"{device.device_id}.packet_epochs must be at least 1")
         if self.channels is not None:
             missing = {"request", "grant", "meter", "trip"} - set(self.channels)
             if missing:

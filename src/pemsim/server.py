@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -100,9 +100,10 @@ def compute_forced_start(
     return start
 
 
-def thermal_state_of(request: ThermalTargetRequest) -> ThermalLoadState:
+def thermal_state_of(request: ThermalTargetRequest, temp_c: float) -> ThermalLoadState:
+    """The request's thermal node at temperature `temp_c`."""
     return ThermalLoadState(
-        temp_c=request.temp_c,
+        temp_c=temp_c,
         ambient_c=request.ambient_c,
         capacitance_wh_per_c=request.capacitance_wh_per_c,
         loss_w_per_c=request.loss_w_per_c,
@@ -118,22 +119,22 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
     temperature decays freely from the issue-time snapshot. The window opens
     at the configured force-check slot or at the latest still-feasible start
     under that worst case, whichever comes first.
+
+    The scan runs from the service start backwards and stops at the first
+    feasible start, which is the latest; each probe searches only as many
+    heating slots as are left before the service start.
     """
-    snapshot = thermal_state_of(request)
-    latest_feasible = None
-    for t in range(request.preheat_from, request.service_start + 1):
-        cold = replace(
-            snapshot,
-            temp_c=decay_temp(snapshot, max(0, t - request.issued_at), grid.slot_min),
+    snapshot = thermal_state_of(request, request.temp_c)
+    for t in range(request.service_start, request.preheat_from - 1, -1):
+        cold = thermal_state_of(
+            request, decay_temp(snapshot, max(0, t - request.issued_at), grid.slot_min)
         )
-        need = min_heating_slots(cold, request.target_c, grid.slot_min)
-        if need is not None and need <= request.service_start - t:
-            latest_feasible = t
-    if latest_feasible is None:
-        raise WindowInfeasible(
-            f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
-        )
-    return min(request.force_check_at, latest_feasible)
+        left = request.service_start - t
+        if min_heating_slots(cold, request.target_c, grid.slot_min, max_steps=left) is not None:
+            return min(request.force_check_at, t)
+    raise WindowInfeasible(
+        f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
+    )
 
 
 def thermal_forced_need(
@@ -151,7 +152,7 @@ def thermal_forced_need(
     """
     if now < request.preheat_from or now >= request.service_end:
         return 0.0
-    state = replace(thermal_state_of(request), temp_c=temp_c)
+    state = thermal_state_of(request, temp_c)
     if now >= request.service_start:
         horizon = 1
     elif now >= request.force_check_at:

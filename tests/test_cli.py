@@ -6,7 +6,12 @@ import pytest
 
 from pemsim.cli import main, write_bundle
 from pemsim.engine import run_scenario
-from pemsim.scenario import save_scenario, scenario_to_dict, three_household_scenario
+from pemsim.scenario import (
+    fleet_scenario,
+    save_scenario,
+    scenario_to_dict,
+    three_household_scenario,
+)
 
 SLOTS_HEADER = (
     "slot,clock,"
@@ -195,6 +200,25 @@ class TestFleetCommand:
         out = tmp_path / "o"
         assert main(["fleet", "--count", "50", "--ref", str(ref),
                      "--hours", "0.5", "--out", str(out)]) == 0
+
+    def test_empty_fleet_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["fleet", "--count", "0", "--hours", "1", "--out", str(out)]) == 1
+        assert "fleet.count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count, packet_epochs, key", [
+        (0, 8, "count"), (20, 0, "packet_epochs"), (20, -5, "packet_epochs"),
+    ])
+    def test_fleet_file_without_heaters_or_epochs_fails_validate(
+        self, tmp_path, capsys, count, packet_epochs, key
+    ):
+        doc = scenario_to_dict(fleet_scenario(count=20, hours=1.0, seed=3))
+        doc["devices"][0].update(count=count, packet_epochs=packet_epochs)
+        bad = tmp_path / "fleet.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert f"fleet.{key}" in capsys.readouterr().err
 
 
 class TestLibraryParity:

@@ -195,6 +195,18 @@ class TestFleetValidation:
         with pytest.raises(MalformedRequest, match="server policy"):
             scenario.validate()
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_fleet_rejected(self, count):
+        with pytest.raises(MalformedRequest, match="fleet.count"):
+            fleet_scenario(count=count, hours=1.0).validate()
+
+    @pytest.mark.parametrize("packet_epochs", [0, -5])
+    def test_packet_without_epochs_rejected(self, packet_epochs):
+        scenario = fleet_scenario(count=10, hours=1.0)
+        fleet = replace(scenario.devices[0], packet_epochs=packet_epochs)
+        with pytest.raises(MalformedRequest, match="fleet.packet_epochs"):
+            replace(scenario, devices=(fleet,)).validate()
+
 
 class TestSubstream:
     def test_stable_and_independent(self):

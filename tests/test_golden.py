@@ -1,0 +1,122 @@
+"""Byte-identity gate: the SHA-256 of every bundle file for a fixed set of
+runs. A change that is meant to keep outputs byte-identical must pass this
+file unchanged; a change that alters outputs on purpose updates the digests
+and says why.
+
+The cases cover the reference evening (seeds 1, 87, 1652 and 1764; the
+latter two are where the EV's forced start rounds at the 1 Wh completion
+slack), the reference evening without channels and with the sauna's force
+check at its service start (the thermal-fault repro), two generated
+feeders that hold two thermal jobs each, and a heater fleet.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from pemsim.cli import write_bundle
+from pemsim.engine import run_scenario
+from pemsim.scenario import ThermalConfig, fleet_scenario, load_scenario
+from scenario_gen import random_household_scenario
+
+REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
+
+
+def _reference(seed):
+    return replace(load_scenario(REFERENCE_FILE), seed=seed)
+
+
+def _late_force_check(seed):
+    scenario = _reference(seed)
+    devices = tuple(
+        replace(d, force_check_at=d.service_start) if isinstance(d, ThermalConfig) else d
+        for d in scenario.devices
+    )
+    return replace(scenario, channels=None, devices=devices)
+
+
+CASES = {
+    "reference_1": lambda: _reference(1),
+    "reference_87": lambda: _reference(87),
+    "reference_1652": lambda: _reference(1652),
+    "reference_1764": lambda: _reference(1764),
+    "late_force_check_87": lambda: _late_force_check(87),
+    "feeder_5": lambda: random_household_scenario(5),
+    "feeder_9": lambda: random_household_scenario(9),
+    "fleet_200": lambda: fleet_scenario(count=200, hours=2.0, seed=1),
+}
+
+# Recorded before the replace-free thermal planning and device steps.
+DIGESTS = {
+    "feeder_5": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "b1468e5b2927b9e867fcc725bfca2966644cadb28c0ffb9fbc4f9dfdecd88b6b",
+        "slots.csv": "1fad33b504bd2143233ffe3dcf5968da8a97886535fa61ae20cf030f377eced7",
+        "summary.json": "e926e77532e7582ce1382d5f6576cb0264e477bf27cc8b2e0bf936c95c15caae",
+    },
+    "feeder_9": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "57f861d33bc699374f5e45a4b861ea2765b823700f5729570387398c93acd59b",
+        "slots.csv": "452879e992a78d9e9d2ae6bd038e98e0071bc06f07a8ad8eca78e8e7e8c6d06d",
+        "summary.json": "f88133803e0d895e725961a6130885a01929d765de64b026eb979fa3ff115799",
+    },
+    "fleet_200": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "fleet.csv": "b4948a1a736195bf46e326bb9bdcae5822df8f39fa423e04a7959eab5f4ecf7f",
+        "requests.csv": "d0409a80b639d5d1c10de89a414e3474c0f94fb513f12e3511f58c544da0188b",
+        "slots.csv": "7c13eb85f4470aa743d01d53bf67ec13142306cef7c10dac3820503cebfcf4dc",
+        "summary.json": "0016339f17411beb56aaf07aa79d66d5c6dfc234a7123803033ff9062f35f3f6",
+    },
+    "late_force_check_87": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "4c4672c07ee22a8449faafcdc9490ac533600aeb69015f3b721ffbd0821e1e0c",
+        "slots.csv": "72e5b5d78aa1adc116fabf68f1c8be65543bf51049f15174817c1f053c28c727",
+        "summary.json": "382876c6e5fa66ac9ea46c8fecaa26d0d7e6ec64095144bcd3894cefe93a8d8e",
+    },
+    "reference_1": {
+        "channel.csv": "0842b6f0529bc341ca024893fa99f234e6dc504d1f889d305a06cd730d8a5dcd",
+        "requests.csv": "27e9b830f34daf41e7680d43e0282a9c5809ecbcc985df20748ba4dc5986466f",
+        "slots.csv": "8bb681feb768a90cab97dd10d8e91cce4e97660bcc30a0b1fd961aa2f608269f",
+        "summary.json": "3b62badb97177221d37283757dcf9e200fc4ae575f2599e3bfbfab1f2c6dae12",
+    },
+    "reference_1652": {
+        "channel.csv": "4cf081fccbb58151db849849e5e39d653226f7d01459f683a69e5e861207de1e",
+        "requests.csv": "3a6a5de00d280b53fed8b25c73c96a8550cc8bc2d54a78f8dceff95b67ecf3aa",
+        "slots.csv": "4c077bade8186aea5daf99975750b54d098577a3c82bf7838c8e413c41bf709c",
+        "summary.json": "e4a140445f8b3a394292d983e668bd59ecf815971b0b7b1e95924f3b29eea56c",
+    },
+    "reference_1764": {
+        "channel.csv": "bad79ef3ecd42690585a093db7a1b97e2453ec960cee4c0300971fdfbf2f190f",
+        "requests.csv": "e2b4fb62cb4117dcdcae68747384232d0b1f2563d236ea43d5a3647ab7496c0a",
+        "slots.csv": "d5a8bf07e5ea6069ddbe1335944566a99f71aef525c1dc52c2ff37997e4db9a8",
+        "summary.json": "eed88df52ff64a92166de90f203dd67d264bd240b6c0007aa81eadb628d01c6c",
+    },
+    "reference_87": {
+        "channel.csv": "7affe3b086ba18f835de9403a653bfcebcec0c1e1a8e1c17276bd7b3a4fa737c",
+        "requests.csv": "5d7f1ca83768bc10da1765ad4e8b433e24ff55989e7bf9612ff8c92a8566ca50",
+        "slots.csv": "92f97435c031a1add7bd79793d874821fa23f20aeff54b076bb6b30848ab172a",
+        "summary.json": "e0db8d52b97ec6fd28a3cad51d59272e1a4051dace48ec33a85c06310805064f",
+    },
+}
+
+
+def bundle_digests(scenario, out_dir):
+    write_bundle(run_scenario(scenario), out_dir)
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(out_dir).iterdir())
+    }
+
+
+def test_cases_hold_what_they_claim():
+    assert sum(isinstance(d, ThermalConfig) for d in CASES["feeder_5"]().devices) == 2
+    assert sum(isinstance(d, ThermalConfig) for d in CASES["feeder_9"]().devices) == 2
+    sauna = next(d for d in CASES["late_force_check_87"]().devices if d.device_id == "sauna")
+    assert sauna.force_check_at == sauna.service_start
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bundle_bytes_are_pinned(tmp_path, name):
+    assert bundle_digests(CASES[name](), tmp_path) == DIGESTS[name]

@@ -1,0 +1,223 @@
+"""Thermal planning and the thermal step against reference implementations.
+
+The reference functions below are the straightforward forms: every Euler
+step and every planning probe builds a new ThermalLoadState with
+`dataclasses.replace`, `min_heating_slots` walks states, and
+`plan_thermal_forced_start` scans every start from `preheat_from` up with an
+unbounded search. The library steps floats through one Euler expression,
+scans backwards from the service start and bounds each search by the slots
+left; it must give bit-identical results on every state and request below.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from pemsim.core import ThermalTargetRequest, TimeGrid, WindowInfeasible
+from pemsim.devices import (
+    ThermalLoadState,
+    _euler_temp,
+    decay_temp,
+    min_heating_slots,
+    step_thermal,
+)
+from pemsim.server import plan_thermal_forced_start, thermal_forced_need
+
+
+def reference_step_thermal(state, applied_w, dt_min):
+    power = min(max(applied_w, 0.0), state.rated_w)
+    dt_h = dt_min / 60.0
+    delta = dt_h * (
+        state.efficiency * power
+        - state.loss_w_per_c * (state.temp_c - state.ambient_c)
+    ) / state.capacitance_wh_per_c
+    return replace(state, temp_c=state.temp_c + delta)
+
+
+def reference_min_heating_slots(state, target_c, dt_min, max_steps=10_000):
+    if state.temp_c >= target_c:
+        return 0
+    current = state
+    for n in range(1, max_steps + 1):
+        nxt = reference_step_thermal(current, current.rated_w, dt_min)
+        if nxt.temp_c <= current.temp_c:
+            return None
+        current = nxt
+        if current.temp_c >= target_c:
+            return n
+    return None
+
+
+def reference_state_of(request):
+    return ThermalLoadState(
+        temp_c=request.temp_c,
+        ambient_c=request.ambient_c,
+        capacitance_wh_per_c=request.capacitance_wh_per_c,
+        loss_w_per_c=request.loss_w_per_c,
+        rated_w=request.rated_w,
+        efficiency=request.efficiency,
+    )
+
+
+def reference_plan_thermal_forced_start(request, grid):
+    snapshot = reference_state_of(request)
+    latest_feasible = None
+    for t in range(request.preheat_from, request.service_start + 1):
+        cold = replace(
+            snapshot,
+            temp_c=decay_temp(snapshot, max(0, t - request.issued_at), grid.slot_min),
+        )
+        need = reference_min_heating_slots(cold, request.target_c, grid.slot_min)
+        if need is not None and need <= request.service_start - t:
+            latest_feasible = t
+    if latest_feasible is None:
+        raise WindowInfeasible(
+            f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
+        )
+    return min(request.force_check_at, latest_feasible)
+
+
+def reference_thermal_forced_need(temp_c, request, now, grid):
+    if now < request.preheat_from or now >= request.service_end:
+        return 0.0
+    state = replace(reference_state_of(request), temp_c=temp_c)
+    if now >= request.service_start:
+        horizon = 1
+    elif now >= request.force_check_at:
+        horizon = request.service_start - now
+    else:
+        need = reference_min_heating_slots(state, request.target_c, grid.slot_min)
+        if need is not None and need >= request.service_start - now:
+            return request.rated_w
+        return 0.0
+    if decay_temp(state, horizon, grid.slot_min) < request.target_c:
+        return request.rated_w
+    return 0.0
+
+
+def random_state(rng):
+    return ThermalLoadState(
+        temp_c=rng.uniform(-10.0, 95.0),
+        ambient_c=rng.uniform(-10.0, 35.0),
+        capacitance_wh_per_c=rng.uniform(10.0, 500.0),
+        loss_w_per_c=rng.choice([0.0, rng.uniform(0.0, 40.0)]),
+        rated_w=rng.uniform(300.0, 6000.0),
+        efficiency=rng.choice([1.0, rng.uniform(0.5, 1.0)]),
+    )
+
+
+def random_target(rng, state):
+    """A target below, near or above what rated power can reach."""
+    if state.loss_w_per_c > 0:
+        settle = state.ambient_c + state.efficiency * state.rated_w / state.loss_w_per_c
+    else:
+        settle = state.temp_c + 200.0
+    return rng.choice(
+        [
+            state.temp_c - rng.uniform(0.0, 10.0),
+            state.temp_c,
+            rng.uniform(state.temp_c, settle),
+            settle + rng.uniform(-0.5, 0.5),
+            settle + rng.uniform(0.0, 50.0),
+        ]
+    )
+
+
+def random_request(rng):
+    """(grid, request): a thermal request with a node like the ones the
+    scenarios use, often one that cannot reach its target in time."""
+    slot_min = rng.choice([5, 10, 15])
+    horizon = rng.randint(8, 96)
+    grid = TimeGrid(epoch_start_min=0, slot_min=slot_min, horizon=horizon)
+    service_start = rng.randint(1, horizon - 1)
+    service_end = rng.randint(service_start + 1, horizon)
+    preheat = rng.randint(0, service_start)
+    check = rng.randint(preheat, service_start)
+    ambient = rng.uniform(0.0, 25.0)
+    request = ThermalTargetRequest(
+        device_id="th",
+        target_c=rng.uniform(ambient - 5.0, 95.0),
+        service_start=service_start,
+        service_end=service_end,
+        preheat_from=preheat,
+        force_check_at=check,
+        rated_w=rng.uniform(1000.0, 6000.0),
+        priority=2,
+        issued_at=rng.randint(0, service_start),
+        temp_c=rng.uniform(ambient, 90.0),
+        ambient_c=ambient,
+        capacitance_wh_per_c=rng.uniform(30.0, 300.0),
+        loss_w_per_c=rng.uniform(0.0, 25.0),
+        efficiency=rng.choice([1.0, rng.uniform(0.6, 1.0)]),
+    )
+    return grid, request
+
+
+def _planned(plan, request, grid):
+    try:
+        return plan(request, grid)
+    except WindowInfeasible as exc:
+        return ("infeasible", str(exc))
+
+
+class TestEulerStep:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_step_thermal_is_the_scalar_step(self, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            state = random_state(rng)
+            applied = rng.choice([0.0, -50.0, state.rated_w, rng.uniform(0.0, 2 * state.rated_w)])
+            dt_min = rng.choice([1, 3, 5, 10, 15, 30])
+            stepped = step_thermal(state, applied, dt_min)
+            power = min(max(applied, 0.0), state.rated_w)
+            assert stepped.temp_c == _euler_temp(state, state.temp_c, power, dt_min)
+            assert stepped == reference_step_thermal(state, applied, dt_min)
+
+
+class TestMinHeatingSlots:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(1000):
+            state = random_state(rng)
+            target = random_target(rng, state)
+            dt_min = rng.choice([1, 3, 5, 10, 15, 30])
+            max_steps = rng.choice([10_000, rng.randint(0, 40)])
+            got = min_heating_slots(state, target, dt_min, max_steps)
+            assert got == reference_min_heating_slots(state, target, dt_min, max_steps)
+            outcomes.add("none" if got is None else "zero" if got == 0 else "some")
+        assert outcomes == {"none", "zero", "some"}
+
+
+class TestPlanning:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_forced_start_matches_reference(self, seed):
+        rng = random.Random(seed)
+        infeasible = planned = 0
+        for _ in range(500):
+            grid, request = random_request(rng)
+            got = _planned(plan_thermal_forced_start, request, grid)
+            assert got == _planned(reference_plan_thermal_forced_start, request, grid)
+            if isinstance(got, tuple):
+                infeasible += 1
+            else:
+                planned += 1
+        assert infeasible > 25 and planned > 25
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_forced_need_matches_reference(self, seed):
+        rng = random.Random(seed)
+        forced = idle = 0
+        for _ in range(1500):
+            grid, request = random_request(rng)
+            temp = rng.uniform(request.ambient_c - 5.0, request.target_c + 10.0)
+            now = rng.randint(0, grid.horizon)
+            got = thermal_forced_need(temp, request, now, grid)
+            assert got == reference_thermal_forced_need(temp, request, now, grid)
+            if got > 0:
+                forced += 1
+            else:
+                idle += 1
+        assert forced > 50 and idle > 50
