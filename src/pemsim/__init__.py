@@ -11,13 +11,11 @@ from .core import (
     InfeasibleDeadline,
     LoadRequest,
     MalformedRequest,
-    PacketSpec,
     Reject,
     RejectReason,
     ThermalTargetRequest,
     TimeGrid,
     WindowInfeasible,
-    quantize,
     validate_request,
 )
 from .engine import (
@@ -62,7 +60,6 @@ __all__ = [
     "InfeasibleDeadline",
     "LoadRequest",
     "MalformedRequest",
-    "PacketSpec",
     "Reject",
     "RejectReason",
     "ReferenceSignal",
@@ -80,7 +77,6 @@ __all__ = [
     "dispatch_supply",
     "fleet_scenario",
     "load_scenario",
-    "quantize",
     "run_scenario",
     "save_scenario",
     "summarize_run",

@@ -193,7 +193,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
 
     summary = summarize_run(result)
     with open(out / "summary.json", "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 
@@ -241,7 +241,7 @@ def run_batch(
         entries.append({"seed": seed, "summary": summary, "error": error})
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "batch.json", "w", newline="\n") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
+        json.dump(entries, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return worst, entries
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
 
@@ -137,63 +137,34 @@ class MessageRecord:
         return self.delivered_at_ms - self.sent_at_ms
 
 
-@dataclass(frozen=True)
-class LatencyBudget:
-    """End-to-end budgets per message kind in milliseconds. Trip signals get
-    the protection-class 100 ms budget; control messages the 10 ms
-    machine-to-machine target. Kinds without a budget are not audited."""
-
-    budgets_ms: dict[MessageKind, float] = field(
-        default_factory=lambda: {
-            MessageKind.TRIP_SIGNAL: 100.0,
-            MessageKind.PACKET_REQUEST: 10.0,
-            MessageKind.GRANT: 10.0,
-            MessageKind.REJECT: 10.0,
-        }
-    )
-
-    def __post_init__(self) -> None:
-        if any(b <= 0 for b in self.budgets_ms.values()):
-            raise MalformedRequest("latency budgets must be positive")
+# End-to-end budgets per message kind in milliseconds. Trip signals get the
+# protection-class 100 ms budget; control messages the 10 ms
+# machine-to-machine target. Kinds without a budget are not audited.
+LATENCY_BUDGETS_MS: dict[MessageKind, float] = {
+    MessageKind.TRIP_SIGNAL: 100.0,
+    MessageKind.PACKET_REQUEST: 10.0,
+    MessageKind.GRANT: 10.0,
+    MessageKind.REJECT: 10.0,
+}
 
 
-def audit_budget(
-    records: Iterable[MessageRecord], budget: LatencyBudget
-) -> dict[MessageKind, float]:
-    """Fraction of delivered messages exceeding their budget, per kind.
+def audit_budget(records: Iterable[MessageRecord]) -> dict[MessageKind, float]:
+    """Fraction of delivered messages exceeding their budget in
+    LATENCY_BUDGETS_MS, per kind.
 
     Kinds with no delivered traffic (or no budget) report 0.
     """
     totals: dict[MessageKind, int] = {}
     violations: dict[MessageKind, int] = {}
     for record in records:
-        if record.dropped or record.kind not in budget.budgets_ms:
+        if record.dropped or record.kind not in LATENCY_BUDGETS_MS:
             continue
         totals[record.kind] = totals.get(record.kind, 0) + 1
-        if record.e2e_ms > budget.budgets_ms[record.kind]:
+        if record.e2e_ms > LATENCY_BUDGETS_MS[record.kind]:
             violations[record.kind] = violations.get(record.kind, 0) + 1
     return {
         kind: violations.get(kind, 0) / count for kind, count in totals.items()
     }
-
-
-@dataclass(frozen=True)
-class AggregationWindow:
-    """Edge aggregation policy: either periodic windows of `window_ms`, or
-    event-based emission when the observed value moves at least `threshold`
-    away from the last emitted one."""
-
-    window_ms: float
-    policy: str = "periodic"  # "periodic" | "event"
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.window_ms <= 0:
-            raise MalformedRequest("aggregation window must be positive")
-        if self.policy not in ("periodic", "event"):
-            raise MalformedRequest(f"unknown aggregation policy {self.policy!r}")
-        if self.policy == "event" and self.threshold <= 0:
-            raise MalformedRequest("event policy needs a positive threshold")
 
 
 @dataclass(frozen=True)
@@ -219,39 +190,24 @@ def _summarize(batch: Sequence[tuple[float, float]]) -> AggregatedReport:
 
 
 def aggregate_reports(
-    reports: Sequence[tuple[float, float]], window: AggregationWindow
+    reports: Sequence[tuple[float, float]], window_ms: float
 ) -> list[AggregatedReport]:
-    """Collapse (timestamp_ms, value) reports into aggregate envelopes.
-
-    Periodic: one envelope per non-empty window. Event: an envelope is
-    emitted whenever the current value differs from the last emitted value by
-    at least the threshold (the first report always emits); a trailing
-    envelope flushes any remainder so sums are conserved either way.
-    """
+    """Collapse (timestamp_ms, value) reports into one aggregate envelope
+    per non-empty periodic window of `window_ms`."""
+    if not window_ms > 0:
+        raise MalformedRequest("aggregation window must be positive")
     if not reports:
         return []
     ordered = sorted(reports, key=lambda r: r[0])
     out: list[AggregatedReport] = []
-    if window.policy == "periodic":
-        batch: list[tuple[float, float]] = []
-        batch_index: int | None = None
-        for t, v in ordered:
-            index = int(t // window.window_ms)
-            if batch and index != batch_index:
-                out.append(_summarize(batch))
-                batch = []
-            batch_index = index
-            batch.append((t, v))
-        out.append(_summarize(batch))
-        return out
-    last_emitted: float | None = None
-    batch = []
+    batch: list[tuple[float, float]] = []
+    batch_index: int | None = None
     for t, v in ordered:
-        batch.append((t, v))
-        if last_emitted is None or abs(v - last_emitted) >= window.threshold:
+        index = int(t // window_ms)
+        if batch and index != batch_index:
             out.append(_summarize(batch))
-            last_emitted = v
             batch = []
-    if batch:
-        out.append(_summarize(batch))
+        batch_index = index
+        batch.append((t, v))
+    out.append(_summarize(batch))
     return out

@@ -1,4 +1,4 @@
-"""Time grid, energy packet quantization, and the request/grant vocabulary.
+"""Time grid and the request/grant vocabulary.
 
 Conventions shared across the package: power in watts (W), energy in
 watt-hours (Wh), temperature in degrees Celsius, durations in minutes, and
@@ -107,35 +107,6 @@ class TimeGrid:
         return format_hhmm(self.epoch_start_min + slot * self.slot_min)
 
 
-@dataclass(frozen=True)
-class PacketSpec:
-    """The energy quantum: a right to draw `power_w` for `duration_slots`
-    slots, i.e. a fixed number of watt-hours in a fixed number of minutes."""
-
-    power_w: float
-    duration_slots: int
-    slot_min: int
-
-    def __post_init__(self) -> None:
-        if self.power_w <= 0:
-            raise MalformedRequest("packet power must be positive")
-        if self.duration_slots < 1:
-            raise MalformedRequest("packet duration must be at least one slot")
-        if self.slot_min <= 0:
-            raise MalformedRequest("slot length must be positive")
-
-    @property
-    def energy_wh(self) -> float:
-        return self.power_w * self.duration_slots * self.slot_min / 60.0
-
-
-def quantize(power_w: float, slot_min: int) -> PacketSpec:
-    """Build the one-slot packet for a device rated at `power_w`."""
-    if power_w <= 0 or slot_min <= 0:
-        raise MalformedRequest("quantize needs positive power and slot length")
-    return PacketSpec(power_w=power_w, duration_slots=1, slot_min=slot_min)
-
-
 # Priority levels are small ordinals; ties between equal levels are broken
 # only by the server's seeded randomness.
 Priority = int
@@ -214,10 +185,9 @@ class RejectReason(Enum):
 
 @dataclass(frozen=True)
 class Accept:
-    """Admission: a per-slot max-power envelope plus the slot from which the
-    job will run under the forced regime if still unfinished."""
+    """Admission: the slot from which the job will run under the forced
+    regime if still unfinished."""
 
-    envelope_w: tuple[float, ...]
     forced_start: int
 
 

@@ -110,7 +110,6 @@ class BatteryLoadState:
     soc_wh: float
     capacity_wh: float
     p_max_w: float
-    arrival_slot: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.soc_wh <= self.capacity_wh:
@@ -138,7 +137,6 @@ def step_battery(
         soc_wh=state.soc_wh + absorbed,
         capacity_wh=state.capacity_wh,
         p_max_w=state.p_max_w,
-        arrival_slot=state.arrival_slot,
     )
     return new_state, absorbed
 
@@ -223,6 +221,14 @@ class WaterHeaterParams:
             raise MalformedRequest("draw probability must lie in [0, 1]")
         if not 0 <= self.draw_min_c <= self.draw_max_c:
             raise MalformedRequest("draw magnitudes out of order")
+        if self.rated_w <= 0:
+            raise MalformedRequest("heater rated_w must be positive")
+        if self.capacitance_wh_per_c <= 0:
+            raise MalformedRequest("heater capacitance_wh_per_c must be positive")
+        if self.loss_w_per_c < 0:
+            raise MalformedRequest("heater loss_w_per_c must be non-negative")
+        if not 0 < self.efficiency <= 1:
+            raise MalformedRequest("heater efficiency must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 from .comms import (
     AggregatedReport,
-    AggregationWindow,
     Dropped,
-    LatencyBudget,
     MessageKind,
     MessageRecord,
     aggregate_reports,
@@ -36,7 +34,6 @@ from .core import (
     RejectReason,
     ThermalTargetRequest,
     TimeGrid,
-    quantize,
     substream,
 )
 from .devices import (
@@ -275,7 +272,7 @@ class _HouseholdJob:
         self.request_due: int | None = None
         self.await_since: int | None = None
         self.active_from: int | None = None
-        self.grant: Accept | None = None
+        self.request: LoadRequest | None = None  # the one last sent
         self.done = False
         self.failed = False
         self.outcome: RequestOutcome | None = None
@@ -302,10 +299,6 @@ class _HouseholdJob:
     def final_state(self) -> dict:
         return {}
 
-    def finalize(self, trace: tuple[float, ...]) -> None:
-        if self.outcome is not None and self.outcome.accepted and self.outcome.deadline_met is None:
-            self.outcome.deadline_met = False
-
     # protocol plumbing ------------------------------------------------------
     def maybe_emit(self, now: int) -> LoadRequest | None:
         if self.done or self.failed or self.active_from is not None:
@@ -330,6 +323,7 @@ class _HouseholdJob:
             self.outcome.retries += 1
         self.await_since = now
         self.request_due = None
+        self.request = request
         return request
 
     def on_decision(self, decision: GrantDecision, slot: int) -> None:
@@ -341,7 +335,6 @@ class _HouseholdJob:
         if isinstance(decision, Accept):
             if self.active_from is None:
                 self.active_from = slot
-                self.grant = decision
                 self.outcome.accepted = True
                 self.outcome.forced_start = decision.forced_start
             return
@@ -383,7 +376,6 @@ class _BatteryJob(_HouseholdJob):
             soc0 = init_rng.uniform(0.0, cfg.capacity_wh / 2.0)
         self.state = BatteryLoadState(
             soc_wh=soc0, capacity_wh=cfg.capacity_wh, p_max_w=cfg.p_max_w,
-            arrival_slot=cfg.arrival,
         )
         self.request_due = cfg.arrival
 
@@ -460,7 +452,6 @@ class _ThermalJob(_HouseholdJob):
             efficiency=cfg.efficiency,
         )
         self.request_due = cfg.preheat_from
-        self.accepted_request: ThermalTargetRequest | None = None
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
 
@@ -488,17 +479,11 @@ class _ThermalJob(_HouseholdJob):
             efficiency=self.cfg.efficiency,
         )
 
-    def on_decision(self, decision: GrantDecision, slot: int) -> None:
-        fresh = self.active_from is None and isinstance(decision, Accept)
-        super().on_decision(decision, slot)
-        if fresh:
-            self.accepted_request = self.build_request(slot)
-
     def slot_need(self, now: int) -> SlotNeed | None:
         if self.active_from is None or self.done or self.failed:
             return None
-        request = self.accepted_request
-        forced = thermal_forced_need(self.state.temp_c, request, now, self.grid)
+        # reads only the request's configuration, the same in every request sent
+        forced = thermal_forced_need(self.state.temp_c, self.request, now, self.grid)
         if forced > 0:
             return SlotNeed(self.device_id, self.priority, forced_w=forced)
         if (
@@ -801,15 +786,15 @@ def _run_household(scenario: Scenario) -> RunResult:
     final_states: dict[str, dict] = {}
     frozen_traces: dict[str, tuple[float, ...]] = {}
     for job in jobs:
-        frozen = tuple(traces[job.device_id])
-        job.finalize(frozen)
-        frozen_traces[job.device_id] = frozen
+        frozen_traces[job.device_id] = tuple(traces[job.device_id])
         final_states[job.device_id] = job.final_state()
         if job.outcome is not None:
+            if job.outcome.accepted and job.outcome.deadline_met is None:
+                job.outcome.deadline_met = False
             outcomes.append(job.outcome)
 
     aggregated = (
-        aggregate_reports(delivered_meters, AggregationWindow(window_ms=grid.slot_ms))
+        aggregate_reports(delivered_meters, grid.slot_ms)
         if delivered_meters
         else []
     )
@@ -836,7 +821,6 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     params = cfg.params
     n = cfg.count
     reference = scenario.reference
-    packet = quantize(params.rated_w, grid.slot_min)
     supply_side = _Supply(scenario)
 
     init_rng = substream(scenario.seed, "fleet", "init")
@@ -889,7 +873,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
                 requesters.append(i)
 
         on_power = params.rated_w * (force_on + carrying)
-        accepted = track_reference(requesters, reference.at(e), on_power, packet, server_rng)
+        accepted = track_reference(requesters, reference.at(e), on_power, params.rated_w, server_rng)
         for i in accepted:
             packets_left[i] = cfg.packet_epochs
             heating[i] = 1
@@ -1009,7 +993,7 @@ def summarize_run(result: RunResult) -> dict:
     failed = sum(1 for o in result.requests if o.service_failed)
     misses = sum(1 for o in result.requests if o.accepted and o.deadline_met is False)
     waits = [o.waiting_slots for o in result.requests if o.waiting_slots is not None]
-    violation_rates = audit_budget(result.channel, LatencyBudget())
+    violation_rates = audit_budget(result.channel)
 
     summary = {
         "seed": result.seed,

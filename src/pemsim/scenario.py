@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -18,7 +19,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
 
-from .comms import ChannelClass, ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
+from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
 from .core import MalformedRequest, TimeGrid, parse_hhmm, substream
 from .devices import (
     RenewableTrace,
@@ -162,6 +163,8 @@ class Scenario:
             raise MalformedRequest("fleet runs send no trip signals; set trip_rate_per_hour to 0")
         if fleet and self.policy != ServerPolicy():
             raise MalformedRequest("fleet runs ignore the server policy; leave it at its defaults")
+        if self.policy.backoff_max < 1:
+            raise MalformedRequest("server.backoff_max must be at least 1")
         for device in fleet:
             if device.count < 1:
                 raise MalformedRequest(f"{device.device_id}.count must be at least 1")
@@ -204,19 +207,6 @@ def default_channels() -> dict[str, ChannelProfile]:
         "grant": URLLC_DEFAULT,
         "meter": MMTC_DEFAULT,
         "trip": URLLC_DEFAULT,
-    }
-
-
-def null_channels() -> dict[str, ChannelProfile]:
-    """Lossless zero-delay channels; messages are logged but never perturb
-    slot timing. Useful for reproduction runs."""
-    zero = dict(offset_ms=0.0, mean_ms=0.0, loss_prob=0.0,
-                retransmit_timeout_ms=0.0, max_attempts=1)
-    return {
-        "request": ChannelProfile(cls=ChannelClass.URLLC, **zero),
-        "grant": ChannelProfile(cls=ChannelClass.URLLC, **zero),
-        "meter": ChannelProfile(cls=ChannelClass.MMTC, **zero),
-        "trip": ChannelProfile(cls=ChannelClass.URLLC, **zero),
     }
 
 
@@ -288,12 +278,15 @@ _SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
 def _scalar(kind: type, key: str) -> Callable[[object, TimeGrid], object]:
     """Converter for a scalar field: no coercion, so "false" in a bool field
     and 2.7 in an int field are rejected naming `key`; an int in a float
-    field becomes a float."""
+    field becomes a float. A float must be finite: JSON's NaN and Infinity
+    are rejected too."""
     accepted, expected = _SCALARS[kind]
 
     def convert(value, grid):
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
             raise MalformedRequest(f"{key} must be {expected}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise MalformedRequest(f"{key} must be finite, got {value!r}")
         return kind(value)
 
     return convert
@@ -465,6 +458,8 @@ def fleet_scenario(
 ) -> Scenario:
     """A water-heater fleet tracking an aggregate reference on its own
     (shorter) epoch grid."""
+    if not (math.isfinite(hours) and hours > 0):
+        raise MalformedRequest(f"fleet hours must be finite and positive, got {hours!r}")
     horizon = int(round(hours * 60 / epoch_min))
     grid = TimeGrid(epoch_start_min=0, slot_min=epoch_min, horizon=horizon)
     if isinstance(reference_w, ReferenceSignal):

@@ -36,7 +36,6 @@ from .core import (
     InfeasibleDeadline,
     LoadRequest,
     MalformedRequest,
-    PacketSpec,
     Reject,
     RejectReason,
     ThermalTargetRequest,
@@ -200,22 +199,6 @@ def forced_profile(
     raise MalformedRequest(f"unknown request type {type(request).__name__}")
 
 
-def _envelope(request: LoadRequest, grid: TimeGrid) -> tuple[float, ...]:
-    """Per-slot max-power schedule the device may draw under this grant."""
-    env = [0.0] * grid.horizon
-    if isinstance(request, FlexibleTotalRequest):
-        for t in range(request.available_from, request.deadline):
-            env[t] = request.p_max_w
-    elif isinstance(request, FixedProfileRequest):
-        peak = max(request.profile_w)
-        for t in range(request.earliest_start, request.deadline):
-            env[t] = peak
-    else:
-        for t in range(request.preheat_from, request.service_end):
-            env[t] = request.rated_w
-    return tuple(env)
-
-
 @dataclass
 class JobCommitment:
     request: LoadRequest
@@ -260,7 +243,7 @@ class CommitmentLedger:
                 return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t)
         for t in range(self.grid.horizon):
             self.committed_w[t] += profile[t]
-        decision = Accept(envelope_w=_envelope(request, self.grid), forced_start=start)
+        decision = Accept(forced_start=start)
         self.jobs[request.device_id] = JobCommitment(
             request=request,
             decision=decision,
@@ -371,8 +354,6 @@ def allocate_slot(
         if spare < need.packet_w:
             continue
         if need.cycle_start:
-            if spare + CAP_TOL_W < need.packet_w:
-                continue
             if not ledger.can_reanchor_cycle(need.job_id, now):
                 continue
             ledger.reanchor_cycle(need.job_id, now)
@@ -451,8 +432,8 @@ class ReferenceSignal:
     def __post_init__(self) -> None:
         if not self.values_w:
             raise MalformedRequest("reference signal must be non-empty")
-        if any(v < 0 for v in self.values_w):
-            raise MalformedRequest("reference power must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in self.values_w):
+            raise MalformedRequest("reference power must be finite and non-negative")
 
     def at(self, epoch: int) -> float:
         return self.values_w[min(epoch, len(self.values_w) - 1)]
@@ -466,11 +447,12 @@ def track_reference(
     request_ids: Sequence[str],
     reference_w: float,
     currently_on_w: float,
-    packet: PacketSpec,
+    packet_w: float,
     rng: random.Random,
 ) -> list[str]:
-    """Accept a uniformly random subset of fleet requests sized to close the
-    gap to the reference without overshooting it from below.
+    """Accept a uniformly random subset of fleet requests, each a packet of
+    `packet_w` watts, sized to close the gap to the reference without
+    overshooting it from below.
 
     Force-on devices are part of currently_on_w and are never rejected;
     force-off devices never request in the first place.
@@ -480,7 +462,7 @@ def track_reference(
     budget = reference_w - currently_on_w
     if budget <= 0:
         return []
-    count = min(len(request_ids), math.floor(budget / packet.power_w + 1e-9))
+    count = min(len(request_ids), math.floor(budget / packet_w + 1e-9))
     if count <= 0:
         return []
     return rng.sample(list(request_ids), count)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import (
     FixedProfileRequest,
     FlexibleTotalRequest,
@@ -18,6 +19,19 @@ from pemsim.scenario import (
     Scenario,
     ThermalConfig,
 )
+
+
+def null_channels() -> dict[str, ChannelProfile]:
+    """Lossless zero-delay channels; messages are logged but never perturb
+    slot timing, so a run with them must match a run without channels."""
+    zero = dict(offset_ms=0.0, mean_ms=0.0, loss_prob=0.0,
+                retransmit_timeout_ms=0.0, max_attempts=1)
+    return {
+        "request": ChannelProfile(cls=ChannelClass.URLLC, **zero),
+        "grant": ChannelProfile(cls=ChannelClass.URLLC, **zero),
+        "meter": ChannelProfile(cls=ChannelClass.MMTC, **zero),
+        "trip": ChannelProfile(cls=ChannelClass.URLLC, **zero),
+    }
 
 
 def random_household_scenario(

@@ -11,14 +11,13 @@ from dataclasses import replace
 
 import pytest
 
-from scenario_gen import random_admission_instance, random_household_scenario
+from scenario_gen import null_channels, random_admission_instance, random_household_scenario
 from test_server import oracle_admit_sequence
 
 from pemsim.comms import (
     ChannelClass,
     ChannelProfile,
     Delivered,
-    LatencyBudget,
     MessageKind,
     MessageRecord,
     URLLC_DEFAULT,
@@ -29,11 +28,7 @@ from pemsim.comms import (
 from pemsim.core import Accept, TimeGrid
 from pemsim.cli import run_batch, write_bundle
 from pemsim.engine import audit_conservation, run_scenario
-from pemsim.scenario import (
-    fleet_scenario,
-    null_channels,
-    three_household_scenario,
-)
+from pemsim.scenario import fleet_scenario, three_household_scenario
 from pemsim.server import CommitmentLedger, compute_forced_start
 
 
@@ -198,7 +193,7 @@ def test_criterion_6_channel_statistics():
         if isinstance(outcome, Delivered):
             records.append(MessageRecord(i, MessageKind.TRIP_SIGNAL, ChannelClass.URLLC,
                                          0.0, outcome.at_ms, outcome.attempts))
-    rate = audit_budget(records, LatencyBudget()).get(MessageKind.TRIP_SIGNAL, 0.0)
+    rate = audit_budget(records).get(MessageKind.TRIP_SIGNAL, 0.0)
     if rate >= 1e-3:
         failures.append(f"trip budget violation rate {rate:.2e} >= 1e-3")
     _report(

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, byte-identical bundles, golden output schema."""
 
 import json
+import math
 
 import pytest
 
@@ -83,6 +84,17 @@ class TestValidate:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backoff_max", [0, -2])
+    def test_backoff_bound_below_one_fails_validate(self, tmp_path, capsys, backoff_max):
+        # with a 5 kW feeder a capacity rejection makes the run draw a backoff
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        doc["server"]["backoff_max"] = backoff_max
+        doc["feeder_capacity_w"] = 5000
+        bad = tmp_path / "backoff.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "backoff_max" in capsys.readouterr().err
+
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
         doc = {
@@ -131,6 +143,12 @@ class TestRun:
         assert len(slot_rows) == 1 + 48
         request_rows = (out / "requests.csv").read_text().splitlines()
         assert len(request_rows) == 1 + 3
+
+    def test_summary_is_strict_json(self, tmp_path):
+        result = run_scenario(fleet_scenario(count=5, hours=0.1, seed=1))
+        result.fleet[0].reference_w = math.nan
+        with pytest.raises(ValueError):
+            write_bundle(result, tmp_path / "o")
 
 
 class TestFig3Command:
@@ -219,6 +237,73 @@ class TestFleetCommand:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert f"fleet.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rated_w", 0), ("rated_w", -5), ("capacitance_wh_per_c", 0),
+        ("loss_w_per_c", -1), ("efficiency", 0),
+    ])
+    def test_heater_physics_fails_validate(self, tmp_path, capsys, key, value):
+        doc = scenario_to_dict(fleet_scenario(count=20, hours=1.0, seed=3))
+        doc["devices"][0][key] = value
+        bad = tmp_path / "fleet.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--hours", "nan"], ["--hours", "inf"], ["--ref-watts", "nan"], ["--ref-watts", "inf"],
+    ])
+    def test_non_finite_fleet_flags_exit_one(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert main(["fleet", "--count", "5", "--hours", "0.1", *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+def _numeric_paths(node, path=()):
+    """Paths to every number in a scenario document; of a list, only the
+    first two entries."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node[:2]):
+            yield from _numeric_paths(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("base", ["reference", "fleet"])
+def test_numeric_field_mutants_exit_cleanly(tmp_path, base):
+    """Each number of a scenario file set to NaN, +-inf, -1 or 0: `validate`
+    and `run` exit 0, 1 or 2 without an exception, and a run that exits 0
+    writes strict JSON."""
+    if base == "reference":
+        doc = scenario_to_dict(three_household_scenario(seed=5))
+    else:
+        doc = scenario_to_dict(fleet_scenario(count=30, hours=1.0, seed=5))
+    mutants = 0
+    for path in _numeric_paths(doc):
+        for value in (math.nan, math.inf, -math.inf, -1, 0):
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+            scenario_file = tmp_path / "mutant.json"
+            scenario_file.write_text(json.dumps(mutant))
+            where = f"{'.'.join(map(str, path))} = {value}"
+            assert main(["validate", "--scenario", str(scenario_file)]) in (0, 1), where
+            out = tmp_path / f"run{mutants}"
+            code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+            assert code in (0, 1, 2), where
+            if code == 0:
+                json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+            mutants += 1
+    assert mutants >= 100
 
 
 class TestLibraryParity:

@@ -1,7 +1,5 @@
-"""Core vocabulary: time grid, packet quantization, request validation,
-scenario serialization."""
+"""Core vocabulary: time grid, request validation, scenario serialization."""
 
-import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,12 +8,10 @@ import pytest
 from pemsim.core import (
     FlexibleTotalRequest,
     MalformedRequest,
-    PacketSpec,
     TimeGrid,
     WindowInfeasible,
     format_hhmm,
     parse_hhmm,
-    quantize,
     substream,
     validate_request,
 )
@@ -58,35 +54,6 @@ class TestClock:
             TimeGrid(epoch_start_min=0, slot_min=0, horizon=10)
         with pytest.raises(MalformedRequest):
             TimeGrid(epoch_start_min=0, slot_min=10, horizon=0)
-
-
-class TestQuantize:
-    def test_rated_heater_packet(self):
-        # 3600 W for one 10-minute slot is a 600 Wh packet
-        packet = quantize(3600.0, 10)
-        assert packet.energy_wh == pytest.approx(600.0, rel=1e-9)
-        assert packet.duration_slots == 1
-
-    def test_unit_duration(self):
-        assert quantize(5000.0, 60).energy_wh == pytest.approx(5000.0)
-
-    def test_identity_case(self):
-        assert quantize(1.0, 60).energy_wh == pytest.approx(1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(MalformedRequest):
-            quantize(0.0, 10)
-        with pytest.raises(MalformedRequest):
-            quantize(100.0, 0)
-
-    def test_energy_roundtrip_sweep(self):
-        # energy == p * d / 60 across the whole configuration range
-        rng = random.Random(8421)
-        for _ in range(500):
-            power = rng.uniform(1e-3, 1e6)
-            duration = rng.randint(1, 120)
-            packet = PacketSpec(power_w=power, duration_slots=duration, slot_min=1)
-            assert packet.energy_wh == pytest.approx(power * duration / 60.0, rel=1e-9)
 
 
 class TestValidateRequest:

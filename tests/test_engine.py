@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from scenario_gen import random_household_scenario
+from scenario_gen import null_channels, random_household_scenario
 
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid
@@ -19,7 +19,6 @@ from pemsim.scenario import (
     CycleConfig,
     RenewableConfig,
     Scenario,
-    null_channels,
     three_household_scenario,
 )
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import pytest
 
-from pemsim.core import quantize, substream
+from pemsim.core import substream
 from pemsim.devices import ThermalLoadState, WaterHeaterParams, step_thermal
 from pemsim.engine import FleetEpochRecord, _Supply, run_scenario
 from pemsim.scenario import HeaterFleetConfig, fleet_scenario
@@ -49,7 +49,6 @@ def reference_fleet(scenario):
     params = cfg.params
     n = cfg.count
     reference = scenario.reference
-    packet = quantize(params.rated_w, grid.slot_min)
     supply_side = _Supply(scenario)
 
     init_rng = substream(scenario.seed, "fleet", "init")
@@ -86,7 +85,7 @@ def reference_fleet(scenario):
             and local_override(temps[i], params) is OverrideState.NORMAL
             and request_rng.random() < fleet_request_probability(temps[i], params)
         ]
-        accepted = track_reference(requesters, reference.at(e), on_power, packet, server_rng)
+        accepted = track_reference(requesters, reference.at(e), on_power, params.rated_w, server_rng)
         for i in accepted:
             packets_left[i] = cfg.packet_epochs
         heating = on_ids | set(accepted)

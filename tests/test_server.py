@@ -19,7 +19,6 @@ from pemsim.core import (
     RejectReason,
     ThermalTargetRequest,
     TimeGrid,
-    quantize,
     validate_request,
 )
 from pemsim.devices import StorageAsset
@@ -433,14 +432,14 @@ class TestDispatchSupply:
 
 
 class TestTrackReference:
-    PACKET = quantize(4500.0, 3)
+    PACKET_W = 4500.0
 
     def test_zero_reference_accepts_none(self):
-        assert track_reference(["a", "b"], 0.0, 0.0, self.PACKET, random.Random(1)) == []
+        assert track_reference(["a", "b"], 0.0, 0.0, self.PACKET_W, random.Random(1)) == []
 
     def test_slack_accepts_all(self):
         ids = [f"h{i}" for i in range(10)]
-        accepted = track_reference(ids, 1e9, 0.0, self.PACKET, random.Random(1))
+        accepted = track_reference(ids, 1e9, 0.0, self.PACKET_W, random.Random(1))
         assert sorted(accepted) == sorted(ids)
 
     def test_floor_of_fractional_budget(self):
@@ -449,7 +448,7 @@ class TestTrackReference:
         counts = {i: 0 for i in ids}
         trials = 10_000
         for seed in range(trials):
-            accepted = track_reference(ids, budget, 0.0, self.PACKET, random.Random(seed))
+            accepted = track_reference(ids, budget, 0.0, self.PACKET_W, random.Random(seed))
             assert len(accepted) == 2
             for i in accepted:
                 counts[i] += 1
@@ -458,7 +457,7 @@ class TestTrackReference:
 
     def test_on_power_reduces_budget(self):
         ids = [f"h{i}" for i in range(7)]
-        accepted = track_reference(ids, 10 * 4500.0, 8.2 * 4500.0, self.PACKET, random.Random(5))
+        accepted = track_reference(ids, 10 * 4500.0, 8.2 * 4500.0, self.PACKET_W, random.Random(5))
         assert len(accepted) == 1
 
 
