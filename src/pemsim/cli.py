@@ -272,11 +272,15 @@ def _load(path: str) -> Scenario:
 
 def _load_reference(path: str) -> ReferenceSignal:
     values = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        values.append(float(line))
+        try:
+            values.append(float(line))
+        except ValueError:
+            print(f"reference file {path}, line {number}: not a number: {line!r}", file=sys.stderr)
+            raise SystemExit(EXIT_VALIDATION) from None
     if not values:
         print(f"reference file {path} holds no values", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)

@@ -10,12 +10,16 @@ lumped node integrated with one explicit Euler step per slot:
 which converges to T_ambient + eta*P/U and admits the closed-form solution
 used as the test oracle. `_euler_temp` is the one implementation of that
 step, evaluated in exactly this grouping (the product dt_h * (...) first,
-then the division by C, then the addition to T). step_thermal and
-min_heating_slots both call it, so a heating run that min_heating_slots plans
-is exactly the run step_thermal simulates at rated power.
+then the division by C, then the addition to T). step_thermal,
+min_heating_slots and the engine's household thermal job all call it, so a
+heating run that min_heating_slots plans is exactly the run step_thermal and
+the engine simulate at rated power. `_absorb` is likewise the one charging
+step, called by step_battery and by the engine's household battery job.
 
-Every step builds its new state with the class constructor, so each state
-passes its __post_init__ checks.
+Every step_* function builds its new state with the class constructor, so
+each state passes its __post_init__ checks. The engine's household jobs keep
+their state as one float: they build a state once to check the physics, and
+`_absorb` keeps the state-of-charge bound on every step.
 """
 
 from __future__ import annotations
@@ -117,9 +121,20 @@ class BatteryLoadState:
         if self.p_max_w < 0:
             raise MalformedRequest("charge power limit must be non-negative")
 
-    @property
-    def remaining_wh(self) -> float:
-        return self.capacity_wh - self.soc_wh
+
+def _absorb(
+    soc_wh: float, capacity_wh: float, p_max_w: float, applied_w: float, dt_min: float
+) -> tuple[float, float]:
+    """(new state of charge, energy absorbed in Wh) after one slot of charging
+    at `applied_w` (clamped to [0, p_max]). Raises MalformedRequest, as
+    BatteryLoadState does, when the new charge leaves [0, capacity]."""
+    power = min(max(applied_w, 0.0), p_max_w)
+    offered = power * dt_min / 60.0
+    absorbed = min(offered, capacity_wh - soc_wh)
+    soc_wh += absorbed
+    if not 0 <= soc_wh <= capacity_wh:
+        raise MalformedRequest("state of charge out of [0, capacity]")
+    return soc_wh, absorbed
 
 
 def step_battery(
@@ -130,15 +145,10 @@ def step_battery(
     Absorption saturates at capacity, so the absorbed energy can be less than
     applied_w * dt.
     """
-    power = min(max(applied_w, 0.0), state.p_max_w)
-    offered = power * dt_min / 60.0
-    absorbed = min(offered, state.capacity_wh - state.soc_wh)
-    new_state = BatteryLoadState(
-        soc_wh=state.soc_wh + absorbed,
-        capacity_wh=state.capacity_wh,
-        p_max_w=state.p_max_w,
+    soc_wh, absorbed = _absorb(
+        state.soc_wh, state.capacity_wh, state.p_max_w, applied_w, dt_min
     )
-    return new_state, absorbed
+    return BatteryLoadState(soc_wh, state.capacity_wh, state.p_max_w), absorbed
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,15 @@ physics, (7) metrics. Admission before allocation lets a request issued at
 slot t start at slot t when the channel is instantaneous. Identical seeds
 give bit-identical results; all randomness flows through per-purpose
 substreams of the scenario seed.
+
+Household battery and thermal jobs keep their evolving state as one float
+(`soc_wh`, `temp_c`). Each builds its device's state once, through
+scenario.initial_state, so the physics is checked at construction as
+Scenario.validate checks it, and then steps through the scalar cores that
+step_battery and step_thermal also call (devices._absorb and
+devices._euler_temp). A trace is therefore the iteration of the public step
+function at the granted watts, bit for bit. Fixed cycles keep their
+FixedCycleState and step_cycle.
 """
 
 from __future__ import annotations
@@ -36,15 +45,7 @@ from .core import (
     TimeGrid,
     substream,
 )
-from .devices import (
-    BatteryLoadState,
-    FixedCycleState,
-    ThermalLoadState,
-    step_battery,
-    step_cycle,
-    step_storage,
-    step_thermal,
-)
+from .devices import _absorb, _euler_temp, step_cycle, step_storage
 from .scenario import (
     BatteryConfig,
     CycleConfig,
@@ -52,6 +53,7 @@ from .scenario import (
     HeaterFleetConfig,
     Scenario,
     ThermalConfig,
+    initial_state,
 )
 from .server import (
     CAP_TOL_W,
@@ -266,7 +268,8 @@ class _HouseholdJob:
     def __init__(self, device_id: str, priority: int, grid: TimeGrid, seed: int, backoff_max: int):
         self.device_id = device_id
         self.priority = priority
-        self.grid = grid
+        self.slot_min = grid.slot_min
+        self.slot_hours = grid.slot_hours
         self.backoff_max = backoff_max
         self.retry_rng = substream(seed, "device", device_id, "retry")
         self.request_due: int | None = None
@@ -364,35 +367,31 @@ class _HouseholdJob:
 
 
 class _BatteryJob(_HouseholdJob):
+    """A charging job; its state is the charge `soc_wh`, stepped by
+    devices._absorb as step_battery steps a BatteryLoadState."""
+
     kind_name = "battery"
 
     def __init__(self, cfg: BatteryConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        if cfg.initial_soc_wh is not None:
-            soc0 = cfg.initial_soc_wh
-        else:
-            init_rng = substream(seed, "device", cfg.device_id, "init")
-            soc0 = init_rng.uniform(0.0, cfg.capacity_wh / 2.0)
-        self.state = BatteryLoadState(
-            soc_wh=soc0, capacity_wh=cfg.capacity_wh, p_max_w=cfg.p_max_w,
-        )
+        self.soc_wh = initial_state(cfg, seed).soc_wh
         self.request_due = cfg.arrival
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
 
     def window_closed(self, now: int) -> bool:
-        remaining = self.state.remaining_wh
+        remaining = self.cfg.capacity_wh - self.soc_wh
         if remaining <= COMPLETION_TOL_WH:
             return False
-        window_h = (self.cfg.deadline - max(now, self.cfg.arrival)) * self.grid.slot_hours
+        window_h = (self.cfg.deadline - max(now, self.cfg.arrival)) * self.slot_hours
         return remaining > self.cfg.p_max_w * window_h * (1 + 1e-9)
 
     def build_request(self, now: int) -> LoadRequest:
         return FlexibleTotalRequest(
             device_id=self.device_id,
-            energy_needed_wh=self.state.remaining_wh,
+            energy_needed_wh=self.cfg.capacity_wh - self.soc_wh,
             p_max_w=self.cfg.p_max_w,
             available_from=max(now, self.cfg.arrival),
             deadline=self.cfg.deadline,
@@ -404,53 +403,55 @@ class _BatteryJob(_HouseholdJob):
     def slot_need(self, now: int) -> SlotNeed | None:
         if self.active_from is None or self.done or self.failed:
             return None
-        if now < self.active_from or now >= self.cfg.deadline:
+        cfg = self.cfg
+        if now < self.active_from or now >= cfg.deadline:
             return None
-        remaining = self.state.remaining_wh
+        remaining = cfg.capacity_wh - self.soc_wh
         if remaining <= COMPLETION_TOL_WH:
             return None
-        want_w = min(self.cfg.p_max_w, remaining / self.grid.slot_hours)
-        slots_needed = needed_full_slots(remaining, self.cfg.p_max_w, self.grid.slot_hours)
-        if self.cfg.deadline - now <= slots_needed:
+        want_w = min(cfg.p_max_w, remaining / self.slot_hours)
+        slots_needed = needed_full_slots(remaining, cfg.p_max_w, self.slot_hours)
+        if cfg.deadline - now <= slots_needed:
             return SlotNeed(self.device_id, self.priority, forced_w=want_w)
         return SlotNeed(
-            self.device_id, self.priority, willing_w=want_w, packet_w=self.cfg.packet_w
+            self.device_id, self.priority, willing_w=want_w, packet_w=cfg.packet_w
         )
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         if self.done or self.failed:
             return 0.0
-        self.state, absorbed_wh = step_battery(self.state, granted_w, self.grid.slot_min)
-        consumed_w = absorbed_wh / self.grid.slot_hours
+        cfg = self.cfg
+        self.soc_wh, absorbed_wh = _absorb(
+            self.soc_wh, cfg.capacity_wh, cfg.p_max_w, granted_w, self.slot_min
+        )
+        consumed_w = absorbed_wh / self.slot_hours
         self._mark_service(now, consumed_w)
-        if self.state.remaining_wh <= COMPLETION_TOL_WH and not self.done:
+        if cfg.capacity_wh - self.soc_wh <= COMPLETION_TOL_WH:
             self.done = True
             self.outcome.completion_slot = now
-            self.outcome.deadline_met = now < self.cfg.deadline
+            self.outcome.deadline_met = now < cfg.deadline
             ledger.release(self.device_id, now + 1)
         return consumed_w
 
     def trace_value(self) -> float:
-        return self.state.soc_wh
+        return self.soc_wh
 
     def final_state(self) -> dict:
-        return {"soc_wh": self.state.soc_wh}
+        return {"soc_wh": self.soc_wh}
 
 
 class _ThermalJob(_HouseholdJob):
+    """A temperature-target job; its state is the node temperature `temp_c`,
+    stepped by devices._euler_temp as step_thermal steps a ThermalLoadState."""
+
     kind_name = "thermal"
 
     def __init__(self, cfg: ThermalConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        self.state = ThermalLoadState(
-            temp_c=cfg.initial_c,
-            ambient_c=cfg.ambient_c,
-            capacitance_wh_per_c=cfg.capacitance_wh_per_c,
-            loss_w_per_c=cfg.loss_w_per_c,
-            rated_w=cfg.rated_w,
-            efficiency=cfg.efficiency,
-        )
+        self.grid = grid
+        self.node = initial_state(cfg)  # the node's constants; its temp_c is not read
+        self.temp_c = cfg.initial_c
         self.request_due = cfg.preheat_from
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
@@ -472,7 +473,7 @@ class _ThermalJob(_HouseholdJob):
             rated_w=self.cfg.rated_w,
             priority=self.priority,
             issued_at=now,
-            temp_c=self.state.temp_c,
+            temp_c=self.temp_c,
             ambient_c=self.cfg.ambient_c,
             capacitance_wh_per_c=self.cfg.capacitance_wh_per_c,
             loss_w_per_c=self.cfg.loss_w_per_c,
@@ -483,12 +484,12 @@ class _ThermalJob(_HouseholdJob):
         if self.active_from is None or self.done or self.failed:
             return None
         # reads only the request's configuration, the same in every request sent
-        forced = thermal_forced_need(self.state.temp_c, self.request, now, self.grid)
+        forced = thermal_forced_need(self.temp_c, self.request, now, self.grid)
         if forced > 0:
             return SlotNeed(self.device_id, self.priority, forced_w=forced)
         if (
             self.cfg.preheat_from <= now < self.cfg.service_start
-            and self.state.temp_c < self.cfg.target_c
+            and self.temp_c < self.cfg.target_c
         ):
             return SlotNeed(
                 self.device_id,
@@ -500,35 +501,36 @@ class _ThermalJob(_HouseholdJob):
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         if self.failed:
-            granted_w = 0.0  # the node still cools even when the job died
-        self.state = step_thermal(self.state, granted_w, self.grid.slot_min)
-        if self.failed:
+            # the node still cools even when the job died
+            self.temp_c = _euler_temp(self.node, self.temp_c, 0.0, self.slot_min)
             return 0.0
-        consumed_w = min(max(granted_w, 0.0), self.cfg.rated_w)
+        cfg = self.cfg
+        consumed_w = min(max(granted_w, 0.0), cfg.rated_w)
+        temp_c = self.temp_c = _euler_temp(self.node, self.temp_c, consumed_w, self.slot_min)
         self._mark_service(now, consumed_w)
         # post-step temperature is the boundary value at slot now+1
-        if now + 1 == self.cfg.service_start:
-            self.temp_at_service_start = self.state.temp_c
-        if self.cfg.service_start <= now + 1 <= self.cfg.service_end:
-            if self.service_min_c is None or self.state.temp_c < self.service_min_c:
-                self.service_min_c = self.state.temp_c
-        if now + 1 == self.cfg.service_end and not self.done:
+        if now + 1 == cfg.service_start:
+            self.temp_at_service_start = temp_c
+        if cfg.service_start <= now + 1 <= cfg.service_end:
+            if self.service_min_c is None or temp_c < self.service_min_c:
+                self.service_min_c = temp_c
+        if now + 1 == cfg.service_end and not self.done:
             self.done = True
             if self.outcome is not None and self.outcome.accepted:
-                self.outcome.completion_slot = self.cfg.service_end
+                self.outcome.completion_slot = cfg.service_end
                 reached = self.temp_at_service_start
                 if reached is None:  # service started at slot 0
-                    reached = self.cfg.initial_c
-                self.outcome.deadline_met = reached >= self.cfg.target_c - 0.5
-            ledger.release(self.device_id, self.cfg.service_end)
+                    reached = cfg.initial_c
+                self.outcome.deadline_met = reached >= cfg.target_c - 0.5
+            ledger.release(self.device_id, cfg.service_end)
         return consumed_w
 
     def trace_value(self) -> float:
-        return self.state.temp_c
+        return self.temp_c
 
     def final_state(self) -> dict:
         return {
-            "temp_c": self.state.temp_c,
+            "temp_c": self.temp_c,
             "temp_at_service_start_c": self.temp_at_service_start,
             "service_min_c": self.service_min_c,
         }
@@ -540,7 +542,7 @@ class _CycleJob(_HouseholdJob):
     def __init__(self, cfg: CycleConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        self.state = FixedCycleState(profile_w=cfg.profile_w)
+        self.state = initial_state(cfg)
         self.request_due = cfg.earliest_start
 
     def deadline_slot(self) -> int:
@@ -701,14 +703,15 @@ def _run_household(scenario: Scenario) -> RunResult:
         for cfg in scenario.devices
     ]
     jobs_by_id = {job.device_id: job for job in jobs}
-    device_ids = [job.device_id for job in jobs]
+    no_grants = dict.fromkeys(jobs_by_id, 0.0)
 
     request_inbox: dict[int, list[tuple[_HouseholdJob, LoadRequest]]] = {}
     decision_outbox: dict[int, list[tuple[_HouseholdJob, GrantDecision]]] = {}
     delivered_meters: list[tuple[float, float]] = []
     slots: list[SlotRecord] = []
     shed_events: list[ShedEvent] = []
-    traces: dict[str, list[float]] = {i: [] for i in device_ids}
+    traces: dict[str, list[float]] = {job.device_id: [] for job in jobs}
+    traced = [(job, traces[job.device_id].append) for job in jobs]
 
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
@@ -742,7 +745,7 @@ def _run_household(scenario: Scenario) -> RunResult:
                 decision_outbox.setdefault(delivery, []).append((job, decision))
 
         # (4) per-slot allocation
-        needs = [n for n in (job.slot_need(t) for job in jobs) if n is not None]
+        needs = [n for job in jobs if (n := job.slot_need(t)) is not None]
         supply = supply_side.view(t)
         grants = allocate_slot(
             ledger, needs, supply, server_rng, now=t,
@@ -763,16 +766,15 @@ def _run_household(scenario: Scenario) -> RunResult:
                 emergency = True
                 _shed_grants(grants, needs, capability, ledger, jobs_by_id, t, shed_events)
 
-        # (6) device physics
+        # (6) device physics; a trace records the state after the step
+        granted = {**no_grants, **grants}
         consumed: dict[str, float] = {}
-        for job in jobs:
-            consumed[job.device_id] = job.apply(grants.get(job.device_id, 0.0), t, ledger)
-        granted = {i: grants.get(i, 0.0) for i in device_ids}
+        for job, record_trace in traced:
+            consumed[job.device_id] = job.apply(granted[job.device_id], t, ledger)
+            record_trace(job.trace_value())
 
         # (7) supply dispatch, storage and metrics
         slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
-        for job in jobs:
-            traces[job.device_id].append(job.trace_value())
         if channels.enabled:
             for job in jobs:
                 delivered = channels.send_at(MessageKind.METER_REPORT, (t + 1) * grid.slot_ms)

@@ -22,8 +22,11 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
 from .core import MalformedRequest, TimeGrid, parse_hhmm, substream
 from .devices import (
+    BatteryLoadState,
+    FixedCycleState,
     RenewableTrace,
     StorageAsset,
+    ThermalLoadState,
     WaterHeaterParams,
     random_walk_trace,
 )
@@ -97,6 +100,39 @@ class HeaterFleetConfig:
 DeviceConfig = Union[ThermalConfig, BatteryConfig, CycleConfig, HeaterFleetConfig]
 
 
+def initial_state(
+    device: ThermalConfig | BatteryConfig | CycleConfig, seed: int | None = None
+) -> ThermalLoadState | BatteryLoadState | FixedCycleState:
+    """A household device's state when its run starts. Building it checks the
+    device's physics, so the engine's jobs and Scenario.validate call this
+    one function.
+
+    A battery without `initial_soc_wh` draws its charge from its own init
+    substream of `seed`. With `seed` None it is checked empty instead: a
+    drawn charge lies in [0, capacity / 2], so it passes exactly when the
+    empty battery does.
+    """
+    if isinstance(device, ThermalConfig):
+        return ThermalLoadState(
+            temp_c=device.initial_c,
+            ambient_c=device.ambient_c,
+            capacitance_wh_per_c=device.capacitance_wh_per_c,
+            loss_w_per_c=device.loss_w_per_c,
+            rated_w=device.rated_w,
+            efficiency=device.efficiency,
+        )
+    if isinstance(device, BatteryConfig):
+        soc_wh = device.initial_soc_wh
+        if soc_wh is None:
+            soc_wh = 0.0 if seed is None else substream(
+                seed, "device", device.device_id, "init"
+            ).uniform(0.0, device.capacity_wh / 2.0)
+        return BatteryLoadState(
+            soc_wh=soc_wh, capacity_wh=device.capacity_wh, p_max_w=device.p_max_w
+        )
+    return FixedCycleState(profile_w=device.profile_w)
+
+
 @dataclass(frozen=True)
 class RenewableConfig:
     """Either a fixed per-slot trace or a seeded clipped random walk."""
@@ -106,17 +142,26 @@ class RenewableConfig:
     volatility_w: float = 600.0
     values_w: tuple[float, ...] | None = None
 
-    def build(self, n_slots: int, rng: random.Random) -> RenewableTrace:
+    def validate(self) -> None:
+        """The checks `build` makes, without drawing the walk."""
         if self.kind == "trace":
             if self.values_w is None:
                 raise MalformedRequest("fixed renewable trace needs values_w")
+            RenewableTrace(values_w=self.values_w)
+        elif self.kind == "random_walk":
+            if self.mean_w < 0 or self.volatility_w < 0:
+                raise MalformedRequest("renewable mean_w and volatility_w must be non-negative")
+        else:
+            raise MalformedRequest(f"unknown renewable kind {self.kind!r}")
+
+    def build(self, n_slots: int, rng: random.Random) -> RenewableTrace:
+        self.validate()
+        if self.kind == "trace":
             values = list(self.values_w)
             if len(values) < n_slots:
                 values += [values[-1] if values else 0.0] * (n_slots - len(values))
             return RenewableTrace(values_w=tuple(values[:n_slots]))
-        if self.kind == "random_walk":
-            return random_walk_trace(n_slots, self.mean_w, self.volatility_w, rng)
-        raise MalformedRequest(f"unknown renewable kind {self.kind!r}")
+        return random_walk_trace(n_slots, self.mean_w, self.volatility_w, rng)
 
 
 @dataclass(frozen=True)
@@ -165,6 +210,9 @@ class Scenario:
             raise MalformedRequest("fleet runs ignore the server policy; leave it at its defaults")
         if self.policy.backoff_max < 1:
             raise MalformedRequest("server.backoff_max must be at least 1")
+        if self.trip_rate_per_hour < 0:
+            raise MalformedRequest("trip_rate_per_hour must be non-negative")
+        self.renewable.validate()
         for device in fleet:
             if device.count < 1:
                 raise MalformedRequest(f"{device.device_id}.count must be at least 1")
@@ -181,6 +229,10 @@ class Scenario:
                     raise MalformedRequest(
                         f"{device.device_id}.{slot_attr} outside the horizon"
                     )
+            try:
+                initial_state(device)
+            except MalformedRequest as exc:
+                raise MalformedRequest(f"{device.device_id}: {exc}") from None
 
     @property
     def is_fleet(self) -> bool:

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from pemsim.cli import main, write_bundle
+from pemsim.core import MalformedRequest
 from pemsim.engine import run_scenario
 from pemsim.scenario import (
     fleet_scenario,
@@ -94,6 +96,44 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "backoff_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("device, key, value", [
+        ("sauna", "rated_w", 0), ("sauna", "rated_w", -1),
+        ("sauna", "capacitance_wh_per_c", 0), ("sauna", "capacitance_wh_per_c", -1),
+        ("sauna", "loss_w_per_c", -1), ("sauna", "efficiency", 0), ("sauna", "efficiency", -1),
+        ("ev", "capacity_wh", -1), ("ev", "p_max_w", -1), ("ev", "initial_soc_wh", 40_000),
+    ])
+    def test_household_physics_fails_validate(self, tmp_path, capsys, device, key, value):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        next(d for d in doc["devices"] if d["id"] == device)[key] = value
+        bad = tmp_path / "physics.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert f"{device}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["renewable"].update(mean_w=-1),
+        lambda doc: doc["renewable"].update(volatility_w=-1),
+        lambda doc: doc["renewable"].update(kind="trace", values_w=[500.0, -1]),
+        lambda doc: doc["renewable"].update(kind="trace", values_w=None),
+        lambda doc: doc["renewable"].update(kind="wind"),
+    ], ids=["negative_mean", "negative_volatility", "negative_value", "no_values", "unknown_kind"])
+    def test_renewable_fails_validate(self, tmp_path, capsys, edit):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        edit(doc)
+        bad = tmp_path / "renewable.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "renewable" in capsys.readouterr().err
+
+    def test_negative_trip_rate_fails_validate(self, tmp_path, capsys):
+        scenario = replace(three_household_scenario(seed=1), trip_rate_per_hour=-5.0)
+        with pytest.raises(MalformedRequest, match="trip_rate_per_hour"):
+            scenario.validate()
+        bad = tmp_path / "trips.json"
+        save_scenario(scenario, bad)
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "trip_rate_per_hour" in capsys.readouterr().err
 
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
@@ -219,6 +259,15 @@ class TestFleetCommand:
         assert main(["fleet", "--count", "50", "--ref", str(ref),
                      "--hours", "0.5", "--out", str(out)]) == 0
 
+    def test_non_numeric_reference_line_exits_one(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("# watts per epoch\n100000\nabc\n")
+        out = tmp_path / "o"
+        assert main(["fleet", "--count", "5", "--ref", str(ref),
+                     "--hours", "0.1", "--out", str(out)]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_fleet_exits_one(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["fleet", "--count", "0", "--hours", "1", "--out", str(out)]) == 1
@@ -279,7 +328,8 @@ def _reject_constant(name):
 @pytest.mark.parametrize("base", ["reference", "fleet"])
 def test_numeric_field_mutants_exit_cleanly(tmp_path, base):
     """Each number of a scenario file set to NaN, +-inf, -1 or 0: `validate`
-    and `run` exit 0, 1 or 2 without an exception, and a run that exits 0
+    and `run` exit 0, 1 or 2 without an exception, a file that `validate`
+    accepts never fails `run` as invalid (exit 1), and a run that exits 0
     writes strict JSON."""
     if base == "reference":
         doc = scenario_to_dict(three_household_scenario(seed=5))
@@ -296,10 +346,11 @@ def test_numeric_field_mutants_exit_cleanly(tmp_path, base):
             scenario_file = tmp_path / "mutant.json"
             scenario_file.write_text(json.dumps(mutant))
             where = f"{'.'.join(map(str, path))} = {value}"
-            assert main(["validate", "--scenario", str(scenario_file)]) in (0, 1), where
+            valid = main(["validate", "--scenario", str(scenario_file)])
+            assert valid in (0, 1), where
             out = tmp_path / f"run{mutants}"
             code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
-            assert code in (0, 1, 2), where
+            assert code in ((0, 2) if valid == 0 else (1,)), where
             if code == 0:
                 json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
             mutants += 1

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from pemsim.core import substream
+from pemsim.core import MalformedRequest, substream
 from pemsim.devices import (
     BatteryLoadState,
     ContiguityViolation,
     FixedCycleState,
     StorageAsset,
     ThermalLoadState,
+    _absorb,
     decay_temp,
     min_heating_slots,
     random_walk_trace,
@@ -116,9 +117,15 @@ class TestBattery:
         state = BatteryLoadState(soc_wh=0.0, capacity_wh=30_000.0, p_max_w=5000.0)
         for _ in range(35):
             state, _ = step_battery(state, 5000.0, 10)
-        assert state.remaining_wh > 800.0
+        assert state.capacity_wh - state.soc_wh > 800.0
         state, _ = step_battery(state, 5000.0, 10)
-        assert state.remaining_wh == pytest.approx(0.0, abs=1e-6)
+        assert state.capacity_wh - state.soc_wh == pytest.approx(0.0, abs=1e-6)
+
+    def test_step_rejects_a_charge_out_of_bounds(self):
+        # the engine steps the scalar core without building a state, so the
+        # core itself keeps the bound
+        with pytest.raises(MalformedRequest, match="state of charge"):
+            _absorb(-1.0, 1000.0, 800.0, 0.0, 10)
 
     def test_soc_bounds_random_commands(self):
         rng = random.Random(12345)

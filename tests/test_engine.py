@@ -13,12 +13,15 @@ from scenario_gen import null_channels, random_household_scenario
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid
 from pemsim.cli import run_batch
+from pemsim.devices import step_battery, step_thermal
 from pemsim.engine import audit_conservation, run_scenario, summarize_run
 from pemsim.scenario import (
     BatteryConfig,
     CycleConfig,
     RenewableConfig,
     Scenario,
+    ThermalConfig,
+    initial_state,
     three_household_scenario,
 )
 
@@ -66,6 +69,51 @@ class TestBasics:
             result = run_scenario(scenario)
             for rec in result.slots:
                 assert math.fsum(rec.granted_w.values()) <= scenario.feeder_capacity_w + 1e-6
+
+
+class TestStepEquivalence:
+    @pytest.mark.parametrize("warm", [False, True], ids=["generated", "warm_start"])
+    @pytest.mark.parametrize("import_allowed", [True, False])
+    def test_traces_iterate_the_public_steps(self, import_allowed, warm):
+        """The engine keeps a battery's charge and a thermal node's
+        temperature as floats; each trace must equal, bit for bit, the
+        iteration of step_battery / step_thermal from the device's initial
+        state at the watts each slot records as granted. Thermal nodes that
+        start 15 C above ambient show a failed job cooling."""
+        heated = failed_cooling = 0
+        for seed in range(1, 41):
+            scenario = random_household_scenario(seed, import_allowed=import_allowed)
+            if warm:
+                scenario = replace(scenario, devices=tuple(
+                    replace(d, initial_c=d.ambient_c + 15.0) if isinstance(d, ThermalConfig) else d
+                    for d in scenario.devices
+                ))
+            result = run_scenario(scenario)
+            slot_min = scenario.grid.slot_min
+            for cfg in scenario.devices:
+                if isinstance(cfg, CycleConfig):
+                    continue
+                state = initial_state(cfg, scenario.seed)
+                expected = []
+                for record in result.slots:
+                    granted = record.granted_w[cfg.device_id]
+                    if isinstance(cfg, BatteryConfig):
+                        state, _ = step_battery(state, granted, slot_min)
+                        expected.append(state.soc_wh)
+                    else:
+                        state = step_thermal(state, granted, slot_min)
+                        expected.append(state.temp_c)
+                trace = result.device_traces[cfg.device_id]
+                assert [v.hex() for v in trace] == [v.hex() for v in expected], (seed, cfg.device_id)
+                if isinstance(cfg, ThermalConfig):
+                    heated += max(trace) > cfg.initial_c
+            failed_cooling += sum(
+                o.kind == "thermal" and o.service_failed
+                and result.device_traces[o.device_id][-1] < result.device_traces[o.device_id][0]
+                for o in result.requests
+            )
+        assert heated >= 5
+        assert failed_cooling >= (1 if warm else 0)
 
 
 class TestDeterminism:

@@ -7,7 +7,9 @@ The cases cover the reference evening (seeds 1, 87, 1652 and 1764; the
 latter two are where the EV's forced start rounds at the 1 Wh completion
 slack), the reference evening without channels and with the sauna's force
 check at its service start (the thermal-fault repro), two generated
-feeders that hold two thermal jobs each, and a heater fleet.
+feeders that hold two thermal jobs each, an islanded generated feeder whose
+battery, thermal job and cycle are all shed as forced grants, a generated
+feeder whose thermal job fails and keeps cooling, and a heater fleet.
 """
 
 import hashlib
@@ -45,10 +47,14 @@ CASES = {
     "late_force_check_87": lambda: _late_force_check(87),
     "feeder_5": lambda: random_household_scenario(5),
     "feeder_9": lambda: random_household_scenario(9),
+    "feeder_16": lambda: random_household_scenario(16),
+    "islanded_feeder_3": lambda: random_household_scenario(3, import_allowed=False),
     "fleet_200": lambda: fleet_scenario(count=200, hours=2.0, seed=1),
 }
 
-# Recorded before the replace-free thermal planning and device steps.
+# Recorded before the replace-free thermal planning and device steps;
+# feeder_16 and islanded_feeder_3 before the household jobs kept their state
+# as floats.
 DIGESTS = {
     "feeder_5": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -62,12 +68,24 @@ DIGESTS = {
         "slots.csv": "452879e992a78d9e9d2ae6bd038e98e0071bc06f07a8ad8eca78e8e7e8c6d06d",
         "summary.json": "f88133803e0d895e725961a6130885a01929d765de64b026eb979fa3ff115799",
     },
+    "feeder_16": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "136977d7b2c4b56d096ecf3c2b9a12e59c23271e326ae6ae66bb4005eaa3f1e0",
+        "slots.csv": "4182682b6ba4c3bcc32da62960a57eeac3ac2f3aabca7aced650d597d86e4a46",
+        "summary.json": "61111c8c6438f1bf5fac54b6f90507805258e806f80428deef53ef7405dace5a",
+    },
     "fleet_200": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
         "fleet.csv": "b4948a1a736195bf46e326bb9bdcae5822df8f39fa423e04a7959eab5f4ecf7f",
         "requests.csv": "d0409a80b639d5d1c10de89a414e3474c0f94fb513f12e3511f58c544da0188b",
         "slots.csv": "7c13eb85f4470aa743d01d53bf67ec13142306cef7c10dac3820503cebfcf4dc",
         "summary.json": "0016339f17411beb56aaf07aa79d66d5c6dfc234a7123803033ff9062f35f3f6",
+    },
+    "islanded_feeder_3": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "783e8006ff1b89ebd7d041ebe0a129dd434cf6a7f22af6fde094781b40b845d3",
+        "slots.csv": "cfc506f4e19d9c0090b498873423eddf8b45dd4b7465cca690e00232a741a7eb",
+        "summary.json": "4098ef35278fff9fa4a177462c333305a37a7b9834ee2876c55986a0cfaa8b98",
     },
     "late_force_check_87": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -115,6 +133,15 @@ def test_cases_hold_what_they_claim():
     assert sum(isinstance(d, ThermalConfig) for d in CASES["feeder_9"]().devices) == 2
     sauna = next(d for d in CASES["late_force_check_87"]().devices if d.device_id == "sauna")
     assert sauna.force_check_at == sauna.service_start
+    islanded = run_scenario(CASES["islanded_feeder_3"]())
+    forced_kinds = {
+        o.kind for o in islanded.requests
+        if o.shed and any(e.device_id == o.device_id and e.forced for e in islanded.shed_events)
+    }
+    assert forced_kinds == {"battery", "thermal", "cycle"}
+    cooling = run_scenario(CASES["feeder_16"]())
+    (thermal,) = [o for o in cooling.requests if o.kind == "thermal"]
+    assert thermal.service_failed and len(cooling.device_traces[thermal.device_id]) == cooling.grid.horizon
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,7 @@
 """The package stays standard-library only, and its public names resolve."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -35,3 +36,13 @@ def test_imports_are_stdlib_or_relative():
 
 def test_public_names_resolve():
     assert [name for name in pemsim.__all__ if not hasattr(pemsim, name)] == []
+
+
+def test_console_script_resolves_to_a_callable():
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n?)*)", text, re.MULTILINE)
+    assert section is not None
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', section.group(1), re.MULTILINE))
+    assert scripts == {"pemsim": "pemsim.cli:entrypoint"}
+    module, _, attr = scripts["pemsim"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
