@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .comms import ChannelClass, MessageKind
 from .core import MalformedRequest, WindowInfeasible
 from .devices import ContiguityViolation
 from .engine import (
@@ -40,27 +41,40 @@ EXIT_INVARIANT = 2
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells of a bundle; tested first for speed
-        return f"{value:.6f}"
+    """A requests.csv cell (an int, a bool or None); the other files format
+    by row template."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.6f}"
     return str(value)
 
 
+# Enum cells of channel.csv, looked up once per row instead of read through
+# Enum.value.
+_ENUM_VALUES = {member: member.value for enum in (MessageKind, ChannelClass) for member in enum}
+
+
+def _header(fh, names: list[str]) -> None:
+    """Header rows go through csv.writer: a device id may need quoting."""
+    csv.writer(fh, lineterminator="\n").writerow(names)
+
+
 def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
-    """Write the output bundle for one run; returns the summary dict."""
+    """Write the output bundle for one run; returns the summary dict.
+
+    slots.csv, channel.csv and fleet.csv write each row through one `%`
+    template per file, so a column's format is fixed by the column: float
+    columns print as %.6f (an int watt value too), int columns as %d, and
+    `emergency` as 1 or 0."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = result.grid
     device_ids = sorted(result.slots[0].granted_w) if result.slots else []
 
     with open(out / "slots.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = (
+        _header(
+            fh,
             ["slot", "clock"]
             + [f"granted_{i}_w" for i in device_ids]
             + [f"consumed_{i}_w" for i in device_ids]
@@ -72,24 +86,27 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 "imported_w",
                 "curtailed_w",
                 "emergency",
-            ]
+            ],
         )
-        writer.writerow(header)
-        for rec in result.slots:
-            writer.writerow(
-                [rec.slot, rec.clock]
-                + [_fmt(rec.granted_w.get(i, 0.0)) for i in device_ids]
-                + [_fmt(rec.consumed_w.get(i, 0.0)) for i in device_ids]
-                + [
-                    _fmt(rec.renewable_available_w),
-                    _fmt(rec.renewable_used_w),
-                    _fmt(rec.storage_soc_wh),
-                    _fmt(rec.storage_flow_w),
-                    _fmt(rec.imported_w),
-                    _fmt(rec.curtailed_w),
-                    _fmt(rec.emergency),
-                ]
+        row = "%d,%s," + "%.6f," * (2 * len(device_ids) + 6) + "%d\n"
+        zeros = [0.0] * len(device_ids)  # a device missing from a slot's dicts
+        fh.writelines(
+            row
+            % (
+                rec.slot,
+                rec.clock,
+                *map(rec.granted_w.get, device_ids, zeros),
+                *map(rec.consumed_w.get, device_ids, zeros),
+                rec.renewable_available_w,
+                rec.renewable_used_w,
+                rec.storage_soc_wh,
+                rec.storage_flow_w,
+                rec.imported_w,
+                rec.curtailed_w,
+                rec.emergency,
             )
+            for rec in result.slots
+        )
 
     with open(out / "requests.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -138,28 +155,34 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
             )
 
     with open(out / "channel.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
+        _header(
+            fh, ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
         )
+        delivered = "%d,%s,%s,%.6f,%.6f,%d,%.6f,delivered\n"
+        dropped = "%d,%s,%s,%.6f,,%d,,dropped\n"
+        value = _ENUM_VALUES
         for m in result.channel:
-            writer.writerow(
-                [
-                    m.msg_id,
-                    m.kind.value,
-                    m.cls.value,
-                    _fmt(m.sent_at_ms),
-                    _fmt(m.delivered_at_ms),
-                    m.attempts,
-                    _fmt(m.e2e_ms),
-                    "dropped" if m.dropped else "delivered",
-                ]
-            )
+            sent_ms, at_ms = m.sent_at_ms, m.delivered_at_ms
+            if at_ms is None:
+                fh.write(dropped % (m.msg_id, value[m.kind], value[m.cls], sent_ms, m.attempts))
+            else:
+                fh.write(
+                    delivered
+                    % (
+                        m.msg_id,
+                        value[m.kind],
+                        value[m.cls],
+                        sent_ms,
+                        at_ms,
+                        m.attempts,
+                        at_ms - sent_ms,  # MessageRecord.e2e_ms
+                    )
+                )
 
     if result.fleet is not None:
         with open(out / "fleet.csv", "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
+            _header(
+                fh,
                 [
                     "epoch",
                     "clock",
@@ -172,24 +195,26 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                     "temp_min_c",
                     "temp_max_c",
                     "temp_mean_c",
-                ]
+                ],
             )
-            for rec in result.fleet:
-                writer.writerow(
-                    [
-                        rec.epoch,
-                        grid.clock_of(rec.epoch),
-                        _fmt(rec.reference_w),
-                        _fmt(rec.aggregate_w),
-                        rec.requests,
-                        rec.accepted,
-                        rec.force_on,
-                        rec.force_off,
-                        _fmt(rec.temp_min_c),
-                        _fmt(rec.temp_max_c),
-                        _fmt(rec.temp_mean_c),
-                    ]
+            row = "%d,%s,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f\n"
+            fh.writelines(
+                row
+                % (
+                    rec.epoch,
+                    grid.clock_of(rec.epoch),
+                    rec.reference_w,
+                    rec.aggregate_w,
+                    rec.requests,
+                    rec.accepted,
+                    rec.force_on,
+                    rec.force_off,
+                    rec.temp_min_c,
+                    rec.temp_max_c,
+                    rec.temp_mean_c,
                 )
+                for rec in result.fleet
+            )
 
     summary = summarize_run(result)
     with open(out / "summary.json", "w", newline="\n") as fh:

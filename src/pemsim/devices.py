@@ -13,8 +13,11 @@ step, evaluated in exactly this grouping (the product dt_h * (...) first,
 then the division by C, then the addition to T). step_thermal,
 min_heating_slots and the engine's household thermal job all call it, so a
 heating run that min_heating_slots plans is exactly the run step_thermal and
-the engine simulate at rated power. `_absorb` is likewise the one charging
-step, called by step_battery and by the engine's household battery job.
+the engine simulate at rated power. `_euler_temp`, decay_temp and
+min_heating_slots each take the node and, apart from it, the temperature to
+start from; only step_thermal reads the node's own temp_c. `_absorb` is
+likewise the one charging step, called by step_battery and by the engine's
+household battery job.
 
 Every step_* function builds its new state with the class constructor, so
 each state passes its __post_init__ checks. The engine's household jobs keep
@@ -79,24 +82,29 @@ def step_thermal(state: ThermalLoadState, applied_w: float, dt_min: float) -> Th
     )
 
 
-def decay_temp(state: ThermalLoadState, steps: int, dt_min: float) -> float:
-    """Temperature after `steps` zero-power slots: the closed form of the
-    Euler recursion of step_thermal. It rounds differently from iterating
-    step_thermal, so the two agree to within rounding, not bit for bit."""
+def decay_temp(state: ThermalLoadState, temp_c: float, steps: int, dt_min: float) -> float:
+    """Temperature of `state`'s node after `steps` zero-power slots from
+    `temp_c`: the closed form of the Euler recursion of step_thermal. It
+    rounds differently from iterating step_thermal, so the two agree to
+    within rounding, not bit for bit."""
     a = 1.0 - (dt_min / 60.0) * state.loss_w_per_c / state.capacitance_wh_per_c
-    return state.ambient_c + (state.temp_c - state.ambient_c) * a**steps
+    return state.ambient_c + (temp_c - state.ambient_c) * a**steps
 
 
 def min_heating_slots(
-    state: ThermalLoadState, target_c: float, dt_min: float, max_steps: int = 10_000
+    state: ThermalLoadState,
+    temp_c: float,
+    target_c: float,
+    dt_min: float,
+    max_steps: int = 10_000,
 ) -> int | None:
-    """Fewest consecutive rated-power slots that lift the node to `target_c`,
-    stepped as step_thermal steps it.
+    """Fewest consecutive rated-power slots that lift `state`'s node from
+    `temp_c` to `target_c`, stepped as step_thermal steps it.
 
     None when the target is unreachable (steady state below target) or needs
     more than `max_steps` slots.
     """
-    temp = state.temp_c
+    temp = temp_c
     if temp >= target_c:
         return 0
     for n in range(1, max_steps + 1):
@@ -127,11 +135,14 @@ def _absorb(
 ) -> tuple[float, float]:
     """(new state of charge, energy absorbed in Wh) after one slot of charging
     at `applied_w` (clamped to [0, p_max]). Raises MalformedRequest, as
-    BatteryLoadState does, when the new charge leaves [0, capacity]."""
+    BatteryLoadState does, when the new charge leaves [0, capacity].
+
+    A saturating slot adds `capacity - soc`, which can round one ulp above
+    capacity; the new charge is clamped to capacity."""
     power = min(max(applied_w, 0.0), p_max_w)
     offered = power * dt_min / 60.0
     absorbed = min(offered, capacity_wh - soc_wh)
-    soc_wh += absorbed
+    soc_wh = min(soc_wh + absorbed, capacity_wh)
     if not 0 <= soc_wh <= capacity_wh:
         raise MalformedRequest("state of charge out of [0, capacity]")
     return soc_wh, absorbed

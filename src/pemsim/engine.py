@@ -304,8 +304,8 @@ class _HouseholdJob:
 
     # protocol plumbing ------------------------------------------------------
     def maybe_emit(self, now: int) -> LoadRequest | None:
-        if self.done or self.failed or self.active_from is not None:
-            return None
+        """The request to send at `now`, if any. Called only on a job that is
+        not yet done, failed or accepted: such a job never emits again."""
         if self.await_since is not None:
             if now - self.await_since <= self.backoff_max:
                 return None  # response may still be in flight
@@ -484,7 +484,7 @@ class _ThermalJob(_HouseholdJob):
         if self.active_from is None or self.done or self.failed:
             return None
         # reads only the request's configuration, the same in every request sent
-        forced = thermal_forced_need(self.temp_c, self.request, now, self.grid)
+        forced = thermal_forced_need(self.node, self.temp_c, self.request, now, self.grid)
         if forced > 0:
             return SlotNeed(self.device_id, self.priority, forced_w=forced)
         if (
@@ -713,14 +713,21 @@ def _run_household(scenario: Scenario) -> RunResult:
     traces: dict[str, list[float]] = {job.device_id: [] for job in jobs}
     traced = [(job, traces[job.device_id].append) for job in jobs]
 
+    emitting = jobs
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
         for job, decision in decision_outbox.pop(t, ()):
             job.on_decision(decision, t)
         server_inbox = list(request_inbox.pop(t, ()))
 
-        # (2) devices emit requests, retries, and lost-response re-asks
-        for job in jobs:
+        # (2) devices emit requests, retries, and lost-response re-asks; a
+        # done, failed or accepted job leaves for good, the others keep
+        # their order
+        emitting = [
+            job for job in emitting
+            if not (job.done or job.failed or job.active_from is not None)
+        ]
+        for job in emitting:
             request = job.maybe_emit(t)
             if request is None:
                 continue

@@ -123,13 +123,11 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
     feasible start, which is the latest; each probe searches only as many
     heating slots as are left before the service start.
     """
-    snapshot = thermal_state_of(request, request.temp_c)
+    node = thermal_state_of(request, request.temp_c)
     for t in range(request.service_start, request.preheat_from - 1, -1):
-        cold = thermal_state_of(
-            request, decay_temp(snapshot, max(0, t - request.issued_at), grid.slot_min)
-        )
+        cold = decay_temp(node, request.temp_c, max(0, t - request.issued_at), grid.slot_min)
         left = request.service_start - t
-        if min_heating_slots(cold, request.target_c, grid.slot_min, max_steps=left) is not None:
+        if min_heating_slots(node, cold, request.target_c, grid.slot_min, left) is not None:
             return min(request.force_check_at, t)
     raise WindowInfeasible(
         f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
@@ -137,10 +135,15 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
 
 
 def thermal_forced_need(
-    temp_c: float, request: ThermalTargetRequest, now: int, grid: TimeGrid
+    node: ThermalLoadState,
+    temp_c: float,
+    request: ThermalTargetRequest,
+    now: int,
+    grid: TimeGrid,
 ) -> float:
     """Forced heating power for a thermal job this slot, re-evaluated against
-    the actual temperature.
+    the actual temperature `temp_c` of the job's `node`, whose constants are
+    the request's.
 
     Inside [force_check, service_end): heat at rated iff coasting from here
     would drop below target at the next checkpoint (service start before
@@ -151,17 +154,16 @@ def thermal_forced_need(
     """
     if now < request.preheat_from or now >= request.service_end:
         return 0.0
-    state = thermal_state_of(request, temp_c)
     if now >= request.service_start:
         horizon = 1
     elif now >= request.force_check_at:
         horizon = request.service_start - now
     else:
-        need = min_heating_slots(state, request.target_c, grid.slot_min)
+        need = min_heating_slots(node, temp_c, request.target_c, grid.slot_min)
         if need is not None and need >= request.service_start - now:
             return request.rated_w
         return 0.0
-    if decay_temp(state, horizon, grid.slot_min) < request.target_c:
+    if decay_temp(node, temp_c, horizon, grid.slot_min) < request.target_c:
         return request.rated_w
     return 0.0
 

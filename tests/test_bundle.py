@@ -1,0 +1,157 @@
+"""The bundle writer against a per-cell reference writer.
+
+`reference_write_bundle` writes every row through `csv.writer` and formats
+each cell with `reference_fmt`, as the writer did before it built one row
+template per file. On runs whose float columns hold floats, which is every
+run built from a scenario file, a generator or the fleet, the two must
+write the same bytes.
+"""
+
+import csv
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from pemsim.cli import write_bundle
+from pemsim.core import TimeGrid
+from pemsim.engine import run_scenario
+from pemsim.scenario import (
+    CycleConfig,
+    RenewableConfig,
+    Scenario,
+    fleet_scenario,
+    load_scenario,
+)
+from scenario_gen import random_household_scenario
+
+REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
+
+
+def reference_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def reference_write_bundle(result, out: Path) -> None:
+    """slots.csv, channel.csv and fleet.csv, one csv.writer row per record
+    and one reference_fmt call per float cell."""
+    grid = result.grid
+    device_ids = sorted(result.slots[0].granted_w) if result.slots else []
+    with open(out / "slots.csv", "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["slot", "clock"]
+            + [f"granted_{i}_w" for i in device_ids]
+            + [f"consumed_{i}_w" for i in device_ids]
+            + [
+                "renewable_available_w", "renewable_used_w", "storage_soc_wh",
+                "storage_flow_w", "imported_w", "curtailed_w", "emergency",
+            ]
+        )
+        for rec in result.slots:
+            writer.writerow(
+                [rec.slot, rec.clock]
+                + [reference_fmt(rec.granted_w.get(i, 0.0)) for i in device_ids]
+                + [reference_fmt(rec.consumed_w.get(i, 0.0)) for i in device_ids]
+                + [
+                    reference_fmt(v)
+                    for v in (
+                        rec.renewable_available_w, rec.renewable_used_w, rec.storage_soc_wh,
+                        rec.storage_flow_w, rec.imported_w, rec.curtailed_w, rec.emergency,
+                    )
+                ]
+            )
+    with open(out / "channel.csv", "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
+        )
+        for m in result.channel:
+            writer.writerow(
+                [
+                    m.msg_id, m.kind.value, m.cls.value, reference_fmt(m.sent_at_ms),
+                    reference_fmt(m.delivered_at_ms), m.attempts, reference_fmt(m.e2e_ms),
+                    "dropped" if m.dropped else "delivered",
+                ]
+            )
+    if result.fleet is not None:
+        with open(out / "fleet.csv", "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                [
+                    "epoch", "clock", "reference_w", "aggregate_w", "requests", "accepted",
+                    "force_on", "force_off", "temp_min_c", "temp_max_c", "temp_mean_c",
+                ]
+            )
+            for rec in result.fleet:
+                writer.writerow(
+                    [
+                        rec.epoch, grid.clock_of(rec.epoch), reference_fmt(rec.reference_w),
+                        reference_fmt(rec.aggregate_w), rec.requests, rec.accepted,
+                        rec.force_on, rec.force_off, reference_fmt(rec.temp_min_c),
+                        reference_fmt(rec.temp_max_c), reference_fmt(rec.temp_mean_c),
+                    ]
+                )
+
+
+def assert_same_files(scenario, tmp_path):
+    result = run_scenario(scenario)
+    got, want = tmp_path / "got", tmp_path / "want"
+    want.mkdir(parents=True)
+    write_bundle(result, got)
+    reference_write_bundle(result, want)
+    names = sorted(p.name for p in want.iterdir())
+    assert names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_reference_evening_matches_reference_writer(tmp_path, seed):
+    assert_same_files(replace(load_scenario(REFERENCE_FILE), seed=seed), tmp_path)
+
+
+@pytest.mark.parametrize("import_allowed", [True, False])
+def test_generated_feeders_match_reference_writer(tmp_path, import_allowed):
+    for seed in range(1, 41):
+        scenario = random_household_scenario(seed, import_allowed=import_allowed)
+        assert_same_files(scenario, tmp_path / str(seed))
+
+
+def test_fleet_matches_reference_writer(tmp_path):
+    assert_same_files(fleet_scenario(count=100, hours=2.0, seed=3), tmp_path)
+
+
+def test_dropped_messages_leave_empty_cells(tmp_path):
+    scenario = replace(load_scenario(REFERENCE_FILE), seed=1)
+    meter = replace(scenario.channels["meter"], loss_prob=0.3, max_attempts=1)
+    scenario = replace(scenario, channels={**scenario.channels, "meter": meter})
+    assert_same_files(scenario, tmp_path)
+    rows = list(csv.DictReader((tmp_path / "got" / "channel.csv").read_text().splitlines()))
+    dropped = [row for row in rows if row["status"] == "dropped"]
+    assert dropped
+    assert all(row["delivered_ms"] == row["e2e_ms"] == "" for row in dropped)
+
+
+def test_int_watts_print_six_decimals(tmp_path):
+    """A column's format is fixed by the column: a cycle built in Python
+    with int watts records int grants, and they print as %.6f floats, where
+    the per-cell reference writer printed them as ints."""
+    scenario = Scenario(
+        grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=6),
+        feeder_capacity_w=10_000.0,
+        devices=(CycleConfig("washer", profile_w=(2000, 2000), earliest_start=0, deadline=2),),
+        renewable=RenewableConfig(kind="trace", values_w=(0.0,) * 6),
+    )
+    result = run_scenario(scenario)
+    assert 2000 in [rec.granted_w["washer"] for rec in result.slots]
+    write_bundle(result, tmp_path)
+    rows = list(csv.DictReader((tmp_path / "slots.csv").read_text().splitlines()))
+    assert [row["granted_washer_w"] for row in rows[:2]] == ["2000.000000"] * 2
+    assert [row["consumed_washer_w"] for row in rows[:2]] == ["2000.000000"] * 2

@@ -90,13 +90,13 @@ class TestThermal:
             for _ in range(steps):
                 iterated = step_thermal(iterated, 0.0, dt_min)
             scale = max(abs(state.temp_c), abs(state.ambient_c))
-            assert abs(decay_temp(state, steps, dt_min) - iterated.temp_c) <= 1e-12 * scale
+            assert abs(decay_temp(state, state.temp_c, steps, dt_min) - iterated.temp_c) <= 1e-12 * scale
 
     def test_min_heating_slots(self):
-        assert min_heating_slots(SAUNA, 70.0, 10) == 6
-        assert min_heating_slots(SAUNA, 20.0, 10) == 0
+        assert min_heating_slots(SAUNA, SAUNA.temp_c, 70.0, 10) == 6
+        assert min_heating_slots(SAUNA, SAUNA.temp_c, 20.0, 10) == 0
         # unreachable: steady state is 20 + 3600/10 = 380
-        assert min_heating_slots(SAUNA, 500.0, 10) is None
+        assert min_heating_slots(SAUNA, SAUNA.temp_c, 500.0, 10) is None
 
 
 class TestBattery:

@@ -370,3 +370,31 @@ class TestDeadlineGuarantee:
                 total = math.fsum(rec.granted_w.values())
                 assert total <= scenario.feeder_capacity_w + 1e-6
         assert checked_accepted > 800  # the sweep must actually exercise admissions
+
+    # seeds of 1..3000 whose drawn charge made the saturating slot round one
+    # ulp above capacity, which raised MalformedRequest mid-run
+    OVERSHOOT_SEEDS = (
+        5, 11, 30, 1002, 1135, 1373, 1473, 1673, 1710, 1719, 1786,
+        1865, 2027, 2102, 2156, 2186, 2231, 2556, 2606, 2756, 2774, 2822,
+    )
+
+    @pytest.mark.parametrize("seed", OVERSHOOT_SEEDS)
+    def test_battery_filling_in_one_slot_ends_at_capacity(self, seed):
+        capacity = 1000 + 0.37 * seed
+        scenario = Scenario(
+            grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=12),
+            feeder_capacity_w=10_000.0,
+            devices=(
+                BatteryConfig("ev", capacity_wh=capacity, p_max_w=7000.0,
+                              packet_w=1000.0, arrival=0, deadline=12),
+            ),
+            renewable=RenewableConfig(kind="trace", values_w=(0.0,) * 12),
+            seed=seed,
+        )
+        scenario.validate()
+        drawn = initial_state(scenario.devices[0], seed).soc_wh
+        assert drawn < capacity / 2  # the saturating slot starts below half
+        result = run_scenario(scenario)
+        (outcome,) = result.requests
+        assert outcome.accepted and outcome.deadline_met
+        assert result.final_states["ev"]["soc_wh"] == capacity

@@ -9,7 +9,9 @@ slack), the reference evening without channels and with the sauna's force
 check at its service start (the thermal-fault repro), two generated
 feeders that hold two thermal jobs each, an islanded generated feeder whose
 battery, thermal job and cycle are all shed as forced grants, a generated
-feeder whose thermal job fails and keeps cooling, and a heater fleet.
+feeder whose thermal job fails and keeps cooling, a heater fleet, and the
+reference evening over a lossy single-attempt meter channel, whose
+channel.csv holds dropped rows and trip-signal rows.
 """
 
 import hashlib
@@ -39,12 +41,19 @@ def _late_force_check(seed):
     return replace(scenario, channels=None, devices=devices)
 
 
+def _lossy_meter(seed):
+    scenario = _reference(seed)
+    meter = replace(scenario.channels["meter"], loss_prob=0.3, max_attempts=1)
+    return replace(scenario, channels={**scenario.channels, "meter": meter})
+
+
 CASES = {
     "reference_1": lambda: _reference(1),
     "reference_87": lambda: _reference(87),
     "reference_1652": lambda: _reference(1652),
     "reference_1764": lambda: _reference(1764),
     "late_force_check_87": lambda: _late_force_check(87),
+    "lossy_meter_1": lambda: _lossy_meter(1),
     "feeder_5": lambda: random_household_scenario(5),
     "feeder_9": lambda: random_household_scenario(9),
     "feeder_16": lambda: random_household_scenario(16),
@@ -54,7 +63,8 @@ CASES = {
 
 # Recorded before the replace-free thermal planning and device steps;
 # feeder_16 and islanded_feeder_3 before the household jobs kept their state
-# as floats.
+# as floats; lossy_meter_1 before the bundle writer formatted rows by
+# template.
 DIGESTS = {
     "feeder_5": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -92,6 +102,12 @@ DIGESTS = {
         "requests.csv": "4c4672c07ee22a8449faafcdc9490ac533600aeb69015f3b721ffbd0821e1e0c",
         "slots.csv": "72e5b5d78aa1adc116fabf68f1c8be65543bf51049f15174817c1f053c28c727",
         "summary.json": "382876c6e5fa66ac9ea46c8fecaa26d0d7e6ec64095144bcd3894cefe93a8d8e",
+    },
+    "lossy_meter_1": {
+        "channel.csv": "1e0503c669fe2bb03a886735702b0b118e5d7e2d8349a3a66bff12f71fa5c0b3",
+        "requests.csv": "27e9b830f34daf41e7680d43e0282a9c5809ecbcc985df20748ba4dc5986466f",
+        "slots.csv": "8bb681feb768a90cab97dd10d8e91cce4e97660bcc30a0b1fd961aa2f608269f",
+        "summary.json": "581ccf8ad7daf5b8562cb34196967cc023ed0eafdd10139e5a8679ce7c6dcc10",
     },
     "reference_1": {
         "channel.csv": "0842b6f0529bc341ca024893fa99f234e6dc504d1f889d305a06cd730d8a5dcd",
@@ -133,6 +149,9 @@ def test_cases_hold_what_they_claim():
     assert sum(isinstance(d, ThermalConfig) for d in CASES["feeder_9"]().devices) == 2
     sauna = next(d for d in CASES["late_force_check_87"]().devices if d.device_id == "sauna")
     assert sauna.force_check_at == sauna.service_start
+    lossy = run_scenario(CASES["lossy_meter_1"]()).channel
+    assert any(m.dropped for m in lossy)
+    assert any(m.kind.value == "trip_signal" for m in lossy)
     islanded = run_scenario(CASES["islanded_feeder_3"]())
     forced_kinds = {
         o.kind for o in islanded.requests

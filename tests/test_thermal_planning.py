@@ -66,7 +66,9 @@ def reference_plan_thermal_forced_start(request, grid):
     for t in range(request.preheat_from, request.service_start + 1):
         cold = replace(
             snapshot,
-            temp_c=decay_temp(snapshot, max(0, t - request.issued_at), grid.slot_min),
+            temp_c=decay_temp(
+                snapshot, snapshot.temp_c, max(0, t - request.issued_at), grid.slot_min
+            ),
         )
         need = reference_min_heating_slots(cold, request.target_c, grid.slot_min)
         if need is not None and need <= request.service_start - t:
@@ -91,7 +93,7 @@ def reference_thermal_forced_need(temp_c, request, now, grid):
         if need is not None and need >= request.service_start - now:
             return request.rated_w
         return 0.0
-    if decay_temp(state, horizon, grid.slot_min) < request.target_c:
+    if decay_temp(state, state.temp_c, horizon, grid.slot_min) < request.target_c:
         return request.rated_w
     return 0.0
 
@@ -185,7 +187,7 @@ class TestMinHeatingSlots:
             target = random_target(rng, state)
             dt_min = rng.choice([1, 3, 5, 10, 15, 30])
             max_steps = rng.choice([10_000, rng.randint(0, 40)])
-            got = min_heating_slots(state, target, dt_min, max_steps)
+            got = min_heating_slots(state, state.temp_c, target, dt_min, max_steps)
             assert got == reference_min_heating_slots(state, target, dt_min, max_steps)
             outcomes.add("none" if got is None else "zero" if got == 0 else "some")
         assert outcomes == {"none", "zero", "some"}
@@ -214,7 +216,7 @@ class TestPlanning:
             grid, request = random_request(rng)
             temp = rng.uniform(request.ambient_c - 5.0, request.target_c + 10.0)
             now = rng.randint(0, grid.horizon)
-            got = thermal_forced_need(temp, request, now, grid)
+            got = thermal_forced_need(reference_state_of(request), temp, request, now, grid)
             assert got == reference_thermal_forced_need(temp, request, now, grid)
             if got > 0:
                 forced += 1
