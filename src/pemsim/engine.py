@@ -8,6 +8,25 @@ slot t start at slot t when the channel is instantaneous. Identical seeds
 give bit-identical results; all randomness flows through per-purpose
 substreams of the scenario seed.
 
+Per-slot work touches only the jobs whose state can change. A household job
+is in one of four roles:
+
+- allocating: accepted and not yet done or failed. Only these jobs state a
+  slot need in phase (4), in device order, and they step at their grants;
+- stepping: the allocating jobs plus each thermal job from
+  min(preheat_from, service_start - 1) until it is done or fails, since its
+  step records the service-window temperatures and finishes it, accepted or
+  not. Phase (6) runs `apply` on these in device order, because a finishing
+  job releases its ledger commitment;
+- coasting: any other thermal node, which takes the unheated Euler step;
+- parked: any other battery or cycle job, whose state holds and which
+  draws 0 W. Its trace repeats the held value and is filled in when the
+  job next steps or the run ends.
+
+The role lists are rebuilt only when a role can change: a decision is
+delivered, a job finishes, fails or is shed, or a thermal job reaches its
+first stepping slot.
+
 Household battery and thermal jobs keep their evolving state as one float
 (`soc_wh`, `temp_c`). Each builds its device's state once, through
 scenario.initial_state, so the physics is checked at construction as
@@ -21,6 +40,7 @@ FixedCycleState and step_cycle.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .comms import (
@@ -271,7 +291,8 @@ class _HouseholdJob:
         self.slot_min = grid.slot_min
         self.slot_hours = grid.slot_hours
         self.backoff_max = backoff_max
-        self.retry_rng = substream(seed, "device", device_id, "retry")
+        self.seed = seed
+        self.retry_rng: random.Random | None = None  # drawn on the first capacity rejection
         self.request_due: int | None = None
         self.await_since: int | None = None
         self.active_from: int | None = None
@@ -279,6 +300,24 @@ class _HouseholdJob:
         self.done = False
         self.failed = False
         self.outcome: RequestOutcome | None = None
+        # the state after each slot the job has recorded; a parked job's
+        # state holds, so its trace is filled in when it next steps
+        self.trace: list[float] = []
+
+    @property
+    def allocating(self) -> bool:
+        """Accepted and not yet done or failed: the job takes part in each
+        slot's allocation and steps at its grant."""
+        return self.active_from is not None and not self.done and not self.failed
+
+    def steps_at(self, now: int) -> bool:
+        """Whether slot `now` runs `apply`; otherwise the job is parked (its
+        state holds and it draws 0 W) or, for a thermal job, coasts."""
+        return self.allocating
+
+    def fill_trace(self, upto: int) -> None:
+        """Record the held state for the parked slots before slot `upto`."""
+        self.trace.extend([self.trace_value()] * (upto - len(self.trace)))
 
     # subclass hooks -------------------------------------------------------
     def build_request(self, now: int) -> LoadRequest:
@@ -291,9 +330,12 @@ class _HouseholdJob:
         raise NotImplementedError
 
     def slot_need(self, now: int) -> SlotNeed | None:
+        """This slot's need; called only on an allocating job."""
         raise NotImplementedError
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
+        """Step one slot at the granted watts; returns the watts consumed.
+        Called only at a slot where steps_at holds."""
         raise NotImplementedError
 
     def trace_value(self) -> float:
@@ -344,6 +386,9 @@ class _HouseholdJob:
         self.outcome.accepted = False
         self.outcome.reject_reason = decision.reason.value
         if decision.reason is RejectReason.CAPACITY_EXCEEDED:
+            if self.retry_rng is None:
+                # keyed by the device, so when it is drawn moves no other draw
+                self.retry_rng = substream(self.seed, "device", self.device_id, "retry")
             self.request_due = handle_rejection_retry(slot, self.backoff_max, self.retry_rng)
         else:
             self._fail(slot)
@@ -401,10 +446,8 @@ class _BatteryJob(_HouseholdJob):
         )
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        if self.active_from is None or self.done or self.failed:
-            return None
         cfg = self.cfg
-        if now < self.active_from or now >= cfg.deadline:
+        if now >= cfg.deadline:
             return None
         remaining = cfg.capacity_wh - self.soc_wh
         if remaining <= COMPLETION_TOL_WH:
@@ -418,8 +461,6 @@ class _BatteryJob(_HouseholdJob):
         )
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
-        if self.done or self.failed:
-            return 0.0
         cfg = self.cfg
         self.soc_wh, absorbed_wh = _absorb(
             self.soc_wh, cfg.capacity_wh, cfg.p_max_w, granted_w, self.slot_min
@@ -453,6 +494,10 @@ class _ThermalJob(_HouseholdJob):
         self.node = initial_state(cfg)  # the node's constants; its temp_c is not read
         self.temp_c = cfg.initial_c
         self.request_due = cfg.preheat_from
+        # from here on apply records the service-window temperatures and
+        # finishes the job, accepted or not; before it, and once the job is
+        # done or failed, the node coasts
+        self.step_from = min(cfg.preheat_from, cfg.service_start - 1)
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
 
@@ -480,9 +525,14 @@ class _ThermalJob(_HouseholdJob):
             efficiency=self.cfg.efficiency,
         )
 
+    def steps_at(self, now: int) -> bool:
+        return now >= self.step_from and not self.done and not self.failed
+
+    def coast(self) -> None:
+        """One unheated slot, as apply takes it at 0 W."""
+        self.temp_c = _euler_temp(self.node, self.temp_c, 0.0, self.slot_min)
+
     def slot_need(self, now: int) -> SlotNeed | None:
-        if self.active_from is None or self.done or self.failed:
-            return None
         # reads only the request's configuration, the same in every request sent
         forced = thermal_forced_need(self.node, self.temp_c, self.request, now, self.grid)
         if forced > 0:
@@ -500,10 +550,6 @@ class _ThermalJob(_HouseholdJob):
         return None
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
-        if self.failed:
-            # the node still cools even when the job died
-            self.temp_c = _euler_temp(self.node, self.temp_c, 0.0, self.slot_min)
-            return 0.0
         cfg = self.cfg
         consumed_w = min(max(granted_w, 0.0), cfg.rated_w)
         temp_c = self.temp_c = _euler_temp(self.node, self.temp_c, consumed_w, self.slot_min)
@@ -514,7 +560,7 @@ class _ThermalJob(_HouseholdJob):
         if cfg.service_start <= now + 1 <= cfg.service_end:
             if self.service_min_c is None or temp_c < self.service_min_c:
                 self.service_min_c = temp_c
-        if now + 1 == cfg.service_end and not self.done:
+        if now + 1 == cfg.service_end:
             self.done = True
             if self.outcome is not None and self.outcome.accepted:
                 self.outcome.completion_slot = cfg.service_end
@@ -562,10 +608,6 @@ class _CycleJob(_HouseholdJob):
         )
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        if self.active_from is None or self.done or self.failed:
-            return None
-        if self.state.finished:
-            return None
         if self.state.running:
             return SlotNeed(
                 self.device_id, self.priority, forced_w=self.state.profile_w[self.state.progress]
@@ -585,14 +627,14 @@ class _CycleJob(_HouseholdJob):
         return None
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
-        if self.done or self.failed or self.state.finished:
+        if self.failed:  # shed earlier in this slot
             return 0.0
         granted = granted_w > CAP_TOL_W
         if self.state.started_at is None and not granted:
             return 0.0
         self.state, consumed_w = step_cycle(self.state, granted, now)
         self._mark_service(now, consumed_w)
-        if self.state.finished and not self.done:
+        if self.state.finished:
             self.done = True
             self.outcome.completion_slot = now
             self.outcome.deadline_met = now < self.cfg.deadline
@@ -704,20 +746,27 @@ def _run_household(scenario: Scenario) -> RunResult:
     ]
     jobs_by_id = {job.device_id: job for job in jobs}
     no_grants = dict.fromkeys(jobs_by_id, 0.0)
+    thermal_jobs = [job for job in jobs if isinstance(job, _ThermalJob)]
+    thermal_entries = {job.step_from for job in thermal_jobs}
 
     request_inbox: dict[int, list[tuple[_HouseholdJob, LoadRequest]]] = {}
     decision_outbox: dict[int, list[tuple[_HouseholdJob, GrantDecision]]] = {}
     delivered_meters: list[tuple[float, float]] = []
     slots: list[SlotRecord] = []
     shed_events: list[ShedEvent] = []
-    traces: dict[str, list[float]] = {job.device_id: [] for job in jobs}
-    traced = [(job, traces[job.device_id].append) for job in jobs]
 
     emitting = jobs
+    # the jobs' roles, rebuilt only when one changes: a decision arrives, a
+    # job finishes or is shed, or a thermal job reaches its step_from. A job
+    # that fails at emit was never accepted, so a battery or cycle stays
+    # parked; a thermal job's window closes at its service end, and apply
+    # finishes the job first (slot 0 rebuilds after its emits anyway).
+    changed = True
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
         for job, decision in decision_outbox.pop(t, ()):
             job.on_decision(decision, t)
+            changed = True
         server_inbox = list(request_inbox.pop(t, ()))
 
         # (2) devices emit requests, retries, and lost-response re-asks; a
@@ -748,11 +797,20 @@ def _run_household(scenario: Scenario) -> RunResult:
                 continue  # dropped decision; the ledger answer is idempotent
             if delivery == t:
                 job.on_decision(decision, t)
+                changed = True
             else:
                 decision_outbox.setdefault(delivery, []).append((job, decision))
 
-        # (4) per-slot allocation
-        needs = [n for job in jobs if (n := job.slot_need(t)) is not None]
+        # (4) per-slot allocation among the allocating jobs, in device order,
+        # which allocate_slot's sums and shuffle depend on
+        if changed or t in thermal_entries:
+            changed = False
+            allocating = [job for job in jobs if job.allocating]
+            stepping = [job for job in jobs if job.steps_at(t)]
+            coasting = [job for job in thermal_jobs if not job.steps_at(t)]
+            for job in stepping:
+                job.fill_trace(t)
+        needs = [n for job in allocating if (n := job.slot_need(t)) is not None]
         supply = supply_side.view(t)
         grants = allocate_slot(
             ledger, needs, supply, server_rng, now=t,
@@ -770,15 +828,20 @@ def _run_household(scenario: Scenario) -> RunResult:
             if math.fsum(grants.values()) > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
                     raise UnderSupply(math.fsum(grants.values()) - capability)
-                emergency = True
+                emergency = changed = True
                 _shed_grants(grants, needs, capability, ledger, jobs_by_id, t, shed_events)
 
-        # (6) device physics; a trace records the state after the step
+        # (6) device physics, in device order, since finishing jobs release
+        # their commitments; a trace records the state after the step
         granted = {**no_grants, **grants}
-        consumed: dict[str, float] = {}
-        for job, record_trace in traced:
+        consumed = no_grants.copy()
+        for job in stepping:
             consumed[job.device_id] = job.apply(granted[job.device_id], t, ledger)
-            record_trace(job.trace_value())
+            job.trace.append(job.trace_value())
+            changed = changed or job.done
+        for job in coasting:
+            job.coast()
+            job.trace.append(job.temp_c)
 
         # (7) supply dispatch, storage and metrics
         slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
@@ -795,7 +858,8 @@ def _run_household(scenario: Scenario) -> RunResult:
     final_states: dict[str, dict] = {}
     frozen_traces: dict[str, tuple[float, ...]] = {}
     for job in jobs:
-        frozen_traces[job.device_id] = tuple(traces[job.device_id])
+        job.fill_trace(grid.horizon)
+        frozen_traces[job.device_id] = tuple(job.trace)
         final_states[job.device_id] = job.final_state()
         if job.outcome is not None:
             if job.outcome.accepted and job.outcome.deadline_met is None:

@@ -32,6 +32,10 @@ from .devices import (
 )
 from .server import ReferenceSignal
 
+# Trip signals are sent one message per Poisson arrival, so a run's time and
+# its channel log grow with the rate; validate bounds the expected count.
+MAX_TRIP_MESSAGES = 100_000
+
 
 @dataclass(frozen=True)
 class ThermalConfig:
@@ -212,6 +216,12 @@ class Scenario:
             raise MalformedRequest("server.backoff_max must be at least 1")
         if self.trip_rate_per_hour < 0:
             raise MalformedRequest("trip_rate_per_hour must be non-negative")
+        expected_trips = self.trip_rate_per_hour * self.grid.horizon * self.grid.slot_hours
+        if expected_trips > MAX_TRIP_MESSAGES:
+            raise MalformedRequest(
+                f"trip_rate_per_hour {self.trip_rate_per_hour:g} expects {expected_trips:.0f} "
+                f"trip messages over the horizon; at most {MAX_TRIP_MESSAGES} are allowed"
+            )
         self.renewable.validate()
         for device in fleet:
             if device.count < 1:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from pemsim import engine
 from pemsim.cli import main, write_bundle
 from pemsim.core import MalformedRequest
 from pemsim.engine import run_scenario
@@ -133,6 +134,22 @@ class TestValidate:
         bad = tmp_path / "trips.json"
         save_scenario(scenario, bad)
         assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "trip_rate_per_hour" in capsys.readouterr().err
+
+    def test_unbounded_trip_rate_fails_validate(self, tmp_path, capsys, monkeypatch):
+        scenario = replace(three_household_scenario(seed=1), trip_rate_per_hour=1e9)
+        with pytest.raises(MalformedRequest, match="trip_rate_per_hour"):
+            scenario.validate()
+        bad = tmp_path / "trips.json"
+        save_scenario(scenario, bad)
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "trip_rate_per_hour" in capsys.readouterr().err
+
+        def no_run(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(engine, "_run_household", no_run)
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert "trip_rate_per_hour" in capsys.readouterr().err
 
     def test_invalid_scenario_body(self, tmp_path):

@@ -30,6 +30,39 @@ def _slot_consumed_wh(result):
     return [math.fsum(r.consumed_w.values()) * result.grid.slot_hours for r in result.slots]
 
 
+def _full_ev(seed, below_capacity_wh, with_channels=False):
+    """The reference evening with the EV arriving at slot 4 already charged
+    to `below_capacity_wh` under its capacity, within COMPLETION_TOL_WH."""
+    scenario = three_household_scenario(seed=seed, with_channels=with_channels)
+    return replace(scenario, devices=tuple(
+        replace(d, initial_soc_wh=d.capacity_wh - below_capacity_wh, arrival=4)
+        if isinstance(d, BatteryConfig) else d
+        for d in scenario.devices
+    ))
+
+
+def _assert_traces_iterate_the_public_steps(scenario, result):
+    """Each battery and thermal trace equals, bit for bit, the iteration of
+    step_battery / step_thermal from the device's initial state at the watts
+    each slot records as granted."""
+    slot_min = scenario.grid.slot_min
+    for cfg in scenario.devices:
+        if isinstance(cfg, CycleConfig):
+            continue
+        state = initial_state(cfg, scenario.seed)
+        expected = []
+        for record in result.slots:
+            granted = record.granted_w[cfg.device_id]
+            if isinstance(cfg, BatteryConfig):
+                state, _ = step_battery(state, granted, slot_min)
+                expected.append(state.soc_wh)
+            else:
+                state = step_thermal(state, granted, slot_min)
+                expected.append(state.temp_c)
+        trace = result.device_traces[cfg.device_id]
+        assert [v.hex() for v in trace] == [v.hex() for v in expected], (scenario.seed, cfg.device_id)
+
+
 class TestBasics:
     def test_zero_devices_zero_flows(self):
         scenario = Scenario(
@@ -89,24 +122,11 @@ class TestStepEquivalence:
                     for d in scenario.devices
                 ))
             result = run_scenario(scenario)
-            slot_min = scenario.grid.slot_min
-            for cfg in scenario.devices:
-                if isinstance(cfg, CycleConfig):
-                    continue
-                state = initial_state(cfg, scenario.seed)
-                expected = []
-                for record in result.slots:
-                    granted = record.granted_w[cfg.device_id]
-                    if isinstance(cfg, BatteryConfig):
-                        state, _ = step_battery(state, granted, slot_min)
-                        expected.append(state.soc_wh)
-                    else:
-                        state = step_thermal(state, granted, slot_min)
-                        expected.append(state.temp_c)
-                trace = result.device_traces[cfg.device_id]
-                assert [v.hex() for v in trace] == [v.hex() for v in expected], (seed, cfg.device_id)
-                if isinstance(cfg, ThermalConfig):
-                    heated += max(trace) > cfg.initial_c
+            _assert_traces_iterate_the_public_steps(scenario, result)
+            heated += sum(
+                max(result.device_traces[cfg.device_id]) > cfg.initial_c
+                for cfg in scenario.devices if isinstance(cfg, ThermalConfig)
+            )
             failed_cooling += sum(
                 o.kind == "thermal" and o.service_failed
                 and result.device_traces[o.device_id][-1] < result.device_traces[o.device_id][0]
@@ -114,6 +134,45 @@ class TestStepEquivalence:
             )
         assert heated >= 5
         assert failed_cooling >= (1 if warm else 0)
+
+    def test_channel_runs_iterate_the_public_steps(self):
+        """Over the reference channels a decision lands slots after its
+        request, so jobs sit parked (battery) or coasting (thermal) while it
+        is in flight; their traces must still iterate the public steps."""
+        late = 0
+        for seed in range(1, 41):
+            scenario = three_household_scenario(seed=seed)
+            result = run_scenario(scenario)
+            _assert_traces_iterate_the_public_steps(scenario, result)
+            late += sum(o.decided_slot > o.issued_slot for o in result.requests)
+        assert late >= 40
+
+    @pytest.mark.parametrize("with_channels", [False, True])
+    @pytest.mark.parametrize("below_capacity_wh", [0.0, 0.5])
+    def test_full_battery_traces_iterate_the_public_steps(self, below_capacity_wh, with_channels):
+        scenario = _full_ev(7, below_capacity_wh, with_channels)
+        _assert_traces_iterate_the_public_steps(scenario, run_scenario(scenario))
+
+
+class TestFullBattery:
+    @pytest.mark.parametrize("below_capacity_wh", [0.0, 0.5])
+    def test_full_battery_arriving_late_completes_on_acceptance(self, below_capacity_wh):
+        """A battery within COMPLETION_TOL_WH of capacity draws nothing and
+        completes in the slot its Accept arrives; before the Accept it is
+        parked and must not be stepped."""
+        scenario = _full_ev(3, below_capacity_wh)
+        scenario.validate()
+        result = run_scenario(scenario)
+        ev = next(o for o in result.requests if o.device_id == "ev")
+        assert ev.accepted and ev.decided_slot == 4
+        assert ev.completion_slot == 4 and ev.deadline_met is True
+        assert all(r.consumed_w["ev"] == 0.0 for r in result.slots)
+
+    def test_full_battery_completes_when_a_delayed_accept_arrives(self):
+        result = run_scenario(_full_ev(3, 0.0, with_channels=True))
+        ev = next(o for o in result.requests if o.device_id == "ev")
+        assert ev.accepted and ev.decided_slot > 4
+        assert ev.completion_slot == ev.decided_slot and ev.deadline_met is True
 
 
 class TestDeterminism:
