@@ -54,6 +54,10 @@ def _fmt(value) -> str:
 # Enum.value.
 _ENUM_VALUES = {member: member.value for enum in (MessageKind, ChannelClass) for member in enum}
 
+# Every file a bundle may hold; write_bundle removes them all before writing
+# the ones its run has.
+BUNDLE_FILES = ("slots.csv", "requests.csv", "channel.csv", "fleet.csv", "summary.json")
+
 
 def _header(fh, names: list[str]) -> None:
     """Header rows go through csv.writer: a device id may need quoting."""
@@ -66,13 +70,27 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     slots.csv, channel.csv and fleet.csv write each row through one `%`
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
-    `emergency` as 1 or 0."""
+    `emergency` as 1 or 0.
+
+    Every name in BUNDLE_FILES is unlinked first, so the directory ends up
+    holding exactly this run's bundle, and each file is created anew (mode
+    "x") instead of truncated by open(path, "w"). On ext4 with auto_da_alloc
+    (its default), closing a file that was truncated and rewritten forces
+    its block allocation at once, which made rewriting a bundle in place
+    about twice as slow as writing into a fresh directory; a rename over the
+    old file does the same, so there is no temporary file either. That
+    forced allocation was also ext4's guard for this pattern: without it, a
+    crash or power loss shortly after a rewrite can leave the old bundle
+    gone and the new files empty. Re-running the seed rebuilds the bundle.
+    A symlink at a bundle path is removed, its target left untouched."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in BUNDLE_FILES:
+        (out / name).unlink(missing_ok=True)
     grid = result.grid
     device_ids = sorted(result.slots[0].granted_w) if result.slots else []
 
-    with open(out / "slots.csv", "w", newline="\n") as fh:
+    with open(out / "slots.csv", "x", newline="\n") as fh:
         _header(
             fh,
             ["slot", "clock"]
@@ -108,7 +126,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
             for rec in result.slots
         )
 
-    with open(out / "requests.csv", "w", newline="\n") as fh:
+    with open(out / "requests.csv", "x", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [
@@ -154,7 +172,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 ]
             )
 
-    with open(out / "channel.csv", "w", newline="\n") as fh:
+    with open(out / "channel.csv", "x", newline="\n") as fh:
         _header(
             fh, ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
         )
@@ -180,7 +198,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 )
 
     if result.fleet is not None:
-        with open(out / "fleet.csv", "w", newline="\n") as fh:
+        with open(out / "fleet.csv", "x", newline="\n") as fh:
             _header(
                 fh,
                 [
@@ -217,7 +235,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
             )
 
     summary = summarize_run(result)
-    with open(out / "summary.json", "w", newline="\n") as fh:
+    with open(out / "summary.json", "x", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
@@ -265,7 +283,8 @@ def run_batch(
         worst = max(worst, code)
         entries.append({"seed": seed, "summary": summary, "error": error})
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "batch.json", "w", newline="\n") as fh:
+    (out / "batch.json").unlink(missing_ok=True)  # replaced, as write_bundle says
+    with open(out / "batch.json", "x", newline="\n") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return worst, entries

@@ -73,14 +73,18 @@ MMTC_DEFAULT = ChannelProfile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivered:
+    """A transmit outcome; slotted and not frozen, as MessageRecord says."""
+
     at_ms: float
     attempts: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Dropped:
+    """A transmit outcome; slotted and not frozen, as MessageRecord says."""
+
     attempts: int
 
 
@@ -108,16 +112,19 @@ def transmit(
         if rng.random() < profile.loss_prob:
             elapsed += profile.retransmit_timeout_ms
             continue
-        return Delivered(
-            at_ms=sent_at_ms + elapsed + sample_delay(profile, rng),
-            attempts=attempt,
-        )
-    return Dropped(attempts=profile.max_attempts)
+        return Delivered(sent_at_ms + elapsed + sample_delay(profile, rng), attempt)
+    return Dropped(profile.max_attempts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageRecord:
-    """One channel traversal as logged by the simulation."""
+    """One channel traversal as logged by the simulation.
+
+    Slotted and not frozen, as are Delivered, Dropped and AggregatedReport,
+    so they build faster: a frozen __init__ sets each field through
+    object.__setattr__, and a run builds one outcome and one record per
+    message and one report per meter window. Nothing writes one once built.
+    """
 
     msg_id: int
     kind: MessageKind
@@ -167,8 +174,11 @@ def audit_budget(records: Iterable[MessageRecord]) -> dict[MessageKind, float]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AggregatedReport:
+    """One meter window's envelope; slotted and not frozen, as
+    MessageRecord says."""
+
     start_ms: float
     end_ms: float
     count: int

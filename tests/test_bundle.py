@@ -5,6 +5,10 @@ each cell with `reference_fmt`, as the writer did before it built one row
 template per file. On runs whose float columns hold floats, which is every
 run built from a scenario file, a generator or the fleet, the two must
 write the same bytes.
+
+A bundle written over an existing one must equal a fresh write: each file
+replaces whatever its name held, a symlink included, and a bundle file the
+run does not write is removed.
 """
 
 import csv
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pemsim.cli import write_bundle
+from pemsim.cli import BUNDLE_FILES, write_bundle
 from pemsim.core import TimeGrid
 from pemsim.engine import run_scenario
 from pemsim.scenario import (
@@ -155,3 +159,67 @@ def test_int_watts_print_six_decimals(tmp_path):
     rows = list(csv.DictReader((tmp_path / "slots.csv").read_text().splitlines()))
     assert [row["granted_washer_w"] for row in rows[:2]] == ["2000.000000"] * 2
     assert [row["consumed_washer_w"] for row in rows[:2]] == ["2000.000000"] * 2
+
+
+def _bundle(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        replace(load_scenario(REFERENCE_FILE), seed=7),
+        random_household_scenario(5, import_allowed=False),
+        fleet_scenario(count=20, hours=0.5, seed=2),
+    ],
+    ids=["reference", "feeder", "fleet"],
+)
+def test_rewrite_over_longer_files_equals_fresh_write(tmp_path, scenario):
+    result = run_scenario(scenario)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    write_bundle(result, fresh)
+    out.mkdir()
+    for name in BUNDLE_FILES:  # every name longer than what the run writes
+        (out / name).write_bytes(b"x" * 200_000)
+    write_bundle(result, out)
+    assert _bundle(out) == _bundle(fresh)
+    write_bundle(result, out)  # and over its own bundle
+    assert _bundle(out) == _bundle(fresh)
+
+
+def test_symlink_at_bundle_path_is_replaced_and_target_kept(tmp_path):
+    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=3))
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    write_bundle(result, fresh)
+    out.mkdir()
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"not part of any bundle\n" * 1000)
+    (out / "slots.csv").symlink_to(target)
+    (out / "fleet.csv").symlink_to(target)
+    write_bundle(result, out)
+    assert not (out / "slots.csv").is_symlink()
+    assert not (out / "fleet.csv").exists()
+    assert _bundle(out) == _bundle(fresh)
+    assert target.read_bytes() == b"not part of any bundle\n" * 1000
+
+
+def test_granted_and_consumed_fill_their_own_columns(tmp_path):
+    """No run seen draws other than its grant, so the two dicts are made to
+    differ here: each must land in its own column group."""
+    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=1))
+    ids = sorted(result.slots[0].granted_w)
+    slots = [
+        replace(
+            rec,
+            granted_w={i: 1000.0 * k + 1.25 + rec.slot for k, i in enumerate(ids)},
+            consumed_w={i: -7.5 - k - rec.slot for k, i in enumerate(ids)},
+        )
+        for rec in result.slots
+    ]
+    write_bundle(replace(result, slots=slots), tmp_path)
+    rows = list(csv.DictReader((tmp_path / "slots.csv").read_text().splitlines()))
+    assert len(rows) == len(slots)
+    for row, rec in zip(rows, slots):
+        for i in rec.granted_w:
+            assert row[f"granted_{i}_w"] == f"{rec.granted_w[i]:.6f}"
+            assert row[f"consumed_{i}_w"] == f"{rec.consumed_w[i]:.6f}"

@@ -201,6 +201,17 @@ class TestRun:
         request_rows = (out / "requests.csv").read_text().splitlines()
         assert len(request_rows) == 1 + 3
 
+    def test_household_run_over_fleet_bundle_leaves_no_fleet_file(self, tmp_path):
+        scenario_file = tmp_path / "scenario.json"
+        save_scenario(three_household_scenario(seed=9), scenario_file)
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        assert main(["fleet", "--count", "5", "--hours", "0.2", "--out", str(out)]) == 0
+        assert (out / "fleet.csv").exists()
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        assert _bundle_bytes(out) == _bundle_bytes(fresh)
+
     def test_summary_is_strict_json(self, tmp_path):
         result = run_scenario(fleet_scenario(count=5, hours=0.1, seed=1))
         result.fleet[0].reference_w = math.nan
@@ -237,6 +248,17 @@ class TestBatch:
         assert all(e["error"] is None for e in entries)
         for seed in (1, 2, 3):
             assert (out / f"seed_{seed}" / "summary.json").exists()
+
+    def test_batch_rerun_replaces_a_longer_index(self, tmp_path):
+        scenario_file = tmp_path / "scenario.json"
+        save_scenario(three_household_scenario(seed=1), scenario_file)
+        out, fresh = tmp_path / "batch", tmp_path / "fresh"
+        out.mkdir()
+        (out / "batch.json").write_text("x" * 100_000)
+        argv = ["batch", "--scenario", str(scenario_file), "--seeds", "1..2", "--out"]
+        assert main(argv + [str(out)]) == 0
+        assert main(argv + [str(fresh)]) == 0
+        assert (out / "batch.json").read_bytes() == (fresh / "batch.json").read_bytes()
 
     def test_invariant_error_exits_two_from_run_and_batch(self, tmp_path, capsys):
         # islanded, no shedding: seeds 1 and 2 run short of supply
