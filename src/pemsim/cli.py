@@ -55,8 +55,13 @@ def _fmt(value) -> str:
 _ENUM_VALUES = {member: member.value for enum in (MessageKind, ChannelClass) for member in enum}
 
 # Every file a bundle may hold; write_bundle removes them all before writing
-# the ones its run has.
+# the ones its run has, and a run that raises removes them all.
 BUNDLE_FILES = ("slots.csv", "requests.csv", "channel.csv", "fleet.csv", "summary.json")
+
+
+def _remove_bundle(out: Path) -> None:
+    for name in BUNDLE_FILES:
+        (out / name).unlink(missing_ok=True)
 
 
 def _header(fh, names: list[str]) -> None:
@@ -85,8 +90,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     A symlink at a bundle path is removed, its target left untouched."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in BUNDLE_FILES:
-        (out / name).unlink(missing_ok=True)
+    _remove_bundle(out)
     grid = result.grid
     device_ids = sorted(result.slots[0].granted_w) if result.slots else []
 
@@ -244,18 +248,22 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
 def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None, str | None]:
     """One seed as `run` and `batch` both do it: run the scenario, audit
     conservation, write the bundle. Returns (exit code, summary, error).
-    A run that raises writes no bundle and has no summary."""
+    A run that raises has no summary, and removes every bundle file an
+    earlier run left in out_dir, so no stale bundle reads as its own."""
     try:
         result = run_scenario(scenario)
     except (MalformedRequest, WindowInfeasible) as exc:
-        return EXIT_VALIDATION, None, f"validation error: {exc}"
+        code, error = EXIT_VALIDATION, f"validation error: {exc}"
     except (CapacityViolation, ContiguityViolation, UnderSupply) as exc:
-        return EXIT_INVARIANT, None, f"invariant violation: {exc}"
-    bad_slot = audit_conservation(result)
-    summary = write_bundle(result, out_dir)
-    if bad_slot is not None:
-        return EXIT_INVARIANT, summary, f"conservation violated at slot {bad_slot}"
-    return EXIT_OK, summary, None
+        code, error = EXIT_INVARIANT, f"invariant violation: {exc}"
+    else:
+        bad_slot = audit_conservation(result)
+        summary = write_bundle(result, out_dir)
+        if bad_slot is not None:
+            return EXIT_INVARIANT, summary, f"conservation violated at slot {bad_slot}"
+        return EXIT_OK, summary, None
+    _remove_bundle(Path(out_dir))
+    return code, None, error
 
 
 def _run_and_write(scenario: Scenario, out_dir: str | Path) -> int:

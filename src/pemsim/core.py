@@ -36,6 +36,20 @@ class MalformedRequest(ValueError):
     """A request field is structurally invalid (negative power, empty profile, ...)."""
 
 
+def check_thermal_node(node) -> None:
+    """Check a thermal node's constants, read as flat fields of `node` (a
+    ThermalTargetRequest, ThermalConfig or WaterHeaterParams). Raises
+    MalformedRequest naming the first bad field; any ambient_c passes."""
+    if node.rated_w <= 0:
+        raise MalformedRequest("rated_w must be positive")
+    if node.capacitance_wh_per_c <= 0:
+        raise MalformedRequest("capacitance_wh_per_c must be positive")
+    if node.loss_w_per_c < 0:
+        raise MalformedRequest("loss_w_per_c must be non-negative")
+    if not 0 < node.efficiency <= 1:
+        raise MalformedRequest("efficiency must lie in (0, 1]")
+
+
 class WindowInfeasible(ValueError):
     """The service window cannot accommodate the requested work."""
 
@@ -231,12 +245,7 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
                 f"{window_h:.2f} h at {request.p_max_w:.0f} W"
             )
     elif isinstance(request, ThermalTargetRequest):
-        if request.rated_w <= 0:
-            raise MalformedRequest("rated power must be positive")
-        if request.capacitance_wh_per_c <= 0 or request.loss_w_per_c < 0:
-            raise MalformedRequest("bad thermal parameters")
-        if not 0 < request.efficiency <= 1:
-            raise MalformedRequest("efficiency must lie in (0, 1]")
+        check_thermal_node(request)
         if not math.isfinite(request.temp_c) or not math.isfinite(request.target_c):
             raise MalformedRequest("temperatures must be finite")
         if not (

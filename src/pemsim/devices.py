@@ -1,28 +1,22 @@
 """Load and supply state machines: thermal nodes, batteries, fixed cycles,
 water-heater fleet parameters, renewable traces, and storage.
 
-Every transition is a pure function (state, input) -> state, so devices can
-be stepped independently within a slot. The thermal model is a first-order
-lumped node integrated with one explicit Euler step per slot:
+A thermal node is five constants, `ambient_c`, `capacitance_wh_per_c` (C),
+`loss_w_per_c` (U), `rated_w` and `efficiency` (eta). ThermalConfig,
+ThermalTargetRequest and WaterHeaterParams carry them as flat fields, so
+the functions below take any of them as the node and its temperature as a
+float; core.check_thermal_node checks the constants. The node's temperature
+is integrated with one explicit Euler step per slot:
 
     T' = T + dt_h * (eta * P - U * (T - T_ambient)) / C,   dt_h = dt_min / 60
 
 which converges to T_ambient + eta*P/U and admits the closed-form solution
 used as the test oracle. `_euler_temp` is the one implementation of that
 step, evaluated in exactly this grouping (the product dt_h * (...) first,
-then the division by C, then the addition to T). step_thermal,
-min_heating_slots and the engine's household thermal job all call it, so a
-heating run that min_heating_slots plans is exactly the run step_thermal and
-the engine simulate at rated power. `_euler_temp`, decay_temp and
-min_heating_slots each take the node and, apart from it, the temperature to
-start from; only step_thermal reads the node's own temp_c. `_absorb` is
-likewise the one charging step, called by step_battery and by the engine's
-household battery job.
-
-Every step_* function builds its new state with the class constructor, so
-each state passes its __post_init__ checks. The engine's household jobs keep
-their state as one float: they build a state once to check the physics, and
-`_absorb` keeps the state-of-charge bound on every step.
+then the division by C, then the addition to T). min_heating_slots and the
+engine's household thermal job both call it, so a heating run that
+min_heating_slots plans is exactly the run the engine simulates at rated
+power. `_absorb` is likewise the one charging step of a battery.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import MalformedRequest
+from .core import MalformedRequest, check_thermal_node
 
 
 class ContiguityViolation(RuntimeError):
@@ -38,68 +32,29 @@ class ContiguityViolation(RuntimeError):
     never a device decision."""
 
 
-@dataclass(frozen=True)
-class ThermalLoadState:
-    """Lumped thermal node with its parameters."""
-
-    temp_c: float
-    ambient_c: float
-    capacitance_wh_per_c: float  # C
-    loss_w_per_c: float          # U
-    rated_w: float
-    efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.capacitance_wh_per_c <= 0:
-            raise MalformedRequest("thermal capacitance must be positive")
-        if self.loss_w_per_c < 0:
-            raise MalformedRequest("loss coefficient must be non-negative")
-        if self.rated_w <= 0:
-            raise MalformedRequest("rated power must be positive")
-        if not 0 < self.efficiency <= 1:
-            raise MalformedRequest("efficiency must lie in (0, 1]")
-
-
-def _euler_temp(state: ThermalLoadState, temp_c: float, power_w: float, dt_min: float) -> float:
-    """Temperature after one Euler step of `state`'s node from `temp_c` at
+def _euler_temp(node, temp_c: float, power_w: float, dt_min: float) -> float:
+    """Temperature after one Euler step of `node` from `temp_c` at
     `power_w` heating power (not clamped here)."""
     dt_h = dt_min / 60.0
     return temp_c + dt_h * (
-        state.efficiency * power_w - state.loss_w_per_c * (temp_c - state.ambient_c)
-    ) / state.capacitance_wh_per_c
+        node.efficiency * power_w - node.loss_w_per_c * (temp_c - node.ambient_c)
+    ) / node.capacitance_wh_per_c
 
 
-def step_thermal(state: ThermalLoadState, applied_w: float, dt_min: float) -> ThermalLoadState:
-    """One Euler step with `applied_w` heating power (clamped to [0, rated])."""
-    power = min(max(applied_w, 0.0), state.rated_w)
-    return ThermalLoadState(
-        temp_c=_euler_temp(state, state.temp_c, power, dt_min),
-        ambient_c=state.ambient_c,
-        capacitance_wh_per_c=state.capacitance_wh_per_c,
-        loss_w_per_c=state.loss_w_per_c,
-        rated_w=state.rated_w,
-        efficiency=state.efficiency,
-    )
-
-
-def decay_temp(state: ThermalLoadState, temp_c: float, steps: int, dt_min: float) -> float:
-    """Temperature of `state`'s node after `steps` zero-power slots from
-    `temp_c`: the closed form of the Euler recursion of step_thermal. It
-    rounds differently from iterating step_thermal, so the two agree to
-    within rounding, not bit for bit."""
-    a = 1.0 - (dt_min / 60.0) * state.loss_w_per_c / state.capacitance_wh_per_c
-    return state.ambient_c + (temp_c - state.ambient_c) * a**steps
+def decay_temp(node, temp_c: float, steps: int, dt_min: float) -> float:
+    """Temperature of `node` after `steps` zero-power slots from `temp_c`:
+    the closed form of the `_euler_temp` recursion. It rounds differently
+    from iterating `_euler_temp`, so the two agree to within rounding, not
+    bit for bit."""
+    a = 1.0 - (dt_min / 60.0) * node.loss_w_per_c / node.capacitance_wh_per_c
+    return node.ambient_c + (temp_c - node.ambient_c) * a**steps
 
 
 def min_heating_slots(
-    state: ThermalLoadState,
-    temp_c: float,
-    target_c: float,
-    dt_min: float,
-    max_steps: int = 10_000,
+    node, temp_c: float, target_c: float, dt_min: float, max_steps: int = 10_000
 ) -> int | None:
-    """Fewest consecutive rated-power slots that lift `state`'s node from
-    `temp_c` to `target_c`, stepped as step_thermal steps it.
+    """Fewest consecutive rated-power slots that lift `node` from `temp_c`
+    to `target_c`, stepped by `_euler_temp` as the engine steps it.
 
     None when the target is unreachable (steady state below target) or needs
     more than `max_steps` slots.
@@ -108,7 +63,7 @@ def min_heating_slots(
     if temp >= target_c:
         return 0
     for n in range(1, max_steps + 1):
-        nxt = _euler_temp(state, temp, state.rated_w, dt_min)
+        nxt = _euler_temp(node, temp, node.rated_w, dt_min)
         if nxt <= temp:
             return None
         temp = nxt
@@ -117,25 +72,12 @@ def min_heating_slots(
     return None
 
 
-@dataclass(frozen=True)
-class BatteryLoadState:
-    soc_wh: float
-    capacity_wh: float
-    p_max_w: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.soc_wh <= self.capacity_wh:
-            raise MalformedRequest("state of charge out of [0, capacity]")
-        if self.p_max_w < 0:
-            raise MalformedRequest("charge power limit must be non-negative")
-
-
 def _absorb(
     soc_wh: float, capacity_wh: float, p_max_w: float, applied_w: float, dt_min: float
 ) -> tuple[float, float]:
     """(new state of charge, energy absorbed in Wh) after one slot of charging
-    at `applied_w` (clamped to [0, p_max]). Raises MalformedRequest, as
-    BatteryLoadState does, when the new charge leaves [0, capacity].
+    at `applied_w` (clamped to [0, p_max]). Raises MalformedRequest when the
+    new charge leaves [0, capacity].
 
     A saturating slot adds `capacity - soc`, which can round one ulp above
     capacity; the new charge is clamped to capacity."""
@@ -146,20 +88,6 @@ def _absorb(
     if not 0 <= soc_wh <= capacity_wh:
         raise MalformedRequest("state of charge out of [0, capacity]")
     return soc_wh, absorbed
-
-
-def step_battery(
-    state: BatteryLoadState, applied_w: float, dt_min: float
-) -> tuple[BatteryLoadState, float]:
-    """Charge for one slot; returns (new state, energy actually absorbed in Wh).
-
-    Absorption saturates at capacity, so the absorbed energy can be less than
-    applied_w * dt.
-    """
-    soc_wh, absorbed = _absorb(
-        state.soc_wh, state.capacity_wh, state.p_max_w, applied_w, dt_min
-    )
-    return BatteryLoadState(soc_wh, state.capacity_wh, state.p_max_w), absorbed
 
 
 @dataclass(frozen=True)
@@ -242,14 +170,7 @@ class WaterHeaterParams:
             raise MalformedRequest("draw probability must lie in [0, 1]")
         if not 0 <= self.draw_min_c <= self.draw_max_c:
             raise MalformedRequest("draw magnitudes out of order")
-        if self.rated_w <= 0:
-            raise MalformedRequest("heater rated_w must be positive")
-        if self.capacitance_wh_per_c <= 0:
-            raise MalformedRequest("heater capacitance_wh_per_c must be positive")
-        if self.loss_w_per_c < 0:
-            raise MalformedRequest("heater loss_w_per_c must be non-negative")
-        if not 0 < self.efficiency <= 1:
-            raise MalformedRequest("heater efficiency must lie in (0, 1]")
+        check_thermal_node(self)
 
 
 @dataclass(frozen=True)

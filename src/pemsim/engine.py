@@ -28,13 +28,11 @@ delivered, a job finishes, fails or is shed, or a thermal job reaches its
 first stepping slot.
 
 Household battery and thermal jobs keep their evolving state as one float
-(`soc_wh`, `temp_c`). Each builds its device's state once, through
-scenario.initial_state, so the physics is checked at construction as
-Scenario.validate checks it, and then steps through the scalar cores that
-step_battery and step_thermal also call (devices._absorb and
-devices._euler_temp). A trace is therefore the iteration of the public step
-function at the granted watts, bit for bit. Fixed cycles keep their
-FixedCycleState and step_cycle.
+(`soc_wh`, `temp_c`) and read their constants from the device's config,
+which Scenario.validate has checked. A battery steps through devices._absorb
+and a thermal node through devices._euler_temp with the config as the node,
+so a trace iterates that one step at the granted (clamped) watts, bit for
+bit. Fixed cycles keep their FixedCycleState and step_cycle.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from .core import (
     TimeGrid,
     substream,
 )
-from .devices import _absorb, _euler_temp, step_cycle, step_storage
+from .devices import FixedCycleState, _absorb, _euler_temp, step_cycle, step_storage
 from .scenario import (
     BatteryConfig,
     CycleConfig,
@@ -73,7 +71,6 @@ from .scenario import (
     HeaterFleetConfig,
     Scenario,
     ThermalConfig,
-    initial_state,
 )
 from .server import (
     CAP_TOL_W,
@@ -413,14 +410,17 @@ class _HouseholdJob:
 
 class _BatteryJob(_HouseholdJob):
     """A charging job; its state is the charge `soc_wh`, stepped by
-    devices._absorb as step_battery steps a BatteryLoadState."""
+    devices._absorb."""
 
     kind_name = "battery"
 
     def __init__(self, cfg: BatteryConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        self.soc_wh = initial_state(cfg, seed).soc_wh
+        self.soc_wh = cfg.initial_soc_wh
+        if self.soc_wh is None:
+            init = substream(seed, "device", cfg.device_id, "init")
+            self.soc_wh = init.uniform(0.0, cfg.capacity_wh / 2.0)
         self.request_due = cfg.arrival
 
     def deadline_slot(self) -> int:
@@ -483,7 +483,7 @@ class _BatteryJob(_HouseholdJob):
 
 class _ThermalJob(_HouseholdJob):
     """A temperature-target job; its state is the node temperature `temp_c`,
-    stepped by devices._euler_temp as step_thermal steps a ThermalLoadState."""
+    stepped by devices._euler_temp with the config as the node."""
 
     kind_name = "thermal"
 
@@ -491,7 +491,6 @@ class _ThermalJob(_HouseholdJob):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
         self.grid = grid
-        self.node = initial_state(cfg)  # the node's constants; its temp_c is not read
         self.temp_c = cfg.initial_c
         self.request_due = cfg.preheat_from
         # from here on apply records the service-window temperatures and
@@ -530,11 +529,11 @@ class _ThermalJob(_HouseholdJob):
 
     def coast(self) -> None:
         """One unheated slot, as apply takes it at 0 W."""
-        self.temp_c = _euler_temp(self.node, self.temp_c, 0.0, self.slot_min)
+        self.temp_c = _euler_temp(self.cfg, self.temp_c, 0.0, self.slot_min)
 
     def slot_need(self, now: int) -> SlotNeed | None:
         # reads only the request's configuration, the same in every request sent
-        forced = thermal_forced_need(self.node, self.temp_c, self.request, now, self.grid)
+        forced = thermal_forced_need(self.temp_c, self.request, now, self.grid)
         if forced > 0:
             return SlotNeed(self.device_id, self.priority, forced_w=forced)
         if (
@@ -552,7 +551,7 @@ class _ThermalJob(_HouseholdJob):
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         cfg = self.cfg
         consumed_w = min(max(granted_w, 0.0), cfg.rated_w)
-        temp_c = self.temp_c = _euler_temp(self.node, self.temp_c, consumed_w, self.slot_min)
+        temp_c = self.temp_c = _euler_temp(cfg, self.temp_c, consumed_w, self.slot_min)
         self._mark_service(now, consumed_w)
         # post-step temperature is the boundary value at slot now+1
         if now + 1 == cfg.service_start:
@@ -588,7 +587,7 @@ class _CycleJob(_HouseholdJob):
     def __init__(self, cfg: CycleConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        self.state = initial_state(cfg)
+        self.state = FixedCycleState(cfg.profile_w)
         self.request_due = cfg.earliest_start
 
     def deadline_slot(self) -> int:
@@ -952,9 +951,9 @@ def _run_fleet(scenario: Scenario) -> RunResult:
             heating[i] = 1
         aggregate_w = params.rated_w * (force_on + carrying + len(accepted))
 
-        # pass 2, physics: the Euler step of step_thermal, inlined for the
-        # n*epochs inner loop with its terms grouped differently (so a
-        # temperature can differ from step_thermal's in the last bit), then a
+        # pass 2, physics: the Euler step of devices._euler_temp, inlined for
+        # the n*epochs inner loop with its terms grouped differently (so a
+        # temperature can differ from _euler_temp's in the last bit), then a
         # random.uniform draw inlined, then the packet countdown
         for i, temp in enumerate(temps):
             temp += (heat_gain if heating[i] else 0.0) - loss_rate * (temp - ambient)

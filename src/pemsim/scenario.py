@@ -20,16 +20,8 @@ from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
-from .core import MalformedRequest, TimeGrid, parse_hhmm, substream
-from .devices import (
-    BatteryLoadState,
-    FixedCycleState,
-    RenewableTrace,
-    StorageAsset,
-    ThermalLoadState,
-    WaterHeaterParams,
-    random_walk_trace,
-)
+from .core import MalformedRequest, TimeGrid, check_thermal_node, parse_hhmm, substream
+from .devices import RenewableTrace, StorageAsset, WaterHeaterParams, random_walk_trace
 from .server import ReferenceSignal
 
 # Trip signals are sent one message per Poisson arrival, so a run's time and
@@ -102,39 +94,6 @@ class HeaterFleetConfig:
 
 
 DeviceConfig = Union[ThermalConfig, BatteryConfig, CycleConfig, HeaterFleetConfig]
-
-
-def initial_state(
-    device: ThermalConfig | BatteryConfig | CycleConfig, seed: int | None = None
-) -> ThermalLoadState | BatteryLoadState | FixedCycleState:
-    """A household device's state when its run starts. Building it checks the
-    device's physics, so the engine's jobs and Scenario.validate call this
-    one function.
-
-    A battery without `initial_soc_wh` draws its charge from its own init
-    substream of `seed`. With `seed` None it is checked empty instead: a
-    drawn charge lies in [0, capacity / 2], so it passes exactly when the
-    empty battery does.
-    """
-    if isinstance(device, ThermalConfig):
-        return ThermalLoadState(
-            temp_c=device.initial_c,
-            ambient_c=device.ambient_c,
-            capacitance_wh_per_c=device.capacitance_wh_per_c,
-            loss_w_per_c=device.loss_w_per_c,
-            rated_w=device.rated_w,
-            efficiency=device.efficiency,
-        )
-    if isinstance(device, BatteryConfig):
-        soc_wh = device.initial_soc_wh
-        if soc_wh is None:
-            soc_wh = 0.0 if seed is None else substream(
-                seed, "device", device.device_id, "init"
-            ).uniform(0.0, device.capacity_wh / 2.0)
-        return BatteryLoadState(
-            soc_wh=soc_wh, capacity_wh=device.capacity_wh, p_max_w=device.p_max_w
-        )
-    return FixedCycleState(profile_w=device.profile_w)
 
 
 @dataclass(frozen=True)
@@ -240,7 +199,7 @@ class Scenario:
                         f"{device.device_id}.{slot_attr} outside the horizon"
                     )
             try:
-                initial_state(device)
+                _check_physics(device)
             except MalformedRequest as exc:
                 raise MalformedRequest(f"{device.device_id}: {exc}") from None
 
@@ -252,6 +211,22 @@ class Scenario:
         return self.renewable.build(
             self.grid.horizon, substream(self.seed, "renewable")
         )
+
+
+def _check_physics(device: ThermalConfig | BatteryConfig | CycleConfig) -> None:
+    """Check a household device's physics, naming the bad field. A battery
+    without `initial_soc_wh` draws it from [0, capacity / 2], so it passes
+    exactly when an empty battery does."""
+    if isinstance(device, ThermalConfig):
+        check_thermal_node(device)
+    elif isinstance(device, BatteryConfig):
+        if device.p_max_w < 0:
+            raise MalformedRequest("p_max_w must be non-negative")
+        if device.initial_soc_wh is not None:
+            if not 0 <= device.initial_soc_wh <= device.capacity_wh:
+                raise MalformedRequest("initial_soc_wh out of [0, capacity_wh]")
+        elif not 0 <= device.capacity_wh:
+            raise MalformedRequest("capacity_wh must be non-negative")
 
 
 _TIME_FIELDS: dict[type, tuple[str, ...]] = {

@@ -43,12 +43,7 @@ from .core import (
     WindowInfeasible,
     validate_request,
 )
-from .devices import (
-    StorageAsset,
-    ThermalLoadState,
-    decay_temp,
-    min_heating_slots,
-)
+from .devices import StorageAsset, decay_temp, min_heating_slots
 
 # Absolute watt-level tolerance for capacity comparisons.
 CAP_TOL_W = 1e-6
@@ -99,18 +94,6 @@ def compute_forced_start(
     return start
 
 
-def thermal_state_of(request: ThermalTargetRequest, temp_c: float) -> ThermalLoadState:
-    """The request's thermal node at temperature `temp_c`."""
-    return ThermalLoadState(
-        temp_c=temp_c,
-        ambient_c=request.ambient_c,
-        capacitance_wh_per_c=request.capacitance_wh_per_c,
-        loss_w_per_c=request.loss_w_per_c,
-        rated_w=request.rated_w,
-        efficiency=request.efficiency,
-    )
-
-
 def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> int:
     """First slot of the guaranteed heating window for a thermal job.
 
@@ -123,11 +106,10 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
     feasible start, which is the latest; each probe searches only as many
     heating slots as are left before the service start.
     """
-    node = thermal_state_of(request, request.temp_c)
     for t in range(request.service_start, request.preheat_from - 1, -1):
-        cold = decay_temp(node, request.temp_c, max(0, t - request.issued_at), grid.slot_min)
+        cold = decay_temp(request, request.temp_c, max(0, t - request.issued_at), grid.slot_min)
         left = request.service_start - t
-        if min_heating_slots(node, cold, request.target_c, grid.slot_min, left) is not None:
+        if min_heating_slots(request, cold, request.target_c, grid.slot_min, left) is not None:
             return min(request.force_check_at, t)
     raise WindowInfeasible(
         f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
@@ -135,15 +117,12 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
 
 
 def thermal_forced_need(
-    node: ThermalLoadState,
-    temp_c: float,
-    request: ThermalTargetRequest,
-    now: int,
-    grid: TimeGrid,
+    temp_c: float, request: ThermalTargetRequest, now: int, grid: TimeGrid
 ) -> float:
     """Forced heating power for a thermal job this slot, re-evaluated against
-    the actual temperature `temp_c` of the job's `node`, whose constants are
-    the request's.
+    the node's actual temperature `temp_c`. It reads the request's node
+    constants and schedule, never its snapshot temp_c or issued_at, so every
+    request a job sends gives the same answer.
 
     Inside [force_check, service_end): heat at rated iff coasting from here
     would drop below target at the next checkpoint (service start before
@@ -159,11 +138,11 @@ def thermal_forced_need(
     elif now >= request.force_check_at:
         horizon = request.service_start - now
     else:
-        need = min_heating_slots(node, temp_c, request.target_c, grid.slot_min)
+        need = min_heating_slots(request, temp_c, request.target_c, grid.slot_min)
         if need is not None and need >= request.service_start - now:
             return request.rated_w
         return 0.0
-    if decay_temp(node, temp_c, horizon, grid.slot_min) < request.target_c:
+    if decay_temp(request, temp_c, horizon, grid.slot_min) < request.target_c:
         return request.rated_w
     return 0.0
 

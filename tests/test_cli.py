@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from pemsim import engine
-from pemsim.cli import main, write_bundle
+from pemsim.cli import BUNDLE_FILES, main, write_bundle
 from pemsim.core import MalformedRequest
 from pemsim.engine import run_scenario
 from pemsim.scenario import (
@@ -110,7 +110,9 @@ class TestValidate:
         bad = tmp_path / "physics.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
-        assert f"{device}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{device}: " in err
+        assert key in err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["renewable"].update(mean_w=-1),
@@ -263,14 +265,22 @@ class TestBatch:
     def test_invariant_error_exits_two_from_run_and_batch(self, tmp_path, capsys):
         # islanded, no shedding: seeds 1 and 2 run short of supply
         doc = scenario_to_dict(three_household_scenario(seed=1))
+        reference_file = tmp_path / "reference.json"
+        reference_file.write_text(json.dumps(doc))
         doc["import_allowed"] = False
         doc["server"]["emergency_shedding"] = False
         scenario_file = tmp_path / "islanded.json"
         scenario_file.write_text(json.dumps(doc))
+        # a good bundle of seed 5 in each directory a failed seed writes to
+        out = tmp_path / "batch"
+        for stale in (tmp_path / "run", out / "seed_1"):
+            assert main(["run", "--scenario", str(reference_file), "--seed", "5",
+                         "--out", str(stale)]) == 0
+            assert json.loads((stale / "summary.json").read_text())["seed"] == 5
+        capsys.readouterr()
         assert main(["run", "--scenario", str(scenario_file), "--seed", "1",
                      "--out", str(tmp_path / "run")]) == 2
         assert "invariant violation: supply short by" in capsys.readouterr().err
-        out = tmp_path / "batch"
         assert main(["batch", "--scenario", str(scenario_file), "--seeds", "1..3",
                      "--out", str(out)]) == 2
         entries = json.loads((out / "batch.json").read_text())
@@ -279,6 +289,9 @@ class TestBatch:
             assert entry["summary"] is None
             assert entry["error"].startswith("invariant violation: supply short by")
         assert entries[2]["error"] is None and entries[2]["summary"]["seed"] == 3
+        # no bundle file of seed 5 survives a failed run over it
+        for failed in (tmp_path / "run", out / "seed_1"):
+            assert [name for name in BUNDLE_FILES if (failed / name).exists()] == []
 
 
 class TestFleetCommand:

@@ -1,36 +1,36 @@
 """Device physics: thermal node against its closed-form oracle, battery and
-storage saturation, cycle contiguity. The water-heater band and request rule
-are tested with the fleet loop in test_fleet.py."""
+storage saturation, cycle contiguity. The thermal node is stepped by
+`reference_step_thermal`, which test_thermal_planning.py pins bit for bit to
+the library's Euler step. The water-heater band and request rule are tested
+with the fleet loop in test_fleet.py."""
 
 import math
 import random
 
 import pytest
 
+from test_thermal_planning import Node, reference_step_thermal
+
 from pemsim.core import MalformedRequest, substream
 from pemsim.devices import (
-    BatteryLoadState,
     ContiguityViolation,
     FixedCycleState,
     StorageAsset,
-    ThermalLoadState,
     _absorb,
     decay_temp,
     min_heating_slots,
     random_walk_trace,
-    step_battery,
     step_cycle,
     step_storage,
-    step_thermal,
 )
 
-SAUNA = ThermalLoadState(
+SAUNA = Node(
     temp_c=20.0, ambient_c=20.0, capacitance_wh_per_c=60.0,
     loss_w_per_c=10.0, rated_w=3600.0,
 )
 
 
-def analytic_temp(state: ThermalLoadState, power_w: float, minutes: float) -> float:
+def analytic_temp(state: Node, power_w: float, minutes: float) -> float:
     """Closed-form solution of the continuous first-order node."""
     u, c = state.loss_w_per_c, state.capacitance_wh_per_c
     settle = state.ambient_c + state.efficiency * power_w / u
@@ -40,16 +40,16 @@ def analytic_temp(state: ThermalLoadState, power_w: float, minutes: float) -> fl
 class TestThermal:
     def test_single_step_no_loss(self):
         # at ambient the loss term vanishes: one 10-min step adds 10 C
-        after = step_thermal(SAUNA, 3600.0, 10)
+        after = reference_step_thermal(SAUNA, 3600.0, 10)
         assert after.temp_c == pytest.approx(30.0, abs=1e-12)
 
     def test_equilibrium(self):
-        assert step_thermal(SAUNA, 0.0, 10).temp_c == pytest.approx(20.0)
+        assert reference_step_thermal(SAUNA, 0.0, 10).temp_c == pytest.approx(20.0)
 
     def test_euler_tracks_analytic_over_one_hour(self):
         state = SAUNA
         for _ in range(6):
-            state = step_thermal(state, 3600.0, 10)
+            state = reference_step_thermal(state, 3600.0, 10)
         exact = analytic_temp(SAUNA, 3600.0, 60.0)
         assert exact == pytest.approx(75.2666, abs=1e-3)
         assert abs(state.temp_c - exact) <= 2.0
@@ -57,7 +57,7 @@ class TestThermal:
     def test_euler_error_bounded_over_eight_hours(self):
         state = SAUNA
         for n in range(1, 49):
-            state = step_thermal(state, 3600.0, 10)
+            state = reference_step_thermal(state, 3600.0, 10)
             exact = analytic_temp(SAUNA, 3600.0, n * 10.0)
             assert abs(state.temp_c - exact) <= 2.0
 
@@ -67,20 +67,20 @@ class TestThermal:
         state = SAUNA
         gap = abs(state.temp_c - settle)
         for _ in range(100):
-            state = step_thermal(state, 3600.0, 10)
+            state = reference_step_thermal(state, 3600.0, 10)
             new_gap = abs(state.temp_c - settle)
             assert new_gap < gap
             gap = new_gap
 
     def test_power_clamped_to_rated(self):
-        boosted = step_thermal(SAUNA, 99_999.0, 10)
+        boosted = reference_step_thermal(SAUNA, 99_999.0, 10)
         assert boosted.temp_c == pytest.approx(30.0)
 
     def test_decay_temp_matches_iterated_step_thermal(self):
         # closed form and recursion round differently; they agree to 1e-12
         rng = random.Random(5)
         for _ in range(2000):
-            state = ThermalLoadState(
+            state = Node(
                 temp_c=rng.uniform(-20.0, 95.0), ambient_c=rng.uniform(-10.0, 35.0),
                 capacitance_wh_per_c=rng.uniform(20.0, 400.0),
                 loss_w_per_c=rng.uniform(0.0, 20.0), rated_w=1000.0,
@@ -88,7 +88,7 @@ class TestThermal:
             dt_min, steps = rng.choice([1, 3, 5, 10, 15]), rng.randint(0, 100)
             iterated = state
             for _ in range(steps):
-                iterated = step_thermal(iterated, 0.0, dt_min)
+                iterated = reference_step_thermal(iterated, 0.0, dt_min)
             scale = max(abs(state.temp_c), abs(state.ambient_c))
             assert abs(decay_temp(state, state.temp_c, steps, dt_min) - iterated.temp_c) <= 1e-12 * scale
 
@@ -101,38 +101,35 @@ class TestThermal:
 
 class TestBattery:
     def test_linear_integration(self):
-        state = BatteryLoadState(soc_wh=0.0, capacity_wh=30_000.0, p_max_w=5000.0)
-        state, absorbed = step_battery(state, 5000.0, 10)
+        soc_wh, absorbed = _absorb(0.0, 30_000.0, 5000.0, 5000.0, 10)
         assert absorbed == pytest.approx(5000.0 / 6.0)
-        assert state.soc_wh == pytest.approx(833.3333, abs=1e-3)
+        assert soc_wh == pytest.approx(833.3333, abs=1e-3)
 
     def test_saturation(self):
-        state = BatteryLoadState(soc_wh=30_000.0, capacity_wh=30_000.0, p_max_w=5000.0)
-        state, absorbed = step_battery(state, 5000.0, 10)
+        soc_wh, absorbed = _absorb(30_000.0, 30_000.0, 5000.0, 5000.0, 10)
         assert absorbed == 0.0
-        assert state.soc_wh == 30_000.0
+        assert soc_wh == 30_000.0
 
     def test_full_power_fill_time(self):
         # an empty 30 kWh battery at 5 kW takes exactly 36 ten-minute slots
-        state = BatteryLoadState(soc_wh=0.0, capacity_wh=30_000.0, p_max_w=5000.0)
+        soc_wh = 0.0
         for _ in range(35):
-            state, _ = step_battery(state, 5000.0, 10)
-        assert state.capacity_wh - state.soc_wh > 800.0
-        state, _ = step_battery(state, 5000.0, 10)
-        assert state.capacity_wh - state.soc_wh == pytest.approx(0.0, abs=1e-6)
+            soc_wh, _ = _absorb(soc_wh, 30_000.0, 5000.0, 5000.0, 10)
+        assert 30_000.0 - soc_wh > 800.0
+        soc_wh, _ = _absorb(soc_wh, 30_000.0, 5000.0, 5000.0, 10)
+        assert 30_000.0 - soc_wh == pytest.approx(0.0, abs=1e-6)
 
     def test_step_rejects_a_charge_out_of_bounds(self):
-        # the engine steps the scalar core without building a state, so the
-        # core itself keeps the bound
+        # the engine keeps the charge as a float, so the step keeps the bound
         with pytest.raises(MalformedRequest, match="state of charge"):
             _absorb(-1.0, 1000.0, 800.0, 0.0, 10)
 
     def test_soc_bounds_random_commands(self):
         rng = random.Random(12345)
-        state = BatteryLoadState(soc_wh=500.0, capacity_wh=1000.0, p_max_w=800.0)
+        soc_wh = 500.0
         for _ in range(10_000):
-            state, _ = step_battery(state, rng.uniform(0.0, 800.0), 10)
-            assert 0.0 <= state.soc_wh <= state.capacity_wh
+            soc_wh, _ = _absorb(soc_wh, 1000.0, 800.0, rng.uniform(0.0, 800.0), 10)
+            assert 0.0 <= soc_wh <= 1000.0
 
 
 class TestCycle:

@@ -9,11 +9,12 @@ from dataclasses import replace
 import pytest
 
 from scenario_gen import null_channels, random_household_scenario
+from test_thermal_planning import node_of, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
-from pemsim.core import TimeGrid
+from pemsim.core import TimeGrid, substream
 from pemsim.cli import run_batch
-from pemsim.devices import step_battery, step_thermal
+from pemsim.devices import _absorb
 from pemsim.engine import audit_conservation, run_scenario, summarize_run
 from pemsim.scenario import (
     BatteryConfig,
@@ -21,7 +22,6 @@ from pemsim.scenario import (
     RenewableConfig,
     Scenario,
     ThermalConfig,
-    initial_state,
     three_household_scenario,
 )
 
@@ -41,24 +41,35 @@ def _full_ev(seed, below_capacity_wh, with_channels=False):
     ))
 
 
+def _initial_soc_wh(cfg, seed):
+    """A battery's charge when its run starts: its own, or drawn uniformly
+    from [0, capacity / 2] on the device's init substream."""
+    if cfg.initial_soc_wh is not None:
+        return cfg.initial_soc_wh
+    return substream(seed, "device", cfg.device_id, "init").uniform(0.0, cfg.capacity_wh / 2.0)
+
+
 def _assert_traces_iterate_the_public_steps(scenario, result):
     """Each battery and thermal trace equals, bit for bit, the iteration of
-    step_battery / step_thermal from the device's initial state at the watts
-    each slot records as granted."""
+    `_absorb` / reference_step_thermal from the device's initial state at the
+    watts each slot records as granted."""
     slot_min = scenario.grid.slot_min
     for cfg in scenario.devices:
         if isinstance(cfg, CycleConfig):
             continue
-        state = initial_state(cfg, scenario.seed)
+        if isinstance(cfg, BatteryConfig):
+            soc_wh = _initial_soc_wh(cfg, scenario.seed)
+        else:
+            node = node_of(cfg, cfg.initial_c)
         expected = []
         for record in result.slots:
             granted = record.granted_w[cfg.device_id]
             if isinstance(cfg, BatteryConfig):
-                state, _ = step_battery(state, granted, slot_min)
-                expected.append(state.soc_wh)
+                soc_wh, _ = _absorb(soc_wh, cfg.capacity_wh, cfg.p_max_w, granted, slot_min)
+                expected.append(soc_wh)
             else:
-                state = step_thermal(state, granted, slot_min)
-                expected.append(state.temp_c)
+                node = reference_step_thermal(node, granted, slot_min)
+                expected.append(node.temp_c)
         trace = result.device_traces[cfg.device_id]
         assert [v.hex() for v in trace] == [v.hex() for v in expected], (scenario.seed, cfg.device_id)
 
@@ -110,9 +121,9 @@ class TestStepEquivalence:
     def test_traces_iterate_the_public_steps(self, import_allowed, warm):
         """The engine keeps a battery's charge and a thermal node's
         temperature as floats; each trace must equal, bit for bit, the
-        iteration of step_battery / step_thermal from the device's initial
-        state at the watts each slot records as granted. Thermal nodes that
-        start 15 C above ambient show a failed job cooling."""
+        iteration of `_absorb` / reference_step_thermal from the device's
+        initial state at the watts each slot records as granted. Thermal
+        nodes that start 15 C above ambient show a failed job cooling."""
         heated = failed_cooling = 0
         for seed in range(1, 41):
             scenario = random_household_scenario(seed, import_allowed=import_allowed)
@@ -451,7 +462,7 @@ class TestDeadlineGuarantee:
             seed=seed,
         )
         scenario.validate()
-        drawn = initial_state(scenario.devices[0], seed).soc_wh
+        drawn = _initial_soc_wh(scenario.devices[0], seed)
         assert drawn < capacity / 2  # the saturating slot starts below half
         result = run_scenario(scenario)
         (outcome,) = result.requests

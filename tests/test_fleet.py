@@ -14,8 +14,10 @@ from enum import Enum
 
 import pytest
 
+from test_thermal_planning import node_of, reference_step_thermal
+
 from pemsim.core import substream
-from pemsim.devices import ThermalLoadState, WaterHeaterParams, step_thermal
+from pemsim.devices import WaterHeaterParams
 from pemsim.engine import FleetEpochRecord, _Supply, run_scenario
 from pemsim.scenario import HeaterFleetConfig, fleet_scenario
 from pemsim.server import ReferenceSignal, track_reference
@@ -209,23 +211,17 @@ class TestWaterHeater:
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_inline_euler_step_tracks_step_thermal(seed):
-    """The fleet inlines step_thermal's Euler step with its terms grouped
-    differently; without draws, a lone heater's temperature stays within
-    1e-9 C of iterated step_thermal at the power the fleet applied."""
+    """The fleet inlines the Euler step with its terms grouped differently;
+    without draws, a lone heater's temperature stays within 1e-9 C of
+    iterated reference_step_thermal at the power the fleet applied."""
     params = replace(DEFAULT, draw_prob=0.0)
     scenario = stepped_fleet(count=1, seed=seed, params=params, hours=8.0,
                              low_w=0.0, high_w=params.rated_w)
     result = run_scenario(scenario)
-    state = ThermalLoadState(
-        temp_c=substream(seed, "fleet", "init").uniform(params.t_low_c, params.t_high_c),
-        ambient_c=params.ambient_c,
-        capacitance_wh_per_c=params.capacitance_wh_per_c,
-        loss_w_per_c=params.loss_w_per_c,
-        rated_w=params.rated_w,
-        efficiency=params.efficiency,
-    )
+    start_c = substream(seed, "fleet", "init").uniform(params.t_low_c, params.t_high_c)
+    state = node_of(params, start_c)
     for record in result.fleet:
-        state = step_thermal(state, record.aggregate_w, scenario.grid.slot_min)
+        state = reference_step_thermal(state, record.aggregate_w, scenario.grid.slot_min)
         assert abs(record.temp_min_c - state.temp_c) <= 1e-9
     powers = {record.aggregate_w for record in result.fleet}
     assert powers == {0.0, params.rated_w}

@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pemsim
 
@@ -32,6 +36,32 @@ def test_imports_are_stdlib_or_relative():
                 if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+# Registers the package without running its __init__, so the module named
+# on the command line is the first one imported and pulls in its own
+# dependencies in its own order.
+IMPORT_FIRST = """
+import importlib, importlib.util, sys
+sys.modules["pemsim"] = importlib.util.module_from_spec(importlib.util.find_spec("pemsim"))
+importlib.import_module(sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in (ROOT / "src" / "pemsim").glob("*.py"))
+)
+def test_module_imports_on_its_own(module):
+    """Each module imports first in a fresh interpreter. Importing the
+    package loads its modules in the order of __init__, which can hide an
+    import cycle that a module imported first trips over."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if module == "__init__":
+        argv = [sys.executable, "-c", "import pemsim"]
+    else:
+        argv = [sys.executable, "-c", IMPORT_FIRST, f"pemsim.{module}"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_public_names_resolve():

@@ -1,28 +1,49 @@
 """Thermal planning and the thermal step against reference implementations.
 
 The reference functions below are the straightforward forms: every Euler
-step and every planning probe builds a new ThermalLoadState with
-`dataclasses.replace`, `min_heating_slots` walks states, and
-`plan_thermal_forced_start` scans every start from `preheat_from` up with an
-unbounded search. The library steps floats through one Euler expression,
-scans backwards from the service start and bounds each search by the slots
-left; it must give bit-identical results on every state and request below.
+step and every planning probe builds a new `Node` (a node's five constants
+plus its temperature) with `dataclasses.replace`, `min_heating_slots` walks
+nodes, and `plan_thermal_forced_start` scans every start from
+`preheat_from` up with an unbounded search. The library steps floats
+through one Euler expression, scans backwards from the service start and
+bounds each search by the slots left; it must give bit-identical results on
+every state and request below.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from pemsim.core import ThermalTargetRequest, TimeGrid, WindowInfeasible
-from pemsim.devices import (
-    ThermalLoadState,
-    _euler_temp,
-    decay_temp,
-    min_heating_slots,
-    step_thermal,
-)
+from pemsim.devices import _euler_temp, decay_temp, min_heating_slots
 from pemsim.server import plan_thermal_forced_start, thermal_forced_need
+
+
+@dataclass(frozen=True)
+class Node:
+    """A thermal node at one temperature; the state reference_step_thermal
+    steps. The library functions take it as a node, as they take a request."""
+
+    temp_c: float
+    ambient_c: float
+    capacitance_wh_per_c: float
+    loss_w_per_c: float
+    rated_w: float
+    efficiency: float = 1.0
+
+
+def node_of(source, temp_c):
+    """The node of `source` (a request, a ThermalConfig or heater params) at
+    `temp_c`."""
+    return Node(
+        temp_c=temp_c,
+        ambient_c=source.ambient_c,
+        capacitance_wh_per_c=source.capacitance_wh_per_c,
+        loss_w_per_c=source.loss_w_per_c,
+        rated_w=source.rated_w,
+        efficiency=source.efficiency,
+    )
 
 
 def reference_step_thermal(state, applied_w, dt_min):
@@ -49,19 +70,8 @@ def reference_min_heating_slots(state, target_c, dt_min, max_steps=10_000):
     return None
 
 
-def reference_state_of(request):
-    return ThermalLoadState(
-        temp_c=request.temp_c,
-        ambient_c=request.ambient_c,
-        capacitance_wh_per_c=request.capacitance_wh_per_c,
-        loss_w_per_c=request.loss_w_per_c,
-        rated_w=request.rated_w,
-        efficiency=request.efficiency,
-    )
-
-
 def reference_plan_thermal_forced_start(request, grid):
-    snapshot = reference_state_of(request)
+    snapshot = node_of(request, request.temp_c)
     latest_feasible = None
     for t in range(request.preheat_from, request.service_start + 1):
         cold = replace(
@@ -83,7 +93,7 @@ def reference_plan_thermal_forced_start(request, grid):
 def reference_thermal_forced_need(temp_c, request, now, grid):
     if now < request.preheat_from or now >= request.service_end:
         return 0.0
-    state = replace(reference_state_of(request), temp_c=temp_c)
+    state = node_of(request, temp_c)
     if now >= request.service_start:
         horizon = 1
     elif now >= request.force_check_at:
@@ -99,7 +109,7 @@ def reference_thermal_forced_need(temp_c, request, now, grid):
 
 
 def random_state(rng):
-    return ThermalLoadState(
+    return Node(
         temp_c=rng.uniform(-10.0, 95.0),
         ambient_c=rng.uniform(-10.0, 35.0),
         capacitance_wh_per_c=rng.uniform(10.0, 500.0),
@@ -166,15 +176,16 @@ def _planned(plan, request, grid):
 class TestEulerStep:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_step_thermal_is_the_scalar_step(self, seed):
+        """reference_step_thermal, the oracle of the other test modules, is
+        the library's one Euler step at the clamped power, bit for bit."""
         rng = random.Random(seed)
         for _ in range(2000):
             state = random_state(rng)
             applied = rng.choice([0.0, -50.0, state.rated_w, rng.uniform(0.0, 2 * state.rated_w)])
             dt_min = rng.choice([1, 3, 5, 10, 15, 30])
-            stepped = step_thermal(state, applied, dt_min)
+            stepped = reference_step_thermal(state, applied, dt_min)
             power = min(max(applied, 0.0), state.rated_w)
             assert stepped.temp_c == _euler_temp(state, state.temp_c, power, dt_min)
-            assert stepped == reference_step_thermal(state, applied, dt_min)
 
 
 class TestMinHeatingSlots:
@@ -216,8 +227,12 @@ class TestPlanning:
             grid, request = random_request(rng)
             temp = rng.uniform(request.ambient_c - 5.0, request.target_c + 10.0)
             now = rng.randint(0, grid.horizon)
-            got = thermal_forced_need(reference_state_of(request), temp, request, now, grid)
+            got = thermal_forced_need(temp, request, now, grid)
             assert got == reference_thermal_forced_need(temp, request, now, grid)
+            # the engine passes whichever request it sent last: the need must
+            # not read the snapshot temperature or the issue slot
+            resent = replace(request, temp_c=request.target_c + 25.0, issued_at=0)
+            assert thermal_forced_need(temp, resent, now, grid) == got
             if got > 0:
                 forced += 1
             else:
