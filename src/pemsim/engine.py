@@ -897,10 +897,12 @@ def _run_fleet(scenario: Scenario) -> RunResult:
 
     init_rng = substream(scenario.seed, "fleet", "init")
     temps = [init_rng.uniform(params.t_low_c, params.t_high_c) for _ in range(n)]
-    request_rng = substream(scenario.seed, "fleet", "requests")
-    draw_rng = substream(scenario.seed, "fleet", "draws")
+    request_random = substream(scenario.seed, "fleet", "requests").random
+    draw_random = substream(scenario.seed, "fleet", "draws").random
     server_rng = substream(scenario.seed, "server")
-    packets_left = [0] * n
+    # the last epoch a heater's packet heats it, -1 for none: a force-on leaves
+    # it to run out, a force-off aborts it
+    packet_last = [-1] * n
 
     dt_h = grid.slot_min / 60.0
     heat_gain = dt_h * params.efficiency * params.rated_w / params.capacitance_wh_per_c
@@ -913,73 +915,83 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     draw_prob = params.draw_prob
     draw_min = params.draw_min_c
     draw_width = params.draw_max_c - params.draw_min_c
-    request_random = request_rng.random
-    draw_random = draw_rng.random
+    rated_w = params.rated_w
+    gain = [0.0] * n  # heat_gain for a heater that heats in the coming epoch
 
     slots: list[SlotRecord] = []
     epochs: list[FleetEpochRecord] = []
-    aggregate_trace: list[float] = []
+
+    # Before each epoch a heater is classified against the comfort band (see
+    # WaterHeaterParams) and, if free and NORMAL, draws its request. The
+    # streams fleet/requests, fleet/draws and server are independent and each
+    # is drawn in heater-index order, so one pass can step a heater through
+    # epoch e and then classify it for e+1 with every draw unchanged
+    # (test_engine_matches_reference_loop in tests/test_fleet.py checks it
+    # against a loop that steps all heaters, then classifies all). Epoch 0's
+    # classification runs alone, before any heater holds a packet.
+    requesters: list[int] = []
+    force_on = force_off = carrying = 0
+    for i, temp in enumerate(temps):
+        if temp < force_on_below:
+            force_on += 1
+            gain[i] = heat_gain
+        elif temp > t_high:
+            force_off += 1
+        elif request_random() < (mu_max if temp < t_low else mu_max * ((t_high - temp) / span)):
+            requesters.append(i)
 
     for e in range(grid.horizon):
-        # pass 1: classify each heater against the comfort band (see
-        # WaterHeaterParams) and draw the requests of the free NORMAL ones,
-        # in index order, since track_reference's sample depends on it
-        heating = bytearray(n)
-        requesters: list[int] = []
+        reference_w = reference.at(e)
+        on_power = rated_w * (force_on + carrying)
+        accepted = track_reference(requesters, reference_w, on_power, rated_w, server_rng)
+        for i in accepted:
+            packet_last[i] = e + cfg.packet_epochs - 1
+            gain[i] = heat_gain
+        aggregate_w = rated_w * (force_on + carrying + len(accepted))
+        requests, forced_on, forced_off = len(requesters), force_on, force_off
+
+        requesters = []
         force_on = force_off = carrying = 0
         for i, temp in enumerate(temps):
-            if temp < force_on_below:
-                force_on += 1
-                heating[i] = 1
-            elif temp > t_high:
-                force_off += 1
-                packets_left[i] = 0  # abort any running packet
-            elif packets_left[i] > 0:
-                carrying += 1
-                heating[i] = 1
-            elif request_random() < (
-                # the clamped urgency: (t_high - temp) / span rounds to at
-                # least 1 below t_low and to at most 1 from t_low up
-                mu_max if temp < t_low else mu_max * ((t_high - temp) / span)
-            ):
-                requesters.append(i)
-
-        on_power = params.rated_w * (force_on + carrying)
-        accepted = track_reference(requesters, reference.at(e), on_power, params.rated_w, server_rng)
-        for i in accepted:
-            packets_left[i] = cfg.packet_epochs
-            heating[i] = 1
-        aggregate_w = params.rated_w * (force_on + carrying + len(accepted))
-
-        # pass 2, physics: the Euler step of devices._euler_temp, inlined for
-        # the n*epochs inner loop with its terms grouped differently (so a
-        # temperature can differ from _euler_temp's in the last bit), then a
-        # random.uniform draw inlined, then the packet countdown
-        for i, temp in enumerate(temps):
-            temp += (heat_gain if heating[i] else 0.0) - loss_rate * (temp - ambient)
+            # devices._euler_temp's step, inlined for the n*epochs loop with its
+            # terms grouped differently (a temperature can differ from
+            # _euler_temp's in the last bit), then a random.uniform draw inlined
+            temp += gain[i] - loss_rate * (temp - ambient)
             if draw_random() < draw_prob:
                 temp -= draw_min + draw_width * draw_random()
             temps[i] = temp
-            if packets_left[i] > 0:
-                packets_left[i] -= 1
+            if temp < force_on_below:
+                force_on += 1
+                gain[i] = heat_gain
+            elif temp > t_high:
+                force_off += 1
+                gain[i] = 0.0
+                packet_last[i] = -1
+            elif packet_last[i] > e:  # heated through epoch e, so gain[i] is heat_gain
+                carrying += 1
+            else:
+                gain[i] = 0.0
+                # the clamped urgency: (t_high - temp) / span rounds to at
+                # least 1 below t_low and to at most 1 from t_low up
+                if request_random() < (mu_max if temp < t_low else mu_max * ((t_high - temp) / span)):
+                    requesters.append(i)
 
         power = {cfg.device_id: aggregate_w}
         slots.append(supply_side.settle(supply_side.view(e), e, power, power))
         epochs.append(
             FleetEpochRecord(
                 epoch=e,
-                reference_w=reference.at(e),
+                reference_w=reference_w,
                 aggregate_w=aggregate_w,
-                requests=len(requesters),
+                requests=requests,
                 accepted=len(accepted),
-                force_on=force_on,
-                force_off=force_off,
+                force_on=forced_on,
+                force_off=forced_off,
                 temp_min_c=min(temps),
                 temp_max_c=max(temps),
                 temp_mean_c=math.fsum(temps) / n,
             )
         )
-        aggregate_trace.append(aggregate_w)
 
     final_states = {
         cfg.device_id: {
@@ -996,7 +1008,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
         channel=[],
         aggregated=[],
         shed_events=[],
-        device_traces={cfg.device_id: tuple(aggregate_trace)},
+        device_traces={cfg.device_id: tuple(record.aggregate_w for record in epochs)},
         final_states=final_states,
         fleet=epochs,
     )

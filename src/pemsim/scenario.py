@@ -187,6 +187,13 @@ class Scenario:
                 raise MalformedRequest(f"{device.device_id}.count must be at least 1")
             if device.packet_epochs < 1:
                 raise MalformedRequest(f"{device.device_id}.packet_epochs must be at least 1")
+            # every heater may be forced on at once, and the fleet loop cannot refuse one
+            all_on_w = device.count * device.params.rated_w
+            if self.feeder_capacity_w < all_on_w:
+                raise MalformedRequest(
+                    f"feeder_capacity_w {self.feeder_capacity_w:g} is below "
+                    f"{device.device_id}.count x rated_w = {all_on_w:g}"
+                )
         if self.channels is not None:
             missing = {"request", "grant", "meter", "trip"} - set(self.channels)
             if missing:

@@ -351,6 +351,20 @@ class TestFleetCommand:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert key in capsys.readouterr().err
 
+    def test_feeder_below_all_heaters_on_fails_validate_and_run(self, tmp_path, capsys):
+        # 200 heaters of 4500 W can all be forced on at once: 900 kW
+        doc = scenario_to_dict(fleet_scenario(count=200, hours=1.0, seed=3))
+        doc["feeder_capacity_w"] = 100000
+        bad = tmp_path / "fleet.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "feeder_capacity_w 100000" in err and "rated_w = 900000" in err
+        assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert "feeder_capacity_w" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--hours", "nan"], ["--hours", "inf"], ["--ref-watts", "nan"], ["--ref-watts", "inf"],
     ])

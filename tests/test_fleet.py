@@ -4,11 +4,13 @@
 heater with `local_override`, collect the requesters with
 `fleet_request_probability`, let `track_reference` accept a subset, then
 step the physics with `random.uniform` draws. The engine's loop does the
-same work in two passes over struct-of-arrays state and must give
-bit-identical results, draw for draw, on every parameter set below.
+same work on struct-of-arrays state in one pass per heater and epoch, which
+steps a heater through epoch e and then classifies it for epoch e+1; it must
+give bit-identical results, draw for draw, on every parameter set below.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from enum import Enum
 
@@ -43,9 +45,18 @@ def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float
     return params.mu_max * min(max(urgency, 0.0), 1.0)
 
 
-def reference_fleet(scenario):
+def reference_fleet(scenario, branches=None):
     """(epoch records, slot records, final state, aggregate trace) of a
-    fleet scenario, computed heater by heater."""
+    fleet scenario, computed heater by heater.
+
+    A `branches` Counter, if given, counts the heater-epochs that reach the
+    packet transitions the engine folds into its classification:
+    "force_on_holding" (forced on while it still holds a packet),
+    "force_off_abort" (a running packet aborted) and "requests_after_packet"
+    (a packet that ran out at the end of the previous epoch, followed by a
+    new request)."""
+    if branches is None:
+        branches = Counter()
     grid = scenario.grid
     cfg = scenario.devices[0]
     params = cfg.params
@@ -65,6 +76,7 @@ def reference_fleet(scenario):
     loss_rate = dt_h * params.loss_w_per_c / params.capacitance_wh_per_c
 
     slots, epochs, aggregate_trace = [], [], []
+    ran_out = set()
     for e in range(grid.horizon):
         force_on = []
         force_off = 0
@@ -72,8 +84,10 @@ def reference_fleet(scenario):
             state = local_override(temps[i], params)
             if state is OverrideState.FORCE_ON:
                 force_on.append(i)
+                branches["force_on_holding"] += packets_left[i] > 0
             elif state is OverrideState.FORCE_OFF:
                 force_off += 1
+                branches["force_off_abort"] += packets_left[i] > 0
                 packets_left[i] = 0
 
         carrying = {i for i in range(n) if packets_left[i] > 0}
@@ -87,6 +101,7 @@ def reference_fleet(scenario):
             and local_override(temps[i], params) is OverrideState.NORMAL
             and request_rng.random() < fleet_request_probability(temps[i], params)
         ]
+        branches["requests_after_packet"] += len(ran_out.intersection(requesters))
         accepted = track_reference(requesters, reference.at(e), on_power, params.rated_w, server_rng)
         for i in accepted:
             packets_left[i] = cfg.packet_epochs
@@ -99,6 +114,7 @@ def reference_fleet(scenario):
             if draw_rng.random() < params.draw_prob:
                 temp -= draw_rng.uniform(params.draw_min_c, params.draw_max_c)
             temps[i] = temp
+        ran_out = {i for i in range(n) if packets_left[i] == 1}
         for i in range(n):
             if packets_left[i] > 0:
                 packets_left[i] -= 1
@@ -186,6 +202,19 @@ def test_variants_reach_both_overrides(variant):
     epochs, _, _, _ = reference_fleet(stepped_fleet(count=120, seed=1, **VARIANTS[variant]))
     assert sum(r.force_on for r in epochs) > 0
     assert sum(r.force_off for r in epochs) > 0
+
+
+@pytest.mark.parametrize("variant, branch", [
+    ("large_draws", "force_on_holding"),
+    ("default", "force_off_abort"),
+    ("one_epoch_packets", "requests_after_packet"),
+])
+def test_variants_reach_packet_transitions(variant, branch):
+    """The equivalence above covers each packet transition that the engine
+    folds into its classification."""
+    branches = Counter()
+    reference_fleet(stepped_fleet(count=120, seed=1, **VARIANTS[variant]), branches)
+    assert branches[branch] > 0
 
 
 class TestWaterHeater:

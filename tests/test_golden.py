@@ -9,8 +9,11 @@ slack), the reference evening without channels and with the sauna's force
 check at its service start (the thermal-fault repro), two generated
 feeders that hold two thermal jobs each, an islanded generated feeder whose
 battery, thermal job and cycle are all shed as forced grants, a generated
-feeder whose thermal job fails and keeps cooling, a heater fleet, and the
-reference evening over a lossy single-attempt meter channel, whose
+feeder whose thermal job fails and keeps cooling, a heater fleet on a
+constant reference, a heater fleet whose reference steps around its natural
+demand (so the loop reaches force-on, force-off, a budget short of the
+requests, a gap no request fills and a surplus of heaters already on), and
+the reference evening over a lossy single-attempt meter channel, whose
 channel.csv holds dropped rows and trip-signal rows.
 """
 
@@ -23,6 +26,7 @@ import pytest
 from pemsim.cli import write_bundle
 from pemsim.engine import run_scenario
 from pemsim.scenario import ThermalConfig, fleet_scenario, load_scenario
+from pemsim.server import ReferenceSignal
 from scenario_gen import random_household_scenario
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
@@ -47,6 +51,13 @@ def _lossy_meter(seed):
     return replace(scenario, channels={**scenario.channels, "meter": meter})
 
 
+def _stepped_fleet(seed):
+    """300 heaters over 4 h whose reference steps every hour between 1.0 and
+    2.2 kW per heater, around their natural demand of about 1.5 kW."""
+    values = tuple(300 * (2200.0 if (e // 20) % 2 else 1000.0) for e in range(80))
+    return fleet_scenario(count=300, reference_w=ReferenceSignal(values_w=values), hours=4.0, seed=seed)
+
+
 CASES = {
     "reference_1": lambda: _reference(1),
     "reference_87": lambda: _reference(87),
@@ -59,12 +70,14 @@ CASES = {
     "feeder_16": lambda: random_household_scenario(16),
     "islanded_feeder_3": lambda: random_household_scenario(3, import_allowed=False),
     "fleet_200": lambda: fleet_scenario(count=200, hours=2.0, seed=1),
+    "stepped_fleet_1": lambda: _stepped_fleet(1),
 }
 
 # Recorded before the replace-free thermal planning and device steps;
 # feeder_16 and islanded_feeder_3 before the household jobs kept their state
 # as floats; lossy_meter_1 before the bundle writer formatted rows by
-# template.
+# template; stepped_fleet_1 before the fleet loop stepped and classified a
+# heater in one pass.
 DIGESTS = {
     "feeder_5": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -133,6 +146,13 @@ DIGESTS = {
         "slots.csv": "92f97435c031a1add7bd79793d874821fa23f20aeff54b076bb6b30848ab172a",
         "summary.json": "e0db8d52b97ec6fd28a3cad51d59272e1a4051dace48ec33a85c06310805064f",
     },
+    "stepped_fleet_1": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "fleet.csv": "b4a98a3a689347716513870249691e45687334308104f92e300b1baf4bf82462",
+        "requests.csv": "d0409a80b639d5d1c10de89a414e3474c0f94fb513f12e3511f58c544da0188b",
+        "slots.csv": "1f1cd35787d0895a0df12f50caa301b595455f933589087c2e2314d2df32ec78",
+        "summary.json": "1f1e80dab71a50fe569d3eaac51b1c632ed86082a742c375fd2d3b07122b936c",
+    },
 }
 
 
@@ -161,6 +181,13 @@ def test_cases_hold_what_they_claim():
     cooling = run_scenario(CASES["feeder_16"]())
     (thermal,) = [o for o in cooling.requests if o.kind == "thermal"]
     assert thermal.service_failed and len(cooling.device_traces[thermal.device_id]) == cooling.grid.horizon
+    stepped = _stepped_fleet(1)
+    rated_w = stepped.devices[0].params.rated_w
+    epochs = run_scenario(stepped).fleet
+    assert any(r.force_on for r in epochs) and any(r.force_off for r in epochs)
+    assert any(r.accepted < r.requests for r in epochs)
+    assert any(r.accepted == r.requests and r.reference_w - r.aggregate_w >= rated_w for r in epochs)
+    assert any(r.aggregate_w > r.reference_w for r in epochs)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
