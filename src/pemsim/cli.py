@@ -50,8 +50,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Enum cells of channel.csv, looked up once per row instead of read through
-# Enum.value.
+# Enum cells of channel.csv, looked up per row instead of read through
+# Enum.value (a property); both enums hash by identity (see comms), so each
+# lookup costs no Python-level call.
 _ENUM_VALUES = {member: member.value for enum in (MessageKind, ChannelClass) for member in enum}
 
 # Every file a bundle may hold; write_bundle removes them all before writing
@@ -183,23 +184,21 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
         delivered = "%d,%s,%s,%.6f,%.6f,%d,%.6f,delivered\n"
         dropped = "%d,%s,%s,%.6f,,%d,,dropped\n"
         value = _ENUM_VALUES
-        for m in result.channel:
-            sent_ms, at_ms = m.sent_at_ms, m.delivered_at_ms
-            if at_ms is None:
-                fh.write(dropped % (m.msg_id, value[m.kind], value[m.cls], sent_ms, m.attempts))
-            else:
-                fh.write(
-                    delivered
-                    % (
-                        m.msg_id,
-                        value[m.kind],
-                        value[m.cls],
-                        sent_ms,
-                        at_ms,
-                        m.attempts,
-                        at_ms - sent_ms,  # MessageRecord.e2e_ms
-                    )
-                )
+        fh.writelines(
+            dropped % (m.msg_id, value[m.kind], value[m.cls], m.sent_at_ms, m.attempts)
+            if m.delivered_at_ms is None
+            else delivered
+            % (
+                m.msg_id,
+                value[m.kind],
+                value[m.cls],
+                m.sent_at_ms,
+                m.delivered_at_ms,
+                m.attempts,
+                m.delivered_at_ms - m.sent_at_ms,  # MessageRecord.e2e_ms
+            )
+            for m in result.channel
+        )
 
     if result.fleet is not None:
         with open(out / "fleet.csv", "x", newline="\n") as fh:
@@ -240,8 +239,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
 
     summary = summarize_run(result)
     with open(out / "summary.json", "x", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return summary
 
 

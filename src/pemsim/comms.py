@@ -13,14 +13,22 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .core import MalformedRequest
 
 
+# Both enums hash by identity instead of through Enum.__hash__ (a Python-level
+# call that hashes the member name): a channel run looks them up per message
+# and per channel.csv row. Members are singletons that compare by identity.
+# The order of a set of them was never stable (str hashes are randomized per
+# process), so no output depends on it.
 class ChannelClass(Enum):
     URLLC = "urllc"
     MMTC = "mmtc"
+
+    __hash__ = object.__hash__
 
 
 class MessageKind(Enum):
@@ -29,6 +37,8 @@ class MessageKind(Enum):
     REJECT = "reject"
     METER_REPORT = "meter_report"
     TRIP_SIGNAL = "trip_signal"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -157,18 +167,23 @@ LATENCY_BUDGETS_MS: dict[MessageKind, float] = {
 
 def audit_budget(records: Iterable[MessageRecord]) -> dict[MessageKind, float]:
     """Fraction of delivered messages exceeding their budget in
-    LATENCY_BUDGETS_MS, per kind.
+    LATENCY_BUDGETS_MS, per kind, keyed in order of each kind's first
+    delivered message.
 
-    Kinds with no delivered traffic (or no budget) report 0.
+    Kinds with no delivered traffic, or no budget, are absent, so a log of
+    meter reports and dropped messages gives {}.
     """
     totals: dict[MessageKind, int] = {}
     violations: dict[MessageKind, int] = {}
+    budgets = LATENCY_BUDGETS_MS
     for record in records:
-        if record.dropped or record.kind not in LATENCY_BUDGETS_MS:
+        at_ms = record.delivered_at_ms
+        kind = record.kind
+        if at_ms is None or kind not in budgets:
             continue
-        totals[record.kind] = totals.get(record.kind, 0) + 1
-        if record.e2e_ms > LATENCY_BUDGETS_MS[record.kind]:
-            violations[record.kind] = violations.get(record.kind, 0) + 1
+        totals[kind] = totals.get(kind, 0) + 1
+        if at_ms - record.sent_at_ms > budgets[kind]:  # MessageRecord.e2e_ms
+            violations[kind] = violations.get(kind, 0) + 1
     return {
         kind: violations.get(kind, 0) / count for kind, count in totals.items()
     }
@@ -208,7 +223,7 @@ def aggregate_reports(
         raise MalformedRequest("aggregation window must be positive")
     if not reports:
         return []
-    ordered = sorted(reports, key=lambda r: r[0])
+    ordered = sorted(reports, key=itemgetter(0))
     out: list[AggregatedReport] = []
     batch: list[tuple[float, float]] = []
     batch_index: int | None = None

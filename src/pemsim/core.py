@@ -11,6 +11,7 @@ concurrent scenario runs.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -265,6 +266,15 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
 
 def substream(seed: int, *labels: object) -> random.Random:
     """Derive an independent, reproducible RNG from a run seed and a label
-    path. Stable across processes and platforms (unlike hash())."""
+    path. Stable across processes and platforms (unlike hash()).
+
+    The stream is random.Random(n) for n the first 8 bytes of the label
+    path's SHA-256, built without the Python-level Random.__init__ and
+    Random.seed wrappers: one C seeding of the same integer, then the
+    gauss_next that Random.seed would clear. A channel run derives one per
+    message; tests/test_core.py checks the states match."""
     key = ":".join([str(seed), *map(str, labels)]).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    rng.gauss_next = None
+    return rng

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .comms import (
     AggregatedReport,
-    Dropped,
+    Delivered,
     MessageKind,
     MessageRecord,
     aggregate_reports,
@@ -91,7 +91,7 @@ from .server import (
 AUDIT_REL_TOL = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotRecord:
     slot: int
     clock: str
@@ -186,43 +186,39 @@ class _ChannelLayer:
     """
 
     def __init__(self, profiles, grid: TimeGrid, seed: int):
-        self.profiles = profiles
-        self.grid = grid
+        self.enabled = profiles is not None
+        # kind -> profile, resolved once instead of per message
+        self.profile_of = (
+            {kind: profiles[key] for kind, key in _KIND_KEY.items()} if self.enabled else None
+        )
+        self.slot_ms = grid.slot_ms
         self.seed = seed
         self.records: list[MessageRecord] = []
         self._next_id = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.profiles is not None
-
     def send_at(self, kind: MessageKind, sent_ms: float) -> float | None:
         """Transmit now; returns delivery time in ms, or None when dropped."""
-        if self.profiles is None:
+        if self.profile_of is None:
             return sent_ms
-        profile = self.profiles[_KIND_KEY[kind]]
+        profile = self.profile_of[kind]
         msg_id = self._next_id
-        self._next_id += 1
-        rng = substream(self.seed, "msg", msg_id)
-        outcome = transmit(sent_ms, profile, rng)
-        if isinstance(outcome, Dropped):
-            self.records.append(
-                MessageRecord(msg_id, kind, profile.cls, sent_ms, None, outcome.attempts)
-            )
-            return None
+        self._next_id = msg_id + 1
+        outcome = transmit(sent_ms, profile, substream(self.seed, "msg", msg_id))
+        at_ms = outcome.at_ms if isinstance(outcome, Delivered) else None
         self.records.append(
-            MessageRecord(msg_id, kind, profile.cls, sent_ms, outcome.at_ms, outcome.attempts)
+            MessageRecord(msg_id, kind, profile.cls, sent_ms, at_ms, outcome.attempts)
         )
-        return outcome.at_ms
+        return at_ms
 
     def send_slot(self, kind: MessageKind, slot: int) -> int | None:
         """Transmit at a slot boundary; returns the first slot boundary at or
         after delivery (the same slot only for zero end-to-end time)."""
-        sent_ms = slot * self.grid.slot_ms
+        slot_ms = self.slot_ms
+        sent_ms = slot * slot_ms
         delivered_ms = self.send_at(kind, sent_ms)
         if delivered_ms is None:
             return None
-        return slot + math.ceil((delivered_ms - sent_ms) / self.grid.slot_ms)
+        return slot + math.ceil((delivered_ms - sent_ms) / slot_ms)
 
 
 class _Supply:
@@ -738,6 +734,7 @@ def _run_household(scenario: Scenario) -> RunResult:
     supply_side = _Supply(scenario)
     ledger = CommitmentLedger(grid, scenario.feeder_capacity_w)
     channels = _ChannelLayer(scenario.channels, grid, scenario.seed)
+    slot_ms = channels.slot_ms
     server_rng = substream(scenario.seed, "server")
     jobs = [
         _make_job(cfg, grid, scenario.seed, policy.backoff_max)
@@ -845,8 +842,9 @@ def _run_household(scenario: Scenario) -> RunResult:
         # (7) supply dispatch, storage and metrics
         slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
         if channels.enabled:
+            meter_ms = (t + 1) * slot_ms
             for job in jobs:
-                delivered = channels.send_at(MessageKind.METER_REPORT, (t + 1) * grid.slot_ms)
+                delivered = channels.send_at(MessageKind.METER_REPORT, meter_ms)
                 if delivered is not None:
                     delivered_meters.append((delivered, consumed[job.device_id]))
 
@@ -866,7 +864,7 @@ def _run_household(scenario: Scenario) -> RunResult:
             outcomes.append(job.outcome)
 
     aggregated = (
-        aggregate_reports(delivered_meters, grid.slot_ms)
+        aggregate_reports(delivered_meters, slot_ms)
         if delivered_meters
         else []
     )
@@ -1096,7 +1094,7 @@ def summarize_run(result: RunResult) -> dict:
         "emergency_slots": sum(1 for r in result.slots if r.emergency),
         "shed_events": len(result.shed_events),
         "messages_sent": len(result.channel),
-        "messages_dropped": sum(1 for m in result.channel if m.dropped),
+        "messages_dropped": sum(1 for m in result.channel if m.delivered_at_ms is None),
         "budget_violation_rates": {k.value: v for k, v in violation_rates.items()},
     }
     if result.fleet is not None:

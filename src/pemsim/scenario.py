@@ -194,6 +194,17 @@ class Scenario:
                     f"feeder_capacity_w {self.feeder_capacity_w:g} is below "
                     f"{device.device_id}.count x rated_w = {all_on_w:g}"
                 )
+            # with imports barred the renewable trace alone must cover them:
+            # storage does not count, as its charge can run out while the
+            # fleet stays forced on. A fleet that may import builds no trace
+            if not self.import_allowed:
+                renewable_min_w = min(self.renewable_trace().values_w)
+                if renewable_min_w < all_on_w:
+                    raise MalformedRequest(
+                        f"import_allowed is false, and the renewable minimum "
+                        f"{renewable_min_w:g} W is below {device.device_id}.count x rated_w = "
+                        f"{all_on_w:g}"
+                    )
         if self.channels is not None:
             missing = {"request", "grant", "meter", "trip"} - set(self.channels)
             if missing:

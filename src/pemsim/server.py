@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .core import (
@@ -295,9 +296,10 @@ class SlotNeed:
     cycle_start: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SupplyView:
-    """What the server can see about this slot's supply side."""
+    """What the server can see about this slot's supply side. Slotted and
+    not frozen, as SlotNeed says; the engine builds one a slot."""
 
     renewable_w: float
     storage: StorageAsset | None
@@ -333,8 +335,9 @@ def allocate_slot(
     if renewable_first:
         spare = min(spare, max(0.0, supply.renewable_w - forced_total))
     willing = [n for n in needs if n.willing_w > 0 and n.forced_w <= 0]
-    rng.shuffle(willing)
-    willing.sort(key=lambda n: n.priority)  # stable sort keeps the shuffle within ties
+    if len(willing) > 1:  # shuffling fewer draws nothing from rng
+        rng.shuffle(willing)
+        willing.sort(key=attrgetter("priority"))  # stable: keeps the shuffle within ties
     for need in willing:
         if spare < need.packet_w:
             continue
@@ -357,12 +360,12 @@ def allocate_slot(
     return grants
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchPlan:
     """Supply-side split for one slot. renewable_used_w is renewable power
     serving load; storage_flow_w is signed (positive charges). The identity
     renewable_used + storage discharge + imported == total served holds
-    exactly."""
+    exactly. Slotted and not frozen, as SlotNeed says."""
 
     renewable_used_w: float
     storage_flow_w: float

@@ -365,6 +365,24 @@ class TestFleetCommand:
         assert "feeder_capacity_w" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_imports_barred_below_all_heaters_on_fails_validate_and_run(self, tmp_path, capsys):
+        # fleet_scenario's renewable trace is (0.0,); before validate caught
+        # it, run raised UnderSupply at the first epoch with a heater on
+        doc = scenario_to_dict(fleet_scenario(count=200, hours=2.0, seed=1))
+        doc["import_allowed"] = False
+        bad = tmp_path / "fleet.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "renewable minimum 0 W" in err and "rated_w = 900000" in err
+        assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert "renewable minimum" in capsys.readouterr().err
+        assert not out.exists()
+        doc["renewable"]["values_w"] = [900000.0]  # covers every heater on
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 0
+
     @pytest.mark.parametrize("flags", [
         ["--hours", "nan"], ["--hours", "inf"], ["--ref-watts", "nan"], ["--ref-watts", "inf"],
     ])

@@ -96,6 +96,16 @@ class TestAuditBudget:
     def test_empty_log(self):
         assert audit_budget([]) == {}
 
+    def test_kinds_without_delivered_budgeted_traffic_are_absent(self):
+        # meter reports have no budget, and a dropped message has no latency
+        records = [self._record(0, MessageKind.METER_REPORT, 500.0)] + [
+            self._record(i, kind, None)
+            for i, kind in enumerate(
+                [MessageKind.PACKET_REQUEST, MessageKind.GRANT, MessageKind.TRIP_SIGNAL], start=1
+            )
+        ]
+        assert audit_budget(records) == {}
+
     def test_trip_budget_violation_rate(self):
         rng = random.Random(42)
         records = []

@@ -1,5 +1,7 @@
 """Core vocabulary: time grid, request validation, scenario serialization."""
 
+import hashlib
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,3 +185,25 @@ class TestSubstream:
         seq_a = [a.random() for _ in range(5)]
         assert seq_a == [b.random() for _ in range(5)]
         assert seq_a != [c.random() for _ in range(5)]
+
+    # every label path the package derives a stream from
+    LABELS = [
+        *(("msg", i) for i in range(20)),
+        *(("device", d, use) for d in ("sauna", "ev", "dishwasher") for use in ("init", "retry")),
+        ("renewable",), ("server",), ("trip",),
+        ("fleet", "init"), ("fleet", "requests"), ("fleet", "draws"),
+    ]
+
+    @pytest.mark.parametrize("seed", range(1, 51))
+    def test_equals_random_seeded_with_the_digest(self, seed):
+        # substream skips the Random.__init__ / Random.seed wrappers; its
+        # stream must be the one random.Random(n) builds, gauss_next included
+        for labels in self.LABELS:
+            key = ":".join([str(seed), *map(str, labels)]).encode()
+            expected = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+            got = substream(seed, *labels)
+            assert got.getstate() == expected.getstate()
+            # gauss caches its second value in gauss_next (random_walk_trace)
+            assert [got.gauss(0.0, 1.0) for _ in range(5)] == [
+                expected.gauss(0.0, 1.0) for _ in range(5)
+            ]

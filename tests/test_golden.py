@@ -12,9 +12,12 @@ battery, thermal job and cycle are all shed as forced grants, a generated
 feeder whose thermal job fails and keeps cooling, a heater fleet on a
 constant reference, a heater fleet whose reference steps around its natural
 demand (so the loop reaches force-on, force-off, a budget short of the
-requests, a gap no request fills and a surplus of heaters already on), and
-the reference evening over a lossy single-attempt meter channel, whose
-channel.csv holds dropped rows and trip-signal rows.
+requests, a gap no request fills and a surplus of heaters already on), the
+reference evening over a lossy single-attempt meter channel, whose
+channel.csv holds dropped rows and trip-signal rows, and the reference
+evening over slow lossy channels (every mean delay 20 000x, loss 0.2; seed
+155 is the first seed where a request, a grant and a trip signal each need
+more than one attempt and a decision arrives more than a slot late).
 """
 
 import hashlib
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from pemsim.cli import write_bundle
-from pemsim.engine import run_scenario
+from pemsim.engine import run_scenario, summarize_run
 from pemsim.scenario import ThermalConfig, fleet_scenario, load_scenario
 from pemsim.server import ReferenceSignal
 from scenario_gen import random_household_scenario
@@ -51,6 +54,15 @@ def _lossy_meter(seed):
     return replace(scenario, channels={**scenario.channels, "meter": meter})
 
 
+def _slow_lossy_channels(seed):
+    scenario = _reference(seed)
+    slow = {
+        name: replace(profile, mean_ms=profile.mean_ms * 20000, loss_prob=0.2)
+        for name, profile in scenario.channels.items()
+    }
+    return replace(scenario, channels=slow)
+
+
 def _stepped_fleet(seed):
     """300 heaters over 4 h whose reference steps every hour between 1.0 and
     2.2 kW per heater, around their natural demand of about 1.5 kW."""
@@ -65,6 +77,7 @@ CASES = {
     "reference_1764": lambda: _reference(1764),
     "late_force_check_87": lambda: _late_force_check(87),
     "lossy_meter_1": lambda: _lossy_meter(1),
+    "slow_lossy_channels_155": lambda: _slow_lossy_channels(155),
     "feeder_5": lambda: random_household_scenario(5),
     "feeder_9": lambda: random_household_scenario(9),
     "feeder_16": lambda: random_household_scenario(16),
@@ -77,7 +90,9 @@ CASES = {
 # feeder_16 and islanded_feeder_3 before the household jobs kept their state
 # as floats; lossy_meter_1 before the bundle writer formatted rows by
 # template; stepped_fleet_1 before the fleet loop stepped and classified a
-# heater in one pass.
+# heater in one pass; slow_lossy_channels_155 before the channel layer,
+# substream seeding and the channel.csv writer lost their per-message
+# overhead.
 DIGESTS = {
     "feeder_5": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -146,6 +161,12 @@ DIGESTS = {
         "slots.csv": "92f97435c031a1add7bd79793d874821fa23f20aeff54b076bb6b30848ab172a",
         "summary.json": "e0db8d52b97ec6fd28a3cad51d59272e1a4051dace48ec33a85c06310805064f",
     },
+    "slow_lossy_channels_155": {
+        "channel.csv": "cd25eb26afb6b0c6292e55616c25131b4162e177c70758907416e089e263ebcb",
+        "requests.csv": "afc3b46185c9c0a60a93ea5e93a2f4509d196e751a17dfe903af3645241d0d65",
+        "slots.csv": "b275216d21590ffb761884ea24a1e295525c9587dbb92ebf2e0a8ea0dbab5b6b",
+        "summary.json": "c4d3a5704394dd26523dc799cf7a64eada19deb5839473e06707868ab824f246",
+    },
     "stepped_fleet_1": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
         "fleet.csv": "b4a98a3a689347716513870249691e45687334308104f92e300b1baf4bf82462",
@@ -172,6 +193,13 @@ def test_cases_hold_what_they_claim():
     lossy = run_scenario(CASES["lossy_meter_1"]()).channel
     assert any(m.dropped for m in lossy)
     assert any(m.kind.value == "trip_signal" for m in lossy)
+    slow = run_scenario(CASES["slow_lossy_channels_155"]())
+    retried = {m.kind.value for m in slow.channel if m.attempts > 1}
+    assert {"packet_request", "grant", "trip_signal"} <= retried
+    # over fast channels a decision lands exactly two slots after its
+    # request (request, then grant, each delivered at the next boundary)
+    assert any(o.decided_slot > o.issued_slot + 2 for o in slow.requests)
+    assert summarize_run(slow)["budget_violation_rates"]
     islanded = run_scenario(CASES["islanded_feeder_3"]())
     forced_kinds = {
         o.kind for o in islanded.requests
