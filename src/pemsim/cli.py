@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .comms import ChannelClass, MessageKind
 from .core import MalformedRequest, WindowInfeasible
-from .devices import ContiguityViolation
 from .engine import (
+    ContiguityViolation,
     RunResult,
     audit_conservation,
     run_scenario,
@@ -195,7 +195,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 m.sent_at_ms,
                 m.delivered_at_ms,
                 m.attempts,
-                m.delivered_at_ms - m.sent_at_ms,  # MessageRecord.e2e_ms
+                m.delivered_at_ms - m.sent_at_ms,  # the e2e_ms column
             )
             for m in result.channel
         )
@@ -296,11 +296,16 @@ def run_batch(
     return worst, entries
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _seed_range(text: str) -> list[int]:
+    """The argparse type of `--seeds`: A..B (both included) or one seed."""
+    lo, sep, hi = text.partition("..")
+    try:
+        seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A..B or one seed, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} is empty")
+    return seeds
 
 
 def _load(path: str) -> Scenario:
@@ -355,7 +360,9 @@ def _build_parser() -> _Parser:
 
     batch = sub.add_parser("batch", help="run a scenario across a seed range")
     batch.add_argument("--scenario", required=True)
-    batch.add_argument("--seeds", required=True, help="range A..B or single seed")
+    batch.add_argument(
+        "--seeds", type=_seed_range, required=True, help="range A..B or single seed"
+    )
     batch.add_argument("--out", required=True)
 
     val = sub.add_parser("validate", help="check a scenario file")
@@ -403,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "batch":
             scenario = _load(args.scenario)
-            code, entries = run_batch(scenario, _parse_seed_range(args.seeds), args.out)
+            code, entries = run_batch(scenario, args.seeds, args.out)
             for entry in entries:
                 if entry["error"] is not None:
                     print(f"seed {entry['seed']}: {entry['error']}", file=sys.stderr)

@@ -1,5 +1,7 @@
-"""Load and supply state machines: thermal nodes, batteries, fixed cycles,
-water-heater fleet parameters, renewable traces, and storage.
+"""Device physics: the thermal Euler step, the battery charging step,
+water-heater fleet parameters, the renewable random walk, and the storage
+asset's validated config. Every changing quantity (a temperature, a charge,
+a cycle's progress) is a plain number on the engine object that steps it.
 
 A thermal node is five constants, `ambient_c`, `capacitance_wh_per_c` (C),
 `loss_w_per_c` (U), `rated_w` and `efficiency` (eta). ThermalConfig,
@@ -25,11 +27,6 @@ import random
 from dataclasses import dataclass
 
 from .core import MalformedRequest, check_thermal_node
-
-
-class ContiguityViolation(RuntimeError):
-    """An in-progress fixed cycle was denied power. Signals a server bug,
-    never a device decision."""
 
 
 def _euler_temp(node, temp_c: float, power_w: float, dt_min: float) -> float:
@@ -91,46 +88,6 @@ def _absorb(
 
 
 @dataclass(frozen=True)
-class FixedCycleState:
-    """A profile that, once started, advances exactly one slot per slot."""
-
-    profile_w: tuple[float, ...]
-    started_at: int | None = None
-    progress: int = 0
-
-    @property
-    def finished(self) -> bool:
-        return self.progress >= len(self.profile_w)
-
-    @property
-    def running(self) -> bool:
-        return self.started_at is not None and not self.finished
-
-
-def step_cycle(
-    state: FixedCycleState, granted: bool, now: int
-) -> tuple[FixedCycleState, float]:
-    """Advance the cycle one slot. Starting is triggered by the first grant;
-    afterwards a missing grant is a contract violation."""
-    if state.finished:
-        return state, 0.0
-    if state.started_at is None:
-        if not granted:
-            return state, 0.0
-        consumed = state.profile_w[0]
-        return FixedCycleState(state.profile_w, started_at=now, progress=1), consumed
-    if not granted:
-        raise ContiguityViolation(
-            f"cycle started at {state.started_at} denied power at slot {now}"
-        )
-    consumed = state.profile_w[state.progress]
-    advanced = FixedCycleState(
-        state.profile_w, started_at=state.started_at, progress=state.progress + 1
-    )
-    return advanced, consumed
-
-
-@dataclass(frozen=True)
 class WaterHeaterParams:
     """Deadband heater with local overrides and stochastic draw events.
 
@@ -173,39 +130,28 @@ class WaterHeaterParams:
         check_thermal_node(self)
 
 
-@dataclass(frozen=True)
-class RenewableTrace:
-    values_w: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values_w):
-            raise MalformedRequest("renewable power must be non-negative")
-
-    def at(self, slot: int) -> float:
-        return self.values_w[slot]
-
-
 def random_walk_trace(
     n_slots: int, mean_w: float, volatility_w: float, rng: random.Random
-) -> RenewableTrace:
-    """Clipped random walk in [0, 2*mean] starting at the mean. Equal seeds
-    give bit-identical traces."""
-    if mean_w < 0 or volatility_w < 0:
-        raise MalformedRequest("trace parameters must be non-negative")
+) -> tuple[float, ...]:
+    """Clipped random walk in [0, 2*mean] starting at the mean, one value per
+    slot. Equal seeds give bit-identical traces. The parameters are checked
+    by RenewableConfig.validate."""
     ceiling = 2.0 * mean_w
     values = []
     level = mean_w
     for _ in range(n_slots):
         level = min(max(level + rng.gauss(0.0, volatility_w), 0.0), ceiling)
         values.append(level)
-    return RenewableTrace(values_w=tuple(values))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
 class StorageAsset:
-    """Micro-grid battery. Sign convention for commands and flows: positive
-    charges, negative discharges. Round-trip losses are applied on the way in
-    so the conservation identity stays linear on the discharge side."""
+    """Micro-grid battery config: the initial charge `soc_wh` and the limits.
+    The engine's supply side keeps the charge as it moves. Sign convention
+    for flows: positive charges, negative discharges. Round-trip losses are
+    applied on the way in so the conservation identity stays linear on the
+    discharge side."""
 
     soc_wh: float
     capacity_wh: float
@@ -220,39 +166,3 @@ class StorageAsset:
             raise MalformedRequest("storage power limits must be non-negative")
         if not 0 < self.efficiency <= 1:
             raise MalformedRequest("storage efficiency must lie in (0, 1]")
-
-    def max_discharge_w(self, dt_min: float) -> float:
-        """Power the asset can actually deliver for a whole slot."""
-        return min(self.p_discharge_max_w, self.soc_wh / (dt_min / 60.0))
-
-    def max_charge_w(self, dt_min: float) -> float:
-        """Grid-side power the asset can absorb for a whole slot."""
-        headroom = (self.capacity_wh - self.soc_wh) / self.efficiency
-        return min(self.p_charge_max_w, headroom / (dt_min / 60.0))
-
-
-def step_storage(
-    state: StorageAsset, command_w: float, dt_min: float
-) -> tuple[StorageAsset, float]:
-    """Apply a signed power command for one slot; returns (state, actual watts).
-
-    The actual flow reflects clamping at the soc bounds and power limits;
-    charge and discharge never happen in the same slot by construction.
-    """
-    dt_h = dt_min / 60.0
-    if command_w >= 0:
-        flow = min(command_w, state.max_charge_w(dt_min))
-        stored = flow * dt_h * state.efficiency
-        new_soc = min(state.capacity_wh, state.soc_wh + stored)
-    else:
-        power = min(-command_w, state.max_discharge_w(dt_min))
-        new_soc = max(0.0, state.soc_wh - power * dt_h)
-        flow = -power
-    new_state = StorageAsset(
-        soc_wh=new_soc,
-        capacity_wh=state.capacity_wh,
-        p_charge_max_w=state.p_charge_max_w,
-        p_discharge_max_w=state.p_discharge_max_w,
-        efficiency=state.efficiency,
-    )
-    return new_state, flow

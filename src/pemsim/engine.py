@@ -32,7 +32,8 @@ Household battery and thermal jobs keep their evolving state as one float
 which Scenario.validate has checked. A battery steps through devices._absorb
 and a thermal node through devices._euler_temp with the config as the node,
 so a trace iterates that one step at the granted (clamped) watts, bit for
-bit. Fixed cycles keep their FixedCycleState and step_cycle.
+bit. A fixed cycle keeps `started_at` and `progress` as ints and steps its
+own profile; the supply side keeps the storage charge as the float `soc_wh`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .core import (
     TimeGrid,
     substream,
 )
-from .devices import FixedCycleState, _absorb, _euler_temp, step_cycle, step_storage
+from .devices import _absorb, _euler_temp
 from .scenario import (
     BatteryConfig,
     CycleConfig,
@@ -89,6 +90,11 @@ from .server import (
 # Tolerance the conservation auditor enforces, relative per slot and on the
 # whole-run integral.
 AUDIT_REL_TOL = 1e-6
+
+
+class ContiguityViolation(RuntimeError):
+    """An in-progress fixed cycle was denied power. Signals a server bug,
+    never a device decision."""
 
 
 @dataclass(slots=True)
@@ -222,20 +228,31 @@ class _ChannelLayer:
 
 
 class _Supply:
-    """The supply side of a run: the renewable trace and the storage asset,
-    settled slot by slot."""
+    """The supply side of a run: the renewable trace and the storage charge
+    `soc_wh` (0.0 without storage), settled slot by slot."""
 
     def __init__(self, scenario: Scenario):
         self.grid = scenario.grid
         self.trace = scenario.renewable_trace()
         self.storage = scenario.storage
+        self.soc_wh = self.storage.soc_wh if self.storage is not None else 0.0
         self.import_allowed = scenario.import_allowed
         self.feeder_capacity_w = scenario.feeder_capacity_w
 
     def view(self, t: int) -> SupplyView:
+        """Slot t's supply, with the storage power that the charge and the
+        limits allow for the whole slot."""
+        storage = self.storage
+        discharge_max_w = charge_max_w = 0.0
+        if storage is not None:
+            slot_h = self.grid.slot_hours
+            discharge_max_w = min(storage.p_discharge_max_w, self.soc_wh / slot_h)
+            headroom = (storage.capacity_wh - self.soc_wh) / storage.efficiency
+            charge_max_w = min(storage.p_charge_max_w, headroom / slot_h)
         return SupplyView(
-            renewable_w=self.trace.at(t),
-            storage=self.storage,
+            renewable_w=self.trace[t],
+            discharge_max_w=discharge_max_w,
+            charge_max_w=charge_max_w,
             import_allowed=self.import_allowed,
             feeder_capacity_w=self.feeder_capacity_w,
         )
@@ -248,12 +265,16 @@ class _Supply:
         consumed_w: dict[str, float],
         emergency: bool = False,
     ) -> SlotRecord:
-        """Serve slot t's consumption from its supply view, step the storage,
-        and record the slot."""
+        """Serve slot t's consumption from its supply view, move the storage
+        charge by the dispatched flow, and record the slot. The flow is
+        within the view's limits, so the charge stays in [0, capacity]."""
         grid = self.grid
-        plan = dispatch_supply(math.fsum(consumed_w.values()), supply, grid.slot_min)
-        if self.storage is not None and plan.storage_flow_w != 0.0:
-            self.storage, _ = step_storage(self.storage, plan.storage_flow_w, grid.slot_min)
+        plan = dispatch_supply(math.fsum(consumed_w.values()), supply)
+        flow, slot_h, storage = plan.storage_flow_w, grid.slot_hours, self.storage
+        if flow > 0.0:
+            self.soc_wh = min(storage.capacity_wh, self.soc_wh + flow * slot_h * storage.efficiency)
+        elif flow < 0.0:  # discharging: soc - (-flow) * slot_h, written as a sum
+            self.soc_wh = max(0.0, self.soc_wh + flow * slot_h)
         return SlotRecord(
             slot=t,
             clock=grid.clock_of(t),
@@ -261,7 +282,7 @@ class _Supply:
             consumed_w=consumed_w,
             renewable_available_w=supply.renewable_w,
             renewable_used_w=plan.renewable_used_w,
-            storage_soc_wh=self.storage.soc_wh if self.storage is not None else 0.0,
+            storage_soc_wh=self.soc_wh,
             storage_flow_w=plan.storage_flow_w,
             imported_w=plan.imported_w,
             curtailed_w=plan.curtailed_w,
@@ -578,19 +599,23 @@ class _ThermalJob(_HouseholdJob):
 
 
 class _CycleJob(_HouseholdJob):
+    """A fixed profile that, once started at `started_at`, advances one slot
+    per slot; `progress` counts the profile slots run."""
+
     kind_name = "cycle"
 
     def __init__(self, cfg: CycleConfig, grid: TimeGrid, seed: int, backoff_max: int):
         super().__init__(cfg.device_id, cfg.priority, grid, seed, backoff_max)
         self.cfg = cfg
-        self.state = FixedCycleState(cfg.profile_w)
+        self.started_at: int | None = None
+        self.progress = 0
         self.request_due = cfg.earliest_start
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
 
     def window_closed(self, now: int) -> bool:
-        return self.state.started_at is None and now > self.cfg.latest_start
+        return self.started_at is None and now > self.cfg.latest_start
 
     def build_request(self, now: int) -> LoadRequest:
         return FixedProfileRequest(
@@ -603,20 +628,19 @@ class _CycleJob(_HouseholdJob):
         )
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        if self.state.running:
-            return SlotNeed(
-                self.device_id, self.priority, forced_w=self.state.profile_w[self.state.progress]
-            )
+        profile_w = self.cfg.profile_w
+        if self.started_at is not None:  # running, as a finished cycle is done
+            return SlotNeed(self.device_id, self.priority, forced_w=profile_w[self.progress])
         if now > self.cfg.latest_start:
             return None
         if now == self.cfg.latest_start:
-            return SlotNeed(self.device_id, self.priority, forced_w=self.cfg.profile_w[0])
+            return SlotNeed(self.device_id, self.priority, forced_w=profile_w[0])
         if now >= self.cfg.earliest_start:
             return SlotNeed(
                 self.device_id,
                 self.priority,
-                willing_w=self.cfg.profile_w[0],
-                packet_w=self.cfg.profile_w[0],
+                willing_w=profile_w[0],
+                packet_w=profile_w[0],
                 cycle_start=True,
             )
         return None
@@ -624,12 +648,19 @@ class _CycleJob(_HouseholdJob):
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         if self.failed:  # shed earlier in this slot
             return 0.0
-        granted = granted_w > CAP_TOL_W
-        if self.state.started_at is None and not granted:
-            return 0.0
-        self.state, consumed_w = step_cycle(self.state, granted, now)
+        if granted_w <= CAP_TOL_W:
+            if self.started_at is None:
+                return 0.0
+            raise ContiguityViolation(
+                f"cycle started at {self.started_at} denied power at slot {now}"
+            )
+        if self.started_at is None:
+            self.started_at = now
+        profile_w = self.cfg.profile_w
+        consumed_w = profile_w[self.progress]
+        self.progress += 1
         self._mark_service(now, consumed_w)
-        if self.state.finished:
+        if self.progress == len(profile_w):
             self.done = True
             self.outcome.completion_slot = now
             self.outcome.deadline_met = now < self.cfg.deadline
@@ -644,10 +675,10 @@ class _CycleJob(_HouseholdJob):
         ledger.release(self.device_id, slot)
 
     def trace_value(self) -> float:
-        return float(self.state.progress)
+        return float(self.progress)
 
     def final_state(self) -> dict:
-        return {"progress": self.state.progress, "started_at": self.state.started_at}
+        return {"progress": self.progress, "started_at": self.started_at}
 
 
 def _make_job(cfg: DeviceConfig, grid: TimeGrid, seed: int, backoff_max: int) -> _HouseholdJob:
@@ -816,11 +847,7 @@ def _run_household(scenario: Scenario) -> RunResult:
         # (5) capability check; emergency shedding when imports are barred
         emergency = False
         if not scenario.import_allowed:
-            capability = supply.renewable_w + (
-                supply.storage.max_discharge_w(grid.slot_min)
-                if supply.storage is not None
-                else 0.0
-            )
+            capability = supply.renewable_w + supply.discharge_max_w
             if math.fsum(grants.values()) > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
                     raise UnderSupply(math.fsum(grants.values()) - capability)

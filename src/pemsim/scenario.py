@@ -21,7 +21,7 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
 from .core import MalformedRequest, TimeGrid, check_thermal_node, parse_hhmm, substream
-from .devices import RenewableTrace, StorageAsset, WaterHeaterParams, random_walk_trace
+from .devices import StorageAsset, WaterHeaterParams, random_walk_trace
 from .server import ReferenceSignal
 
 # Trip signals are sent one message per Poisson arrival, so a run's time and
@@ -108,22 +108,25 @@ class RenewableConfig:
     def validate(self) -> None:
         """The checks `build` makes, without drawing the walk."""
         if self.kind == "trace":
-            if self.values_w is None:
+            if not self.values_w:
                 raise MalformedRequest("fixed renewable trace needs values_w")
-            RenewableTrace(values_w=self.values_w)
+            if any(v < 0 for v in self.values_w):
+                raise MalformedRequest("renewable power must be non-negative")
         elif self.kind == "random_walk":
             if self.mean_w < 0 or self.volatility_w < 0:
                 raise MalformedRequest("renewable mean_w and volatility_w must be non-negative")
         else:
             raise MalformedRequest(f"unknown renewable kind {self.kind!r}")
 
-    def build(self, n_slots: int, rng: random.Random) -> RenewableTrace:
+    def build(self, n_slots: int, rng: random.Random) -> tuple[float, ...]:
+        """One value per slot. A fixed trace holds its last value past its
+        end and is cut at the horizon."""
         self.validate()
         if self.kind == "trace":
-            values = list(self.values_w)
+            values = tuple(self.values_w)
             if len(values) < n_slots:
-                values += [values[-1] if values else 0.0] * (n_slots - len(values))
-            return RenewableTrace(values_w=tuple(values[:n_slots]))
+                values += (values[-1],) * (n_slots - len(values))
+            return values[:n_slots]
         return random_walk_trace(n_slots, self.mean_w, self.volatility_w, rng)
 
 
@@ -198,7 +201,7 @@ class Scenario:
             # storage does not count, as its charge can run out while the
             # fleet stays forced on. A fleet that may import builds no trace
             if not self.import_allowed:
-                renewable_min_w = min(self.renewable_trace().values_w)
+                renewable_min_w = min(self.renewable_trace())
                 if renewable_min_w < all_on_w:
                     raise MalformedRequest(
                         f"import_allowed is false, and the renewable minimum "
@@ -225,7 +228,7 @@ class Scenario:
     def is_fleet(self) -> bool:
         return any(isinstance(d, HeaterFleetConfig) for d in self.devices)
 
-    def renewable_trace(self) -> RenewableTrace:
+    def renewable_trace(self) -> tuple[float, ...]:
         return self.renewable.build(
             self.grid.horizon, substream(self.seed, "renewable")
         )

@@ -44,7 +44,7 @@ from .core import (
     WindowInfeasible,
     validate_request,
 )
-from .devices import StorageAsset, decay_temp, min_heating_slots
+from .devices import decay_temp, min_heating_slots
 
 # Absolute watt-level tolerance for capacity comparisons.
 CAP_TOL_W = 1e-6
@@ -298,11 +298,14 @@ class SlotNeed:
 
 @dataclass(slots=True)
 class SupplyView:
-    """What the server can see about this slot's supply side. Slotted and
-    not frozen, as SlotNeed says; the engine builds one a slot."""
+    """What the server can see about this slot's supply side: the renewable
+    power and the most storage can discharge or absorb over the whole slot
+    (0.0 without storage). Slotted and not frozen, as SlotNeed says; the
+    engine builds one a slot."""
 
     renewable_w: float
-    storage: StorageAsset | None
+    discharge_max_w: float
+    charge_max_w: float
     import_allowed: bool
     feeder_capacity_w: float
 
@@ -373,11 +376,10 @@ class DispatchPlan:
     curtailed_w: float
 
 
-def dispatch_supply(
-    total_granted_w: float, supply: SupplyView, slot_min: float
-) -> DispatchPlan:
+def dispatch_supply(total_granted_w: float, supply: SupplyView) -> DispatchPlan:
     """Merit order renewable -> storage discharge -> import. Surplus renewable
-    charges storage, the rest is curtailed.
+    charges storage, the rest is curtailed. Storage flows stay within the
+    view's discharge_max_w and charge_max_w.
 
     Raises UnderSupply when imports are disallowed and a deficit remains; the
     engine then sheds grants and retries (emergency mode).
@@ -387,8 +389,8 @@ def dispatch_supply(
     renewable_used = min(total_granted_w, supply.renewable_w)
     deficit = total_granted_w - renewable_used
     discharge = 0.0
-    if deficit > 0 and supply.storage is not None:
-        discharge = min(deficit, supply.storage.max_discharge_w(slot_min))
+    if deficit > 0:
+        discharge = min(deficit, supply.discharge_max_w)
     deficit -= discharge
     imported = 0.0
     if deficit > CAP_TOL_W:
@@ -400,8 +402,8 @@ def dispatch_supply(
         deficit = 0.0
     surplus = supply.renewable_w - renewable_used
     charge = 0.0
-    if surplus > 0 and discharge == 0 and supply.storage is not None:
-        charge = min(surplus, supply.storage.max_charge_w(slot_min))
+    if surplus > 0 and discharge == 0:
+        charge = min(surplus, supply.charge_max_w)
     curtailed = surplus - charge
     return DispatchPlan(
         renewable_used_w=renewable_used,

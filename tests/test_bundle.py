@@ -77,11 +77,13 @@ def reference_write_bundle(result, out: Path) -> None:
             ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
         )
         for m in result.channel:
+            dropped = m.delivered_at_ms is None
             writer.writerow(
                 [
                     m.msg_id, m.kind.value, m.cls.value, reference_fmt(m.sent_at_ms),
-                    reference_fmt(m.delivered_at_ms), m.attempts, reference_fmt(m.e2e_ms),
-                    "dropped" if m.dropped else "delivered",
+                    reference_fmt(m.delivered_at_ms), m.attempts,
+                    reference_fmt(None if dropped else m.delivered_at_ms - m.sent_at_ms),
+                    "dropped" if dropped else "delivered",
                 ]
             )
     if result.fleet is not None:

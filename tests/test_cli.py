@@ -119,14 +119,18 @@ class TestValidate:
         lambda doc: doc["renewable"].update(volatility_w=-1),
         lambda doc: doc["renewable"].update(kind="trace", values_w=[500.0, -1]),
         lambda doc: doc["renewable"].update(kind="trace", values_w=None),
+        lambda doc: doc["renewable"].update(kind="trace", values_w=[]),
         lambda doc: doc["renewable"].update(kind="wind"),
-    ], ids=["negative_mean", "negative_volatility", "negative_value", "no_values", "unknown_kind"])
+    ], ids=["negative_mean", "negative_volatility", "negative_value", "no_values",
+            "empty_values", "unknown_kind"])
     def test_renewable_fails_validate(self, tmp_path, capsys, edit):
         doc = scenario_to_dict(three_household_scenario(seed=1))
         edit(doc)
         bad = tmp_path / "renewable.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "renewable" in capsys.readouterr().err
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "renewable" in capsys.readouterr().err
 
     def test_negative_trip_rate_fails_validate(self, tmp_path, capsys):
@@ -261,6 +265,18 @@ class TestBatch:
         assert main(argv + [str(out)]) == 0
         assert main(argv + [str(fresh)]) == 0
         assert (out / "batch.json").read_bytes() == (fresh / "batch.json").read_bytes()
+
+    @pytest.mark.parametrize("seeds", ["abc", "1..2..3", "5..3", "1.."])
+    def test_bad_seed_range_exits_one_before_any_output(self, tmp_path, capsys, seeds):
+        scenario_file = tmp_path / "scenario.json"
+        save_scenario(three_household_scenario(seed=1), scenario_file)
+        out = tmp_path / "batch"
+        assert main(["batch", "--scenario", str(scenario_file), "--seeds", seeds,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: pemsim batch")
+        assert "--seeds" in captured.err and repr(seeds) in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_invariant_error_exits_two_from_run_and_batch(self, tmp_path, capsys):
         # islanded, no shedding: seeds 1 and 2 run short of supply

@@ -1,7 +1,9 @@
 """Device physics: thermal node against its closed-form oracle, battery and
-storage saturation, cycle contiguity. The thermal node is stepped by
-`reference_step_thermal`, which test_thermal_planning.py pins bit for bit to
-the library's Euler step. The water-heater band and request rule are tested
+storage saturation, cycle contiguity, renewable traces. The thermal node is
+stepped by `reference_step_thermal`, which test_thermal_planning.py pins bit
+for bit to the library's Euler step. A fixed cycle is stepped by the engine's
+cycle job and the storage charge by the engine's supply side, which keep
+them as plain numbers. The water-heater band and request rule are tested
 with the fleet loop in test_fleet.py."""
 
 import math
@@ -11,18 +13,17 @@ import pytest
 
 from test_thermal_planning import Node, reference_step_thermal
 
-from pemsim.core import MalformedRequest, substream
+from pemsim.core import MalformedRequest, TimeGrid, substream
 from pemsim.devices import (
-    ContiguityViolation,
-    FixedCycleState,
     StorageAsset,
     _absorb,
     decay_temp,
     min_heating_slots,
     random_walk_trace,
-    step_cycle,
-    step_storage,
 )
+from pemsim.engine import ContiguityViolation, RequestOutcome, _CycleJob, _Supply
+from pemsim.scenario import CycleConfig, RenewableConfig, Scenario
+from pemsim.server import CommitmentLedger
 
 SAUNA = Node(
     temp_c=20.0, ambient_c=20.0, capacitance_wh_per_c=60.0,
@@ -132,72 +133,128 @@ class TestBattery:
             assert 0.0 <= soc_wh <= 1000.0
 
 
+def _cycle_job(profile_w, started_at=None, progress=0):
+    """An accepted cycle job over `profile_w`, started at `started_at` with
+    `progress` profile slots run."""
+    grid = TimeGrid(epoch_start_min=0, slot_min=10, horizon=24)
+    cfg = CycleConfig("washer", tuple(profile_w), earliest_start=0, deadline=24)
+    job = _CycleJob(cfg, grid, seed=1, backoff_max=4)
+    job.outcome = RequestOutcome("washer", "cycle", issued_slot=0, accepted=True)
+    job.started_at, job.progress = started_at, progress
+    return job, CommitmentLedger(grid, 10_000.0)
+
+
 class TestCycle:
     def test_not_started_unchanged(self):
-        state = FixedCycleState(profile_w=(2000.0,) * 6)
-        after, consumed = step_cycle(state, granted=False, now=3)
-        assert after == state and consumed == 0.0
+        job, ledger = _cycle_job((2000.0,) * 6)
+        assert job.apply(0.0, 3, ledger) == 0.0
+        assert (job.started_at, job.progress, job.done) == (None, 0, False)
 
     def test_progress_consumes_profile(self):
-        state = FixedCycleState(profile_w=(1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0),
-                                started_at=0, progress=3)
-        after, consumed = step_cycle(state, granted=True, now=3)
-        assert consumed == 4000.0 and after.progress == 4
+        job, ledger = _cycle_job((1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0),
+                                 started_at=0, progress=3)
+        assert job.apply(4000.0, 3, ledger) == 4000.0
+        assert job.progress == 4 and job.trace_value() == 4.0
 
     def test_uniform_cycle_total_energy(self):
         # six 2000 W slots of 10 min consume 2000 Wh in total
-        state = FixedCycleState(profile_w=(2000.0,) * 6)
+        job, ledger = _cycle_job((2000.0,) * 6)
         total_wh, now = 0.0, 0
-        while not state.finished:
-            state, consumed = step_cycle(state, granted=True, now=now)
-            total_wh += consumed * 10 / 60.0
+        while not job.done:
+            total_wh += job.apply(2000.0, now, ledger) * 10 / 60.0
             now += 1
-        assert now == 6
+        assert now == 6 and job.started_at == 0
         assert total_wh == pytest.approx(2000.0)
+        assert job.outcome.completion_slot == 5 and job.outcome.deadline_met
 
     def test_contiguity_enforced(self):
-        state = FixedCycleState(profile_w=(2000.0,) * 3, started_at=5, progress=1)
-        with pytest.raises(ContiguityViolation):
-            step_cycle(state, granted=False, now=6)
+        job, ledger = _cycle_job((2000.0,) * 3, started_at=5, progress=1)
+        with pytest.raises(ContiguityViolation, match="started at 5 denied power at slot 6"):
+            job.apply(0.0, 6, ledger)
+
+
+def _supply(storage, renewable_w=0.0, slot_min=10, horizon=1):
+    """The supply side of a load-free run over a flat renewable trace."""
+    scenario = Scenario(
+        grid=TimeGrid(epoch_start_min=0, slot_min=slot_min, horizon=horizon),
+        feeder_capacity_w=1e9,
+        devices=(),
+        renewable=RenewableConfig(kind="trace", values_w=(renewable_w,)),
+        storage=storage,
+    )
+    return _Supply(scenario)
+
+
+def _settle(supply, t, load_w):
+    """Serve `load_w` at slot t; returns the slot's record."""
+    return supply.settle(supply.view(t), t, {"load": load_w}, {"load": load_w})
 
 
 class TestStorage:
     def test_empty_cannot_discharge(self):
-        asset = StorageAsset(soc_wh=0.0, capacity_wh=5000.0,
-                             p_charge_max_w=2000.0, p_discharge_max_w=2000.0)
-        after, actual = step_storage(asset, -1500.0, 10)
-        assert actual == 0.0 and after.soc_wh == 0.0
+        supply = _supply(StorageAsset(soc_wh=0.0, capacity_wh=5000.0,
+                                      p_charge_max_w=2000.0, p_discharge_max_w=2000.0))
+        assert supply.view(0).discharge_max_w == 0.0
+        record = _settle(supply, 0, 1500.0)
+        assert record.storage_flow_w == 0.0 and record.imported_w == 1500.0
+        assert supply.soc_wh == 0.0
 
     def test_charge_efficiency_applied_on_the_way_in(self):
-        asset = StorageAsset(soc_wh=0.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
-                             p_discharge_max_w=2000.0, efficiency=0.9)
-        after, actual = step_storage(asset, 1000.0, 60)
-        assert actual == pytest.approx(1000.0)
-        assert after.soc_wh == pytest.approx(900.0)
+        supply = _supply(StorageAsset(soc_wh=0.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
+                                      p_discharge_max_w=2000.0, efficiency=0.9),
+                         renewable_w=1000.0, slot_min=60)
+        record = _settle(supply, 0, 0.0)
+        assert record.storage_flow_w == pytest.approx(1000.0)
+        assert supply.soc_wh == pytest.approx(900.0) == record.storage_soc_wh
+
+    def test_charge_fills_the_headroom_through_the_efficiency(self):
+        # 90 Wh of headroom at 0.9 efficiency takes 100 Wh from the grid side
+        supply = _supply(StorageAsset(soc_wh=4910.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
+                                      p_discharge_max_w=2000.0, efficiency=0.9),
+                         renewable_w=1000.0, slot_min=60)
+        assert supply.view(0).charge_max_w == pytest.approx(100.0)
+        record = _settle(supply, 0, 0.0)
+        assert record.storage_flow_w == pytest.approx(100.0)
+        assert record.curtailed_w == pytest.approx(900.0)
+        assert supply.soc_wh == pytest.approx(5000.0) and supply.soc_wh <= 5000.0
 
     def test_full_cannot_charge(self):
-        asset = StorageAsset(soc_wh=5000.0, capacity_wh=5000.0,
-                             p_charge_max_w=2000.0, p_discharge_max_w=2000.0)
-        after, actual = step_storage(asset, 1500.0, 10)
-        assert actual == 0.0 and after.soc_wh == 5000.0
+        supply = _supply(StorageAsset(soc_wh=5000.0, capacity_wh=5000.0,
+                                      p_charge_max_w=2000.0, p_discharge_max_w=2000.0),
+                         renewable_w=1500.0)
+        assert supply.view(0).charge_max_w == 0.0
+        record = _settle(supply, 0, 0.0)
+        assert record.storage_flow_w == 0.0 and record.curtailed_w == 1500.0
+        assert supply.soc_wh == 5000.0
 
     def test_soc_bounds_random_commands(self):
+        # a random load against a random renewable trace charges and
+        # discharges the store; it never leaves [0, capacity] or its limits
         rng = random.Random(777)
-        asset = StorageAsset(soc_wh=2500.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
-                             p_discharge_max_w=2000.0, efficiency=0.92)
-        for _ in range(10_000):
-            command = rng.uniform(-2000.0, 2000.0)
-            asset, actual = step_storage(asset, command, 10)
-            assert 0.0 <= asset.soc_wh <= asset.capacity_wh
-            assert abs(actual) <= 2000.0 + 1e-9
+        supply = _supply(StorageAsset(soc_wh=2500.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
+                                      p_discharge_max_w=2000.0, efficiency=0.92),
+                         horizon=10_000)
+        supply.trace = tuple(rng.uniform(0.0, 4000.0) for _ in range(10_000))
+        flows = []
+        for t in range(10_000):
+            record = _settle(supply, t, rng.uniform(0.0, 4000.0))
+            assert 0.0 <= supply.soc_wh <= 5000.0
+            assert abs(record.storage_flow_w) <= 2000.0 + 1e-9
+            flows.append(record.storage_flow_w)
+        assert min(flows) < -1000.0 and max(flows) > 1000.0
 
 
 class TestRenewableTrace:
     def test_same_seed_bit_identical(self):
         a = random_walk_trace(200, 3000.0, 800.0, substream(9, "renewable"))
         b = random_walk_trace(200, 3000.0, 800.0, substream(9, "renewable"))
-        assert a.values_w == b.values_w
+        assert a == b and len(a) == 200
 
     def test_nonnegative_and_clipped(self):
         trace = random_walk_trace(500, 1000.0, 2000.0, random.Random(4))
-        assert all(0.0 <= v <= 2000.0 for v in trace.values_w)
+        assert all(0.0 <= v <= 2000.0 for v in trace)
+
+    def test_fixed_trace_holds_its_last_value_and_is_cut_at_the_horizon(self):
+        config = RenewableConfig(kind="trace", values_w=(100.0, 200.0, 300.0))
+        assert config.build(5, random.Random(1)) == (100.0, 200.0, 300.0, 300.0, 300.0)
+        assert config.build(2, random.Random(1)) == (100.0, 200.0)

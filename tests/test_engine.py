@@ -4,12 +4,14 @@ scenarios."""
 
 import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from scenario_gen import null_channels, random_household_scenario
-from test_thermal_planning import node_of, reference_step_thermal
+from test_thermal_planning import node_of, reference_step_storage, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid, substream
@@ -22,8 +24,13 @@ from pemsim.scenario import (
     RenewableConfig,
     Scenario,
     ThermalConfig,
+    scenario_from_dict,
     three_household_scenario,
 )
+
+# the benchmark's generated feeders
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import mixed_feeder_doc  # noqa: E402
 
 
 def _slot_consumed_wh(result):
@@ -72,6 +79,23 @@ def _assert_traces_iterate_the_public_steps(scenario, result):
                 expected.append(node.temp_c)
         trace = result.device_traces[cfg.device_id]
         assert [v.hex() for v in trace] == [v.hex() for v in expected], (scenario.seed, cfg.device_id)
+
+
+def _assert_storage_iterates_the_reference_step(scenario, result):
+    """Each slot's storage charge equals, bit for bit, reference_step_storage
+    iterated from the initial charge at the flow the slot records, and the
+    step's clamp never binds on that flow. A slot without flow keeps the
+    charge."""
+    soc_wh = scenario.storage.soc_wh
+    expected = []
+    for record in result.slots:
+        if record.storage_flow_w != 0.0:
+            soc_wh, flow = reference_step_storage(
+                scenario.storage, soc_wh, record.storage_flow_w, scenario.grid.slot_min
+            )
+            assert flow == record.storage_flow_w, (scenario.seed, record.slot)
+        expected.append(soc_wh)
+    assert [repr(r.storage_soc_wh) for r in result.slots] == [repr(v) for v in expected], scenario.seed
 
 
 class TestBasics:
@@ -163,6 +187,33 @@ class TestStepEquivalence:
     def test_full_battery_traces_iterate_the_public_steps(self, below_capacity_wh, with_channels):
         scenario = _full_ev(7, below_capacity_wh, with_channels)
         _assert_traces_iterate_the_public_steps(scenario, run_scenario(scenario))
+
+
+    @pytest.mark.parametrize("import_allowed", [True, False])
+    def test_generated_storage_iterates_the_reference_step(self, import_allowed):
+        moved = 0
+        for seed in range(1, 61):
+            scenario = random_household_scenario(seed, import_allowed=import_allowed)
+            if scenario.storage is None:
+                continue
+            result = run_scenario(scenario)
+            _assert_storage_iterates_the_reference_step(scenario, result)
+            moved += sum(r.storage_flow_w != 0.0 for r in result.slots)
+        assert moved >= 100
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["imports_allowed", "islanded"])
+    def test_mixed_feeder_storage_iterates_the_reference_step(self, parity):
+        """The benchmark's generated 24 h feeders; odd ones are islanded
+        with emergency shedding on."""
+        charged = discharged = 0
+        for number in range(2 + parity, 42, 2):
+            scenario = scenario_from_dict(mixed_feeder_doc(number))
+            assert scenario.import_allowed is (parity == 0)
+            result = run_scenario(scenario)
+            _assert_storage_iterates_the_reference_step(scenario, result)
+            charged += sum(r.storage_flow_w > 0.0 for r in result.slots)
+            discharged += sum(r.storage_flow_w < 0.0 for r in result.slots)
+        assert charged > 0 and discharged > 0
 
 
 class TestFullBattery:
@@ -407,7 +458,7 @@ class TestLossyChannelRecovery:
                 seed=seed,
             )
             result = run_scenario(scenario)
-            drops_seen += sum(1 for m in result.channel if m.dropped)
+            drops_seen += sum(1 for m in result.channel if m.delivered_at_ms is None)
             outcomes = {o.device_id: o for o in result.requests}
             for o in outcomes.values():
                 if o.accepted and o.deadline_met:

@@ -1,4 +1,5 @@
-"""The package stays standard-library only, and its public names resolve."""
+"""The package stays standard-library only, its public names resolve, and
+the README's library example runs."""
 
 import ast
 import importlib
@@ -66,6 +67,19 @@ def test_module_imports_on_its_own(module):
 
 def test_public_names_resolve():
     assert [name for name in pemsim.__all__ if not hasattr(pemsim, name)] == []
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The fenced Python block under "## Library use" runs as written, in a
+    fresh interpreter with src on the path, so it cannot go stale as public
+    names change."""
+    section = (ROOT / "README.md").read_text().partition("\n## Library use\n")[2]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-W", "error", "-c", block.group(1)]
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_console_script_resolves_to_a_callable():

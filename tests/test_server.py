@@ -21,7 +21,6 @@ from pemsim.core import (
     TimeGrid,
     validate_request,
 )
-from pemsim.devices import StorageAsset
 from pemsim.server import (
     CapacityViolation,
     CommitmentLedger,
@@ -285,9 +284,12 @@ class TestAdmission:
 
 
 def _supply(cap=10_000.0, renewable=None, storage=None, import_allowed=True):
+    """A supply view; `storage` is its (discharge_max_w, charge_max_w)."""
+    discharge_max_w, charge_max_w = storage or (0.0, 0.0)
     return SupplyView(
         renewable_w=cap if renewable is None else renewable,
-        storage=storage, import_allowed=import_allowed, feeder_capacity_w=cap,
+        discharge_max_w=discharge_max_w, charge_max_w=charge_max_w,
+        import_allowed=import_allowed, feeder_capacity_w=cap,
     )
 
 
@@ -397,22 +399,23 @@ class TestAllocateSlot:
 
 
 class TestDispatchSupply:
-    STORAGE = StorageAsset(soc_wh=500.0, capacity_wh=5000.0,
-                           p_charge_max_w=2000.0, p_discharge_max_w=3000.0)
+    # 500 Wh of a 5 kWh store behind 2 kW charge and 3 kW discharge limits,
+    # over a 10-minute slot: it can discharge 3 kW and absorb 2 kW
+    STORAGE = (3000.0, 2000.0)
 
     def test_pure_surplus_charges_storage(self):
-        plan = dispatch_supply(0.0, _supply(renewable=2000.0, storage=self.STORAGE), 10)
+        plan = dispatch_supply(0.0, _supply(renewable=2000.0, storage=self.STORAGE))
         assert plan.storage_flow_w == pytest.approx(2000.0)
         assert plan.renewable_used_w == 0.0 and plan.imported_w == 0.0
 
     def test_merit_order_reaches_import(self):
-        plan = dispatch_supply(4000.0, _supply(renewable=1000.0), 10)
+        plan = dispatch_supply(4000.0, _supply(renewable=1000.0))
         assert plan.renewable_used_w == pytest.approx(1000.0)
         assert plan.imported_w == pytest.approx(3000.0)
 
     def test_storage_energy_bound(self):
         # 500 Wh covers 3 kW for a 10-minute slot exactly
-        plan = dispatch_supply(4000.0, _supply(renewable=1000.0, storage=self.STORAGE), 10)
+        plan = dispatch_supply(4000.0, _supply(renewable=1000.0, storage=self.STORAGE))
         assert plan.storage_flow_w == pytest.approx(-3000.0)
         assert plan.imported_w == pytest.approx(0.0)
 
@@ -421,14 +424,14 @@ class TestDispatchSupply:
         for _ in range(500):
             total = rng.uniform(0.0, 9000.0)
             supply = _supply(renewable=rng.uniform(0.0, 6000.0), storage=self.STORAGE)
-            plan = dispatch_supply(total, supply, 10)
+            plan = dispatch_supply(total, supply)
             discharge = max(0.0, -plan.storage_flow_w)
             assert plan.renewable_used_w + discharge + plan.imported_w == pytest.approx(total, abs=1e-9)
             assert plan.curtailed_w >= -1e-9
 
     def test_undersupply_raises_when_imports_barred(self):
         with pytest.raises(UnderSupply):
-            dispatch_supply(4000.0, _supply(renewable=500.0, import_allowed=False), 10)
+            dispatch_supply(4000.0, _supply(renewable=500.0, import_allowed=False))
 
 
 class TestTrackReference:

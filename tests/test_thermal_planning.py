@@ -7,7 +7,9 @@ nodes, and `plan_thermal_forced_start` scans every start from
 `preheat_from` up with an unbounded search. The library steps floats
 through one Euler expression, scans backwards from the service start and
 bounds each search by the slots left; it must give bit-identical results on
-every state and request below.
+every state and request below. `reference_step_storage` is the storage
+asset's step in the same straightforward form, the oracle of the engine's
+storage charge in test_engine.py.
 """
 
 import random
@@ -54,6 +56,20 @@ def reference_step_thermal(state, applied_w, dt_min):
         - state.loss_w_per_c * (state.temp_c - state.ambient_c)
     ) / state.capacitance_wh_per_c
     return replace(state, temp_c=state.temp_c + delta)
+
+
+def reference_step_storage(storage, soc_wh, command_w, dt_min):
+    """One slot of the storage asset `storage` (a StorageAsset, read for its
+    limits) from `soc_wh` under a signed command (positive charges): the
+    command is clamped to what the limits and the charge allow over the
+    whole slot, then moves the charge. Returns (new charge, actual flow)."""
+    dt_h = dt_min / 60.0
+    if command_w >= 0:
+        headroom = (storage.capacity_wh - soc_wh) / storage.efficiency
+        flow = min(command_w, min(storage.p_charge_max_w, headroom / dt_h))
+        return min(storage.capacity_wh, soc_wh + flow * dt_h * storage.efficiency), flow
+    power = min(-command_w, min(storage.p_discharge_max_w, soc_wh / dt_h))
+    return max(0.0, soc_wh - power * dt_h), -power
 
 
 def reference_min_heating_slots(state, target_c, dt_min, max_steps=10_000):
