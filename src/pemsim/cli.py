@@ -65,6 +65,14 @@ def _remove_bundle(out: Path) -> None:
         (out / name).unlink(missing_ok=True)
 
 
+class _DeviceCells(dict):
+    """slots.csv device cells by value, each formatted once, comma included."""
+
+    def __missing__(self, value: float) -> str:
+        cell = self[value] = "%.6f," % value
+        return cell
+
+
 def _header(fh, names: list[str]) -> None:
     """Header rows go through csv.writer: a device id may need quoting."""
     csv.writer(fh, lineterminator="\n").writerow(names)
@@ -76,7 +84,10 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     slots.csv, channel.csv and fleet.csv write each row through one `%`
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
-    `emergency` as 1 or 0.
+    `emergency` as 1 or 0. The slots.csv device columns, mostly 0.0, print
+    through a per-bundle table that formats each distinct value once as
+    %.6f; values that compare equal share a text, so a device-column zero
+    prints as 0.000000 whatever its sign. The engine records no -0.0 there.
 
     Every name in BUNDLE_FILES is unlinked first, so the directory ends up
     holding exactly this run's bundle, and each file is created anew (mode
@@ -111,15 +122,15 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 "emergency",
             ],
         )
-        row = "%d,%s," + "%.6f," * (2 * len(device_ids) + 6) + "%d\n"
-        zeros = [0.0] * len(device_ids)  # a device missing from a slot's dicts
+        row = "%d,%s,%s%s" + "%.6f," * 6 + "%d\n"
+        text = _DeviceCells({0.0: "0.000000,"}).__getitem__  # -0.0 finds 0.0's entry
         fh.writelines(
             row
             % (
                 rec.slot,
                 rec.clock,
-                *map(rec.granted_w.get, device_ids, zeros),
-                *map(rec.consumed_w.get, device_ids, zeros),
+                "".join(map(text, map(rec.granted_w.__getitem__, device_ids))),
+                "".join(map(text, map(rec.consumed_w.__getitem__, device_ids))),
                 rec.renewable_available_w,
                 rec.renewable_used_w,
                 rec.storage_soc_wh,
@@ -308,12 +319,18 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
+def _unreadable(what: str, path: str, exc: OSError | UnicodeDecodeError) -> SystemExit:
+    """Report a file that cannot be opened or decoded as text, in one line."""
+    reason = getattr(exc, "strerror", None) or exc
+    print(f"cannot read {what} {path}: {reason}", file=sys.stderr)
+    return SystemExit(EXIT_VALIDATION)
+
+
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        print(f"scenario file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("scenario file", path, exc) from None
     except json.JSONDecodeError as exc:
         print(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -326,8 +343,12 @@ def _load(path: str) -> Scenario:
 
 
 def _load_reference(path: str) -> ReferenceSignal:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("reference file", path, exc) from None
     values = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -134,7 +134,8 @@ class MessageRecord:
     so they build faster: a frozen __init__ sets each field through
     object.__setattr__, and a run builds one outcome and one record per
     message and one report per meter window. Nothing writes one once built.
-    A delivered message's end-to-end time is delivered_at_ms - sent_at_ms.
+    A delivered message's end-to-end time is delivered_at_ms - sent_at_ms;
+    a dropped message has delivered_at_ms None.
     """
 
     msg_id: int
@@ -143,10 +144,6 @@ class MessageRecord:
     sent_at_ms: float
     delivered_at_ms: float | None
     attempts: int
-
-    @property
-    def dropped(self) -> bool:
-        return self.delivered_at_ms is None
 
 
 # End-to-end budgets per message kind in milliseconds. Trip signals get the

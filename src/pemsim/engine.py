@@ -25,7 +25,8 @@ is in one of four roles:
 
 The role lists are rebuilt only when a role can change: a decision is
 delivered, a job finishes, fails or is shed, or a thermal job reaches its
-first stepping slot.
+first stepping slot. Phase (2) wakes a job only from its `next_emit` slot
+(its first request, a retry or a re-ask), so each wake sends or fails.
 
 Household battery and thermal jobs keep their evolving state as one float
 (`soc_wh`, `temp_c`) and read their constants from the device's config,
@@ -307,8 +308,8 @@ class _HouseholdJob:
         self.backoff_max = backoff_max
         self.seed = seed
         self.retry_rng: random.Random | None = None  # drawn on the first capacity rejection
-        self.request_due: int | None = None
-        self.await_since: int | None = None
+        # the slot of the next request, retry or re-ask; None while none is due
+        self.next_emit: int | None = None
         self.active_from: int | None = None
         self.request: LoadRequest | None = None  # the one last sent
         self.done = False
@@ -360,13 +361,9 @@ class _HouseholdJob:
 
     # protocol plumbing ------------------------------------------------------
     def maybe_emit(self, now: int) -> LoadRequest | None:
-        """The request to send at `now`, if any. Called only on a job that is
-        not yet done, failed or accepted: such a job never emits again."""
-        if self.await_since is not None:
-            if now - self.await_since <= self.backoff_max:
-                return None  # response may still be in flight
-        elif self.request_due is None or now < self.request_due:
-            return None
+        """The request to send at `now`, or None if the job fails instead.
+        Called only from `next_emit` on, on a job that is not yet done,
+        failed or accepted: such a job never emits again."""
         if self.window_closed(now):
             self._fail(now)
             return None
@@ -380,15 +377,14 @@ class _HouseholdJob:
             )
         else:
             self.outcome.retries += 1
-        self.await_since = now
-        self.request_due = None
+        self.next_emit = now + self.backoff_max + 1  # re-ask if no answer came by then
         self.request = request
         return request
 
     def on_decision(self, decision: GrantDecision, slot: int) -> None:
         if self.done or self.failed:
             return
-        self.await_since = None
+        self.next_emit = None
         if self.outcome is not None and self.outcome.decided_slot is None:
             self.outcome.decided_slot = slot
         if isinstance(decision, Accept):
@@ -403,7 +399,7 @@ class _HouseholdJob:
             if self.retry_rng is None:
                 # keyed by the device, so when it is drawn moves no other draw
                 self.retry_rng = substream(self.seed, "device", self.device_id, "retry")
-            self.request_due = handle_rejection_retry(slot, self.backoff_max, self.retry_rng)
+            self.next_emit = handle_rejection_retry(slot, self.backoff_max, self.retry_rng)
         else:
             self._fail(slot)
 
@@ -438,7 +434,7 @@ class _BatteryJob(_HouseholdJob):
         if self.soc_wh is None:
             init = substream(seed, "device", cfg.device_id, "init")
             self.soc_wh = init.uniform(0.0, cfg.capacity_wh / 2.0)
-        self.request_due = cfg.arrival
+        self.next_emit = cfg.arrival
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
@@ -509,7 +505,7 @@ class _ThermalJob(_HouseholdJob):
         self.cfg = cfg
         self.grid = grid
         self.temp_c = cfg.initial_c
-        self.request_due = cfg.preheat_from
+        self.next_emit = cfg.preheat_from
         # from here on apply records the service-window temperatures and
         # finishes the job, accepted or not; before it, and once the job is
         # done or failed, the node coasts
@@ -609,7 +605,7 @@ class _CycleJob(_HouseholdJob):
         self.cfg = cfg
         self.started_at: int | None = None
         self.progress = 0
-        self.request_due = cfg.earliest_start
+        self.next_emit = cfg.earliest_start
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
@@ -798,12 +794,14 @@ def _run_household(scenario: Scenario) -> RunResult:
 
         # (2) devices emit requests, retries, and lost-response re-asks; a
         # done, failed or accepted job leaves for good, the others keep
-        # their order
+        # their order and wake only from their next_emit
         emitting = [
             job for job in emitting
             if not (job.done or job.failed or job.active_from is not None)
         ]
         for job in emitting:
+            if job.next_emit is None or t < job.next_emit:
+                continue
             request = job.maybe_emit(t)
             if request is None:
                 continue

@@ -220,11 +220,14 @@ class CommitmentLedger:
             return Reject(RejectReason.MALFORMED_REQUEST)
         except WindowInfeasible:
             return Reject(RejectReason.WINDOW_INFEASIBLE)
-        for t in range(self.grid.horizon):
-            if profile[t] > 0 and self.committed_w[t] + profile[t] > self.feeder_capacity_w + CAP_TOL_W:
+        # a forced profile is 0 W before its start, and adding 0.0 leaves a
+        # committed slot as it is (the ledger never holds -0.0)
+        committed, limit = self.committed_w, self.feeder_capacity_w + CAP_TOL_W
+        for t in range(start, self.grid.horizon):
+            if profile[t] > 0 and committed[t] + profile[t] > limit:
                 return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t)
-        for t in range(self.grid.horizon):
-            self.committed_w[t] += profile[t]
+        for t in range(start, self.grid.horizon):
+            committed[t] += profile[t]
         decision = Accept(forced_start=start)
         self.jobs[request.device_id] = JobCommitment(
             request=request,

@@ -6,12 +6,19 @@ template per file. On runs whose float columns hold floats, which is every
 run built from a scenario file, a generator or the fleet, the two must
 write the same bytes.
 
+`template_slots_rows` is the slots.csv writer as it was before device cells
+went through a per-bundle table of formatted values: one `%` template per
+row, %.6f in every device cell. The two must write the same rows on every
+engine run; they differ only on a -0.0 device cell, which the table prints
+as 0.000000.
+
 A bundle written over an existing one must equal a fresh write: each file
 replaces whatever its name held, a symlink included, and a bundle file the
 run does not write is removed.
 """
 
 import csv
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,10 +33,15 @@ from pemsim.scenario import (
     Scenario,
     fleet_scenario,
     load_scenario,
+    scenario_from_dict,
 )
 from scenario_gen import random_household_scenario
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
+
+# the benchmark's generated feeders
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import mixed_feeder_doc  # noqa: E402
 
 
 def reference_fmt(value) -> str:
@@ -225,3 +237,71 @@ def test_granted_and_consumed_fill_their_own_columns(tmp_path):
         for i in rec.granted_w:
             assert row[f"granted_{i}_w"] == f"{rec.granted_w[i]:.6f}"
             assert row[f"consumed_{i}_w"] == f"{rec.consumed_w[i]:.6f}"
+
+
+def template_slots_rows(result) -> str:
+    """The rows of slots.csv, below its header, one `%` template per row."""
+    device_ids = sorted(result.slots[0].granted_w) if result.slots else []
+    row = "%d,%s," + "%.6f," * (2 * len(device_ids) + 6) + "%d\n"
+    return "".join(
+        row
+        % (
+            rec.slot,
+            rec.clock,
+            *(rec.granted_w[i] for i in device_ids),
+            *(rec.consumed_w[i] for i in device_ids),
+            rec.renewable_available_w,
+            rec.renewable_used_w,
+            rec.storage_soc_wh,
+            rec.storage_flow_w,
+            rec.imported_w,
+            rec.curtailed_w,
+            rec.emergency,
+        )
+        for rec in result.slots
+    )
+
+
+def _slots_rows(result, out: Path) -> str:
+    write_bundle(result, out)
+    return (out / "slots.csv").read_text().split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "scenarios",
+    [
+        lambda: [scenario_from_dict(mixed_feeder_doc(n)) for n in range(1, 21)],
+        lambda: [replace(load_scenario(REFERENCE_FILE), seed=s) for s in range(1, 11)],
+        lambda: [fleet_scenario(count=50, hours=2.0, seed=4)],
+        lambda: [
+            Scenario(
+                grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=6),
+                feeder_capacity_w=5000.0,
+                devices=(),
+                renewable=RenewableConfig(kind="trace", values_w=(1000.0,) * 6),
+            )
+        ],
+    ],
+    ids=["feeders", "reference", "fleet", "no_devices"],
+)
+def test_device_cells_match_template_writer(tmp_path, scenarios):
+    for k, scenario in enumerate(scenarios()):
+        result = run_scenario(scenario)
+        assert _slots_rows(result, tmp_path / str(k)) == template_slots_rows(result)
+
+
+def test_device_zero_prints_unsigned(tmp_path):
+    """Device cells that compare equal share one text, so -0.0 prints as
+    0.000000, as 0.0 does, whichever of the two the bundle meets first. The
+    engine records no -0.0 in these columns; this run is built by hand."""
+    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=1))
+    ids = sorted(result.slots[0].granted_w)
+    first, *rest = result.slots
+    signed = replace(first, granted_w=dict.fromkeys(ids, -0.0), consumed_w=dict.fromkeys(ids, -0.0))
+    result = replace(result, slots=[signed, *rest])
+    assert "-0.000000" in template_slots_rows(result)
+    rows = list(csv.reader(_slots_rows(result, tmp_path).splitlines()))
+    cells = [cell for row in rows for cell in row[2 : 2 + 2 * len(ids)]]
+    assert rows[0][2 : 2 + 2 * len(ids)] == ["0.000000"] * (2 * len(ids))
+    assert cells.count("0.000000") > 2 * len(ids)  # the 0.0 cells after it
+    assert not any(cell.startswith("-0.000000") for cell in cells)

@@ -175,6 +175,39 @@ class TestValidate:
         assert main(["validate", "--scenario", str(bad)]) == 1
 
 
+class TestUnreadableFiles:
+    """A scenario or reference file that cannot be opened or decoded ends
+    in one stderr line naming it and exit 1, before any output exists."""
+
+    def _assert_one_line_naming(self, capsys, path):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and str(path) in lines[0], lines
+
+    @pytest.mark.parametrize("command", ["run", "validate", "batch"])
+    def test_scenario_directory(self, tmp_path, capsys, command):
+        argv = [command, "--scenario", str(tmp_path)]
+        out = tmp_path / "out"
+        argv += {"run": ["--out", str(out)], "batch": ["--seeds", "1..2", "--out", str(out)]}.get(
+            command, []
+        )
+        assert main(argv) == 1
+        self._assert_one_line_naming(capsys, tmp_path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_reference_file(self, tmp_path, capsys, kind):
+        ref = tmp_path / "ref.txt"
+        if kind == "directory":
+            ref.mkdir()
+        elif kind == "not_utf8":
+            ref.write_bytes(b"100000\n\xff\xfe150000\n")
+        out = tmp_path / "out"
+        assert main(["fleet", "--count", "5", "--ref", str(ref), "--hours", "0.1",
+                     "--out", str(out)]) == 1
+        self._assert_one_line_naming(capsys, ref)
+        assert not out.exists()
+
+
 class TestRun:
     def test_run_twice_byte_identical(self, tmp_path):
         scenario_file = tmp_path / "scenario.json"

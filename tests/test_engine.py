@@ -17,7 +17,7 @@ from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid, substream
 from pemsim.cli import run_batch
 from pemsim.devices import _absorb
-from pemsim.engine import audit_conservation, run_scenario, summarize_run
+from pemsim.engine import _HouseholdJob, audit_conservation, run_scenario, summarize_run
 from pemsim.scenario import (
     BatteryConfig,
     CycleConfig,
@@ -428,6 +428,37 @@ class TestRetryPath:
         assert outcomes["a"].accepted and outcomes["a"].deadline_met
         assert outcomes["b"].accepted and outcomes["b"].deadline_met
         assert outcomes["b"].retries >= 1
+
+
+class TestEmitWakeUps:
+    def test_every_emit_call_sends_or_fails(self, monkeypatch):
+        """Phase (2) wakes a job only from its next_emit (its first request,
+        a retry after a capacity reject, or a re-ask once its wait is over),
+        so each maybe_emit call sends a request or, with the window closed,
+        fails the job; no call returns None to a job that lives on."""
+        calls = []
+        maybe_emit = _HouseholdJob.maybe_emit
+
+        def recorded(job, now):
+            request = maybe_emit(job, now)
+            calls.append((request is not None, job.failed))
+            return request
+
+        monkeypatch.setattr(_HouseholdJob, "maybe_emit", recorded)
+        scenarios = [scenario_from_dict(mixed_feeder_doc(n)) for n in range(1, 41)]
+        for seed in range(1, 41):  # the reference evening over slow lossy channels
+            scenario = three_household_scenario(seed=seed)
+            slow = {
+                name: replace(profile, mean_ms=profile.mean_ms * 20000, loss_prob=0.2)
+                for name, profile in scenario.channels.items()
+            }
+            scenarios.append(replace(scenario, channels=slow))
+        retried = 0
+        for scenario in scenarios:
+            result = run_scenario(scenario)
+            retried += sum(o.retries > 0 for o in result.requests)
+        assert calls.count((True, False)) + calls.count((False, True)) == len(calls)
+        assert calls.count((False, True)) > 0 and retried > 0  # both paths fired
 
 
 class TestLossyChannelRecovery:

@@ -191,7 +191,7 @@ def test_cases_hold_what_they_claim():
     sauna = next(d for d in CASES["late_force_check_87"]().devices if d.device_id == "sauna")
     assert sauna.force_check_at == sauna.service_start
     lossy = run_scenario(CASES["lossy_meter_1"]()).channel
-    assert any(m.dropped for m in lossy)
+    assert any(m.delivered_at_ms is None for m in lossy)
     assert any(m.kind.value == "trip_signal" for m in lossy)
     slow = run_scenario(CASES["slow_lossy_channels_155"]())
     retried = {m.kind.value for m in slow.channel if m.attempts > 1}

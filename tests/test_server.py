@@ -15,13 +15,16 @@ from pemsim.core import (
     FixedProfileRequest,
     FlexibleTotalRequest,
     InfeasibleDeadline,
+    MalformedRequest,
     Reject,
     RejectReason,
     ThermalTargetRequest,
     TimeGrid,
+    WindowInfeasible,
     validate_request,
 )
 from pemsim.server import (
+    CAP_TOL_W,
     CapacityViolation,
     CommitmentLedger,
     SlotNeed,
@@ -30,6 +33,7 @@ from pemsim.server import (
     allocate_slot,
     compute_forced_start,
     dispatch_supply,
+    forced_profile,
     handle_rejection_retry,
     needed_full_slots,
     track_reference,
@@ -171,6 +175,26 @@ def oracle_admit_sequence(requests, capacity, grid):
     return verdicts
 
 
+def reference_admit(committed, capacity, request, grid, now):
+    """CommitmentLedger.admit for a new device, with the capacity check and
+    the commit scanning the whole horizon; extends `committed` on acceptance.
+    Returns (decision, forced start, forced profile), both None for a request
+    that has no forced profile."""
+    try:
+        validate_request(request, grid)
+        start, profile = forced_profile(request, grid, now=now)
+    except MalformedRequest:
+        return Reject(RejectReason.MALFORMED_REQUEST), None, None
+    except WindowInfeasible:
+        return Reject(RejectReason.WINDOW_INFEASIBLE), None, None
+    for t in range(grid.horizon):
+        if profile[t] > 0 and committed[t] + profile[t] > capacity + CAP_TOL_W:
+            return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t), start, profile
+    for t in range(grid.horizon):
+        committed[t] += profile[t]
+    return Accept(forced_start=start), start, profile
+
+
 class TestAdmission:
     def test_single_job_under_capacity(self):
         ledger = CommitmentLedger(GRID, 8000.0)
@@ -234,6 +258,32 @@ class TestAdmission:
             ledger = CommitmentLedger(grid, capacity)
             got = [isinstance(ledger.admit(r), Accept) for r in requests]
             assert got == expected, f"instance {seed} disagrees"
+
+    def test_admit_scans_from_the_forced_start(self):
+        """admit checks and commits from the forced start on: a forced
+        profile is 0 W before its start, so the whole-horizon scan gives the
+        same decision, the same first violating slot and the same committed
+        watts, sign of zero included, also across releases."""
+        rng = random.Random(15)
+        outcomes = set()
+        for seed in range(300):
+            grid, capacity, requests = random_admission_instance(seed, max_jobs=8, max_slots=30)
+            ledger = CommitmentLedger(grid, capacity)
+            committed = [0.0] * grid.horizon
+            for request in requests:
+                now = rng.randint(0, grid.horizon // 3)
+                want, start, profile = reference_admit(committed, capacity, request, grid, now)
+                assert ledger.admit(request, now=now) == want
+                outcomes.add(getattr(want, "reason", None))
+                if profile is not None:
+                    assert all(w == 0.0 for w in profile[:start])
+                if isinstance(want, Accept) and rng.random() < 0.3:
+                    from_slot = rng.randint(0, grid.horizon)
+                    for t in range(from_slot, grid.horizon):
+                        committed[t] -= ledger.jobs[request.device_id].profile_w[t]
+                    ledger.release(request.device_id, from_slot)
+                assert [repr(w) for w in ledger.committed_w] == [repr(w) for w in committed]
+        assert {None, RejectReason.CAPACITY_EXCEEDED, RejectReason.WINDOW_INFEASIBLE} <= outcomes
 
     def test_scheduled_requests_always_validate(self):
         # validation is a necessary condition for admission
