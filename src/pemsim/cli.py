@@ -319,10 +319,10 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _unreadable(what: str, path: str, exc: OSError | UnicodeDecodeError) -> SystemExit:
-    """Report a file that cannot be opened or decoded as text, in one line."""
+def _cannot(action: str, exc: OSError | UnicodeDecodeError) -> SystemExit:
+    """Report a file that cannot be read or written, in one line."""
     reason = getattr(exc, "strerror", None) or exc
-    print(f"cannot read {what} {path}: {reason}", file=sys.stderr)
+    print(f"cannot {action}: {reason}", file=sys.stderr)
     return SystemExit(EXIT_VALIDATION)
 
 
@@ -330,7 +330,7 @@ def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable("scenario file", path, exc) from None
+        raise _cannot(f"read scenario file {path}", exc) from None
     except json.JSONDecodeError as exc:
         print(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -346,7 +346,7 @@ def _load_reference(path: str) -> ReferenceSignal:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable("reference file", path, exc) from None
+        raise _cannot(f"read reference file {path}", exc) from None
     values = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -441,7 +441,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fig3":
             scenario = three_household_scenario(seed=args.seed)
             if args.save_scenario:
-                save_scenario(scenario, args.save_scenario)
+                try:
+                    save_scenario(scenario, args.save_scenario)
+                except OSError as exc:
+                    raise _cannot(f"write scenario file {args.save_scenario}", exc) from None
             return _run_and_write(scenario, args.out)
 
         if args.command == "fleet":
@@ -458,6 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MalformedRequest, WindowInfeasible) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        # the loaders and --save-scenario report their own files, so this
+        # came from writing the bundle under --out (say, a regular file or a
+        # path under one)
+        return _cannot(f"write bundle to {args.out}", exc).code
     return EXIT_VALIDATION
 
 

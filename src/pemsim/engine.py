@@ -975,6 +975,14 @@ def _run_fleet(scenario: Scenario) -> RunResult:
 
         requesters = []
         force_on = force_off = carrying = 0
+        # The epoch's temperature extremes fall out of the forced branches:
+        # every force-on temperature is below force_on_below and no other one
+        # is, so the coldest force-on heater is the coldest heater; likewise
+        # the hottest force-off heater (above t_high) is the hottest. Strict
+        # comparisons in index order keep the element min() and max() return.
+        # Only an epoch with no force-on (no force-off) heater leaves its bound
+        # unbeaten, and only then does the record scan temps with min() (max()).
+        coldest, hottest = force_on_below, t_high
         for i, temp in enumerate(temps):
             # devices._euler_temp's step, inlined for the n*epochs loop with its
             # terms grouped differently (a temperature can differ from
@@ -986,10 +994,14 @@ def _run_fleet(scenario: Scenario) -> RunResult:
             if temp < force_on_below:
                 force_on += 1
                 gain[i] = heat_gain
+                if temp < coldest:
+                    coldest = temp
             elif temp > t_high:
                 force_off += 1
                 gain[i] = 0.0
                 packet_last[i] = -1
+                if temp > hottest:
+                    hottest = temp
             elif packet_last[i] > e:  # heated through epoch e, so gain[i] is heat_gain
                 carrying += 1
             else:
@@ -1010,17 +1022,18 @@ def _run_fleet(scenario: Scenario) -> RunResult:
                 accepted=len(accepted),
                 force_on=forced_on,
                 force_off=forced_off,
-                temp_min_c=min(temps),
-                temp_max_c=max(temps),
+                temp_min_c=coldest if force_on else min(temps),
+                temp_max_c=hottest if force_off else max(temps),
                 temp_mean_c=math.fsum(temps) / n,
             )
         )
 
+    last = epochs[-1]  # a grid holds at least one slot; temps are its post-step state
     final_states = {
         cfg.device_id: {
-            "temp_min_c": min(temps),
-            "temp_max_c": max(temps),
-            "temp_mean_c": math.fsum(temps) / n,
+            "temp_min_c": last.temp_min_c,
+            "temp_max_c": last.temp_max_c,
+            "temp_mean_c": last.temp_mean_c,
         }
     }
     return RunResult(

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import pemsim
 from pemsim import engine
 from pemsim.cli import BUNDLE_FILES, main, write_bundle
 from pemsim.core import MalformedRequest
@@ -208,6 +213,33 @@ class TestUnreadableFiles:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("command", ["run", "fig3", "fleet", "batch"])
+def test_out_that_is_or_is_under_a_file_exits_one(tmp_path, command, where):
+    """An --out naming a regular file, or a path under one, ends in one
+    stderr line naming it and exit 1. Run in a fresh interpreter, so an
+    uncaught exception shows as the traceback a user would see."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker if where == "file" else blocker / "bundle"
+    scenario_file = tmp_path / "scenario.json"
+    save_scenario(three_household_scenario(seed=1), scenario_file)
+    flags = {
+        "run": ["--scenario", str(scenario_file)],
+        "batch": ["--scenario", str(scenario_file), "--seeds", "1..2"],
+        "fig3": [],
+        "fleet": ["--count", "5", "--hours", "0.1"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(pemsim.__file__).parents[1])}
+    argv = [sys.executable, "-m", "pemsim.cli", command, *flags, "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"cannot write bundle to {out}: "), lines
+    assert blocker.read_text() == "keep\n"
+
+
 class TestRun:
     def test_run_twice_byte_identical(self, tmp_path):
         scenario_file = tmp_path / "scenario.json"
@@ -273,6 +305,14 @@ class TestFig3Command:
         saved = tmp_path / "fig3.json"
         assert main(["fig3", "--out", str(out), "--save-scenario", str(saved)]) == 0
         assert main(["validate", "--scenario", str(saved)]) == 0
+
+    def test_unwritable_save_scenario_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        saved = blocker / "fig3.json"
+        assert main(["fig3", "--out", str(tmp_path / "o"), "--save-scenario", str(saved)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"cannot write scenario file {saved}: ")
 
 
 class TestBatch:

@@ -1,6 +1,7 @@
 """Core vocabulary: time grid, request validation, scenario serialization."""
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -117,6 +118,14 @@ class TestScenarioSerialization:
     def test_reference_file_roundtrips_byte_identically(self, tmp_path):
         save_scenario(load_scenario(REFERENCE_FILE), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == REFERENCE_FILE.read_bytes()
+
+    def test_reference_file_is_the_built_in_evening(self):
+        """The reference evening is defined twice, as the shipped file and
+        as three_household_scenario; the two must not drift apart."""
+        assert scenario_to_dict(three_household_scenario(seed=1)) == json.loads(
+            REFERENCE_FILE.read_text()
+        )
+        assert load_scenario(REFERENCE_FILE) == three_household_scenario(seed=1)
 
     def test_legacy_cycle_form(self):
         doc = scenario_to_dict(three_household_scenario(seed=1))

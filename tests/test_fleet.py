@@ -181,7 +181,10 @@ VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+SEEDS = [1, 2, 3, 42]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_engine_matches_reference_loop(variant, seed):
     scenario = stepped_fleet(count=120, seed=seed, **VARIANTS[variant])
@@ -191,6 +194,22 @@ def test_engine_matches_reference_loop(variant, seed):
     assert result.slots == slots
     assert result.final_states == final
     assert result.device_traces == traces
+
+
+def test_cases_find_each_extreme_both_ways():
+    """The engine takes an epoch's temp_min_c from its force-on heaters and
+    its temp_max_c from its force-off heaters, and scans every heater only
+    when there are none; the equivalence above covers both ways for each.
+    A record's counts classify the heaters after the previous epoch's step,
+    so the records from epoch 1 on tell which way each epoch went."""
+    seen = set()
+    for variant in VARIANTS:
+        for seed in SEEDS:
+            result = run_scenario(stepped_fleet(count=120, seed=seed, **VARIANTS[variant]))
+            for record in result.fleet[1:]:
+                seen.add(("force_on", record.force_on > 0))
+                seen.add(("force_off", record.force_off > 0))
+    assert seen == {(side, forced) for side in ("force_on", "force_off") for forced in (False, True)}
 
 
 @pytest.mark.parametrize(
