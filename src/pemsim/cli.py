@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -254,6 +255,46 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     return summary
 
 
+# How main reports each failure it handles, by exception class: the exit
+# code and the prefix of its one stderr line. Within _doing, a loader or
+# writer sets the exception's `doing` (add_note needs Python 3.11), and the
+# line then leads with "cannot <doing>: ".
+_FAILURES: dict[type[Exception], tuple[int, str]] = {
+    OSError: (EXIT_VALIDATION, ""),
+    UnicodeDecodeError: (EXIT_VALIDATION, ""),
+    json.JSONDecodeError: (EXIT_VALIDATION, "malformed JSON: "),
+    MalformedRequest: (EXIT_VALIDATION, "validation error: "),
+    WindowInfeasible: (EXIT_VALIDATION, "validation error: "),
+    CapacityViolation: (EXIT_INVARIANT, "invariant violation: "),
+    ContiguityViolation: (EXIT_INVARIANT, "invariant violation: "),
+    UnderSupply: (EXIT_INVARIANT, "invariant violation: "),
+}
+_HANDLED = tuple(_FAILURES)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the one-line message of a failure _FAILURES holds,
+    by the nearest of its classes there."""
+    code, prefix = next(_FAILURES[cls] for cls in type(exc).__mro__ if cls in _FAILURES)
+    if isinstance(exc, json.JSONDecodeError):
+        detail = f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    else:
+        detail = getattr(exc, "strerror", None) or str(exc)
+    doing = getattr(exc, "doing", None)
+    return code, (f"cannot {doing}: " if doing else "") + prefix + detail
+
+
+@contextmanager
+def _doing(action: str):
+    """Name `action` (say, "read scenario file X") in the report of a
+    failure raised inside."""
+    try:
+        yield
+    except _HANDLED as exc:
+        exc.doing = action
+        raise
+
+
 def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None, str | None]:
     """One seed as `run` and `batch` both do it: run the scenario, audit
     conservation, write the bundle. Returns (exit code, summary, error).
@@ -261,27 +302,15 @@ def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None
     earlier run left in out_dir, so no stale bundle reads as its own."""
     try:
         result = run_scenario(scenario)
-    except (MalformedRequest, WindowInfeasible) as exc:
-        code, error = EXIT_VALIDATION, f"validation error: {exc}"
-    except (CapacityViolation, ContiguityViolation, UnderSupply) as exc:
-        code, error = EXIT_INVARIANT, f"invariant violation: {exc}"
-    else:
-        bad_slot = audit_conservation(result)
-        summary = write_bundle(result, out_dir)
-        if bad_slot is not None:
-            return EXIT_INVARIANT, summary, f"conservation violated at slot {bad_slot}"
-        return EXIT_OK, summary, None
-    _remove_bundle(Path(out_dir))
-    return code, None, error
-
-
-def _run_and_write(scenario: Scenario, out_dir: str | Path) -> int:
-    code, summary, error = _run_seed(scenario, out_dir)
-    if error is not None:
-        print(error, file=sys.stderr)
-    else:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    return code
+    except _HANDLED as exc:
+        _remove_bundle(Path(out_dir))
+        code, error = _failure(exc)
+        return code, None, error
+    bad_slot = audit_conservation(result)
+    summary = write_bundle(result, out_dir)
+    if bad_slot is not None:
+        return EXIT_INVARIANT, summary, f"conservation violated at slot {bad_slot}"
+    return EXIT_OK, summary, None
 
 
 def run_batch(
@@ -319,48 +348,18 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _cannot(action: str, exc: OSError | UnicodeDecodeError) -> SystemExit:
-    """Report a file that cannot be read or written, in one line."""
-    reason = getattr(exc, "strerror", None) or exc
-    print(f"cannot {action}: {reason}", file=sys.stderr)
-    return SystemExit(EXIT_VALIDATION)
-
-
-def _load(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _cannot(f"read scenario file {path}", exc) from None
-    except json.JSONDecodeError as exc:
-        print(
-            f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_VALIDATION)
-    except (MalformedRequest, WindowInfeasible, KeyError, ValueError) as exc:
-        print(f"invalid scenario {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-
-
 def _load_reference(path: str) -> ReferenceSignal:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _cannot(f"read reference file {path}", exc) from None
-    values = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            print(f"reference file {path}, line {number}: not a number: {line!r}", file=sys.stderr)
-            raise SystemExit(EXIT_VALIDATION) from None
-    if not values:
-        print(f"reference file {path} holds no values", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    return ReferenceSignal(values_w=tuple(values))
+    with _doing(f"read reference file {path}"):
+        values = []
+        for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise MalformedRequest(f"line {number}: not a number: {line!r}") from None
+        return ReferenceSignal(values_w=tuple(values))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -409,64 +408,52 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _command(args) -> tuple[int, list[str]]:
+    """Carry out a parsed command; returns (exit code, stderr lines)."""
+    if args.command in ("validate", "run", "batch"):
+        with _doing(f"read scenario file {args.scenario}"):
+            scenario = load_scenario(args.scenario)
+    if args.command == "validate":
+        print(f"ok: {args.scenario}")
+        return EXIT_OK, []
+    if args.command == "run" and args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    elif args.command == "fig3":
+        scenario = three_household_scenario(seed=args.seed)
+        if args.save_scenario:
+            with _doing(f"write scenario file {args.save_scenario}"):
+                save_scenario(scenario, args.save_scenario)
+    elif args.command == "fleet":
+        reference = args.ref_watts if args.ref is None else _load_reference(args.ref)
+        scenario = fleet_scenario(
+            count=args.count, reference_w=reference, hours=args.hours, seed=args.seed
+        )
+    with _doing(f"write bundle to {args.out}"):
+        if args.command == "batch":
+            code, entries = run_batch(scenario, args.seeds, args.out)
+            print(f"wrote {len(entries)} runs under {args.out}")
+            return code, [f"seed {e['seed']}: {e['error']}" for e in entries if e["error"]]
+        code, summary, error = _run_seed(scenario, args.out)
+    if error is not None:
+        return code, [error]
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return code, []
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-
     try:
-        if args.command == "validate":
-            scenario = _load(args.scenario)
-            scenario.validate()
-            print(f"ok: {args.scenario}")
-            return EXIT_OK
-
-        if args.command == "run":
-            scenario = _load(args.scenario)
-            if args.seed is not None:
-                scenario = replace(scenario, seed=args.seed)
-            return _run_and_write(scenario, args.out)
-
-        if args.command == "batch":
-            scenario = _load(args.scenario)
-            code, entries = run_batch(scenario, args.seeds, args.out)
-            for entry in entries:
-                if entry["error"] is not None:
-                    print(f"seed {entry['seed']}: {entry['error']}", file=sys.stderr)
-            print(f"wrote {len(entries)} runs under {args.out}")
-            return code
-
-        if args.command == "fig3":
-            scenario = three_household_scenario(seed=args.seed)
-            if args.save_scenario:
-                try:
-                    save_scenario(scenario, args.save_scenario)
-                except OSError as exc:
-                    raise _cannot(f"write scenario file {args.save_scenario}", exc) from None
-            return _run_and_write(scenario, args.out)
-
-        if args.command == "fleet":
-            if args.ref is not None:
-                reference = _load_reference(args.ref)
-            else:
-                reference = args.ref_watts
-            scenario = fleet_scenario(
-                count=args.count, reference_w=reference, hours=args.hours, seed=args.seed
-            )
-            return _run_and_write(scenario, args.out)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except (MalformedRequest, WindowInfeasible) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        # the loaders and --save-scenario report their own files, so this
-        # came from writing the bundle under --out (say, a regular file or a
-        # path under one)
-        return _cannot(f"write bundle to {args.out}", exc).code
-    return EXIT_VALIDATION
+        code, errors = _command(args)
+    except _HANDLED as exc:
+        code, error = _failure(exc)
+        errors = [error]
+    for error in errors:
+        print(error, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

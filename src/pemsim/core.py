@@ -79,6 +79,12 @@ def format_hhmm(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
+# The longest grid a scenario may have. A run keeps several values per slot
+# (the renewable trace, each device's trace, the slot records), so the bound
+# keeps one from drawing and holding an endless horizon.
+MAX_HORIZON = 1_000_000
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Discrete time axis: `horizon` slots of `slot_min` minutes starting at
@@ -94,6 +100,8 @@ class TimeGrid:
             raise MalformedRequest("slot length must be positive")
         if self.horizon < 1:
             raise MalformedRequest("horizon must be at least one slot")
+        if self.horizon > MAX_HORIZON:
+            raise MalformedRequest(f"horizon must be at most {MAX_HORIZON} slots")
         if self.epoch_start_min < 0:
             raise MalformedRequest("epoch start must be non-negative")
 

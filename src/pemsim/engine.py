@@ -55,13 +55,11 @@ from .comms import (
 from .core import (
     Accept,
     COMPLETION_TOL_WH,
-    FixedProfileRequest,
     FlexibleTotalRequest,
     GrantDecision,
     LoadRequest,
     MalformedRequest,
     RejectReason,
-    ThermalTargetRequest,
     TimeGrid,
     substream,
 )
@@ -73,6 +71,8 @@ from .scenario import (
     HeaterFleetConfig,
     Scenario,
     ThermalConfig,
+    _cycle_request,
+    _thermal_request,
 )
 from .server import (
     CAP_TOL_W,
@@ -520,22 +520,7 @@ class _ThermalJob(_HouseholdJob):
         return now >= self.cfg.service_end
 
     def build_request(self, now: int) -> LoadRequest:
-        return ThermalTargetRequest(
-            device_id=self.device_id,
-            target_c=self.cfg.target_c,
-            service_start=self.cfg.service_start,
-            service_end=self.cfg.service_end,
-            preheat_from=self.cfg.preheat_from,
-            force_check_at=self.cfg.force_check_at,
-            rated_w=self.cfg.rated_w,
-            priority=self.priority,
-            issued_at=now,
-            temp_c=self.temp_c,
-            ambient_c=self.cfg.ambient_c,
-            capacitance_wh_per_c=self.cfg.capacitance_wh_per_c,
-            loss_w_per_c=self.cfg.loss_w_per_c,
-            efficiency=self.cfg.efficiency,
-        )
+        return _thermal_request(self.cfg, now, self.temp_c)
 
     def steps_at(self, now: int) -> bool:
         return now >= self.step_from and not self.done and not self.failed
@@ -614,14 +599,7 @@ class _CycleJob(_HouseholdJob):
         return self.started_at is None and now > self.cfg.latest_start
 
     def build_request(self, now: int) -> LoadRequest:
-        return FixedProfileRequest(
-            device_id=self.device_id,
-            profile_w=self.cfg.profile_w,
-            earliest_start=self.cfg.earliest_start,
-            latest_start=self.cfg.latest_start,
-            priority=self.priority,
-            issued_at=now,
-        )
+        return _cycle_request(self.cfg, now)
 
     def slot_need(self, now: int) -> SlotNeed | None:
         profile_w = self.cfg.profile_w

@@ -20,7 +20,16 @@ from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
-from .core import MalformedRequest, TimeGrid, check_thermal_node, parse_hhmm, substream
+from .core import (
+    FixedProfileRequest,
+    MalformedRequest,
+    ThermalTargetRequest,
+    TimeGrid,
+    WindowInfeasible,
+    parse_hhmm,
+    substream,
+    validate_request,
+)
 from .devices import StorageAsset, WaterHeaterParams, random_walk_trace
 from .server import ReferenceSignal
 
@@ -220,9 +229,9 @@ class Scenario:
                         f"{device.device_id}.{slot_attr} outside the horizon"
                     )
             try:
-                _check_physics(device)
-            except MalformedRequest as exc:
-                raise MalformedRequest(f"{device.device_id}: {exc}") from None
+                _check_device(device, self.grid)
+            except (MalformedRequest, WindowInfeasible) as exc:
+                raise type(exc)(f"{device.device_id}: {exc}") from None
 
     @property
     def is_fleet(self) -> bool:
@@ -234,13 +243,27 @@ class Scenario:
         )
 
 
-def _check_physics(device: ThermalConfig | BatteryConfig | CycleConfig) -> None:
-    """Check a household device's physics, naming the bad field. A battery
+def _check_device(device: ThermalConfig | BatteryConfig | CycleConfig, grid: TimeGrid) -> None:
+    """Check a household device, naming the bad field, so that admission
+    never refuses its request as malformed. A thermal or cycle config fixes
+    its request (a thermal node's first one at its initial temperature), so
+    core.validate_request checks that, its window included; whether the node
+    can reach its target stays a run outcome. A battery's request holds
+    its arrival charge, which may be drawn, so its fields are checked here
+    and whether its energy fits its window stays a run outcome. A battery
     without `initial_soc_wh` draws it from [0, capacity / 2], so it passes
     exactly when an empty battery does."""
     if isinstance(device, ThermalConfig):
-        check_thermal_node(device)
-    elif isinstance(device, BatteryConfig):
+        if device.packet_w is not None and device.packet_w <= 0:
+            raise MalformedRequest("packet_w must be positive")
+        validate_request(_thermal_request(device, device.preheat_from, device.initial_c), grid)
+    elif isinstance(device, CycleConfig):
+        validate_request(_cycle_request(device, device.earliest_start), grid)
+    else:
+        if device.priority < 0:
+            raise MalformedRequest("priority level must be non-negative")
+        if device.packet_w <= 0:
+            raise MalformedRequest("packet_w must be positive")
         if device.p_max_w < 0:
             raise MalformedRequest("p_max_w must be non-negative")
         if device.initial_soc_wh is not None:
@@ -248,6 +271,38 @@ def _check_physics(device: ThermalConfig | BatteryConfig | CycleConfig) -> None:
                 raise MalformedRequest("initial_soc_wh out of [0, capacity_wh]")
         elif not 0 <= device.capacity_wh:
             raise MalformedRequest("capacity_wh must be non-negative")
+
+
+def _thermal_request(cfg: ThermalConfig, issued_at: int, temp_c: float) -> ThermalTargetRequest:
+    """The request a thermal node at `temp_c` sends at slot `issued_at`."""
+    return ThermalTargetRequest(
+        device_id=cfg.device_id,
+        target_c=cfg.target_c,
+        service_start=cfg.service_start,
+        service_end=cfg.service_end,
+        preheat_from=cfg.preheat_from,
+        force_check_at=cfg.force_check_at,
+        rated_w=cfg.rated_w,
+        priority=cfg.priority,
+        issued_at=issued_at,
+        temp_c=temp_c,
+        ambient_c=cfg.ambient_c,
+        capacitance_wh_per_c=cfg.capacitance_wh_per_c,
+        loss_w_per_c=cfg.loss_w_per_c,
+        efficiency=cfg.efficiency,
+    )
+
+
+def _cycle_request(cfg: CycleConfig, issued_at: int) -> FixedProfileRequest:
+    """The request a cycle sends at slot `issued_at`."""
+    return FixedProfileRequest(
+        device_id=cfg.device_id,
+        profile_w=cfg.profile_w,
+        earliest_start=cfg.earliest_start,
+        latest_start=cfg.latest_start,
+        priority=cfg.priority,
+        issued_at=issued_at,
+    )
 
 
 _TIME_FIELDS: dict[type, tuple[str, ...]] = {
@@ -331,21 +386,63 @@ _SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
 }
+_CONTAINERS = {dict: "an object", list: "an array"}
+
+
+def _shown(value) -> str:
+    """A document value as an error shows it: an object or array by kind."""
+    return _CONTAINERS.get(type(value)) or repr(value)
+
+
+def _container(value, kind: type, key: str):
+    """`value`, if it is a `kind` (dict or list); else an error naming `key`."""
+    if not isinstance(value, kind):
+        raise MalformedRequest(f"{key} must be {_CONTAINERS[kind]}, got {_shown(value)}")
+    return value
+
+
+def _required(doc: dict, key: str):
+    value = doc.get(key)
+    if value is None:
+        raise MalformedRequest(f"missing required key {key!r}")
+    return value
 
 
 def _scalar(kind: type, key: str) -> Callable[[object, TimeGrid], object]:
     """Converter for a scalar field: no coercion, so "false" in a bool field
     and 2.7 in an int field are rejected naming `key`; an int in a float
-    field becomes a float. A float must be finite: JSON's NaN and Infinity
-    are rejected too."""
+    field becomes a float. A number must be finite, and an int must fit a
+    float: JSON's NaN and Infinity, and an integer no float can hold, are
+    rejected too."""
     accepted, expected = _SCALARS[kind]
 
     def convert(value, grid):
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-            raise MalformedRequest(f"{key} must be {expected}, got {value!r}")
-        if kind is float and not math.isfinite(value):
-            raise MalformedRequest(f"{key} must be finite, got {value!r}")
+            raise MalformedRequest(f"{key} must be {expected}, got {_shown(value)}")
+        if kind in (int, float):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise MalformedRequest(f"{key} is too large for a float") from None
+            if not math.isfinite(number):
+                raise MalformedRequest(f"{key} must be finite, got {value!r}")
         return kind(value)
+
+    return convert
+
+
+def _clock(key: str) -> Callable[[object, TimeGrid | None], int]:
+    """Converter for a time: an "HH:MM" string or whole minutes, mapped onto
+    the grid's slots; without a grid (the grid's own start), the minutes."""
+
+    def convert(value, grid):
+        if isinstance(value, str):
+            minutes = parse_hhmm(value)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            minutes = value
+        else:
+            raise MalformedRequest(f"{key} must be HH:MM or minutes, got {_shown(value)}")
+        return minutes if grid is None else grid.slot_of(minutes)
 
     return convert
 
@@ -360,19 +457,24 @@ def _converter(kind, key: str) -> Callable[[object, TimeGrid], object]:
     origin, args = get_origin(kind), get_args(kind)
     if origin is tuple:
         item = _converter(args[0], key)
-        return lambda value, grid: tuple(item(v, grid) for v in value)
+        return lambda value, grid: tuple(item(v, grid) for v in _container(value, list, key))
     if origin is dict:
         item = _converter(args[1], key)
-        return lambda value, grid: {k: item(v, grid) for k, v in value.items()}
+        return lambda value, grid: {
+            k: item(v, grid) for k, v in _container(value, dict, key).items()
+        }
     if is_dataclass(kind):
-        return lambda value, grid: _decode(kind, value, grid)
-    if issubclass(kind, Enum):
-        return lambda value, grid: kind(value)
+        return lambda value, grid: _decode(kind, _container(value, dict, key), grid)
+    if issubclass(kind, Enum):  # the codec's enums hold strings
+        members = {member.value: member for member in kind}
+
+        def member(value, grid):
+            if isinstance(value, str) and value in members:
+                return members[value]
+            raise MalformedRequest(f"{key} must be one of {sorted(members)}, got {_shown(value)}")
+
+        return member
     return _scalar(kind, key)
-
-
-def _on_grid(value, grid: TimeGrid) -> int:
-    return grid.slot_of(value)
 
 
 @functools.cache
@@ -388,15 +490,15 @@ def _decoder(cls) -> tuple[tuple[str, str, Callable, bool], ...]:
         decoder.append((
             f.name,
             key,
-            _on_grid if f.name in times else _converter(hints[f.name], key),
+            _clock(key) if f.name in times else _converter(hints[f.name], key),
             f.default is MISSING and f.default_factory is MISSING,
         ))
     return tuple(decoder)
 
 
 def _decode(cls, doc: dict, grid: TimeGrid, /, **given):
-    """Build `cls` from its document. A missing or null key takes the
-    field's default; a required one raises KeyError naming the key. Fields
+    """Build `cls` from its document, an object. A missing or null key takes
+    the field's default; a required one is an error naming the key. Fields
     in `given` are taken as they are."""
     for name, key, convert, required in _decoder(cls):
         if name in given:
@@ -404,22 +506,27 @@ def _decode(cls, doc: dict, grid: TimeGrid, /, **given):
         value = doc.get(key)
         if value is None:
             if required:
-                raise KeyError(key)
+                raise MalformedRequest(f"missing required key {key!r}")
             continue
         given[name] = convert(value, grid)
     return cls(**given)
 
 
-def _decode_device(doc: dict, grid: TimeGrid) -> DeviceConfig:
-    cls = _DEVICE_TYPES.get(doc.get("type"))
+def _decode_device(doc, grid: TimeGrid) -> DeviceConfig:
+    doc = _container(doc, dict, "a device")
+    kind = doc.get("type")
+    cls = _DEVICE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise MalformedRequest(f"unknown device type {doc.get('type')!r}")
+        raise MalformedRequest(f"type must be one of {sorted(_DEVICE_TYPES)}, got {_shown(kind)}")
     if cls is HeaterFleetConfig:
         return _decode(cls, doc, grid, params=_decode(WaterHeaterParams, doc, grid))
     if cls is CycleConfig and "profile_w" not in doc:
         # legacy form: one power level held for a number of slots
-        slots = _scalar(int, "duration_slots")(doc["duration_slots"], grid)
-        doc = {**doc, "profile_w": [doc["power_w"]] * slots}
+        slots = _scalar(int, "duration_slots")(_required(doc, "duration_slots"), grid)
+        if slots > grid.horizon:
+            raise MalformedRequest("duration_slots exceeds the horizon")
+        power_w = _scalar(float, "power_w")(_required(doc, "power_w"), grid)
+        doc = {**doc, "profile_w": [power_w] * slots}
     return _decode(cls, doc, grid)
 
 
@@ -437,11 +544,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    start = doc["grid"]["start"]
+    """The scenario of a document, validated. A malformed document raises
+    MalformedRequest naming the key; a well-formed one that
+    Scenario.validate refuses raises what validate raises."""
+    doc = _container(doc, dict, "a scenario")
+    block = _container(_required(doc, "grid"), dict, "grid")
     grid = TimeGrid(
-        epoch_start_min=start if isinstance(start, int) else parse_hhmm(start),
-        slot_min=_scalar(int, "slot_min")(doc["grid"]["slot_min"], None),
-        horizon=_scalar(int, "horizon")(doc["grid"]["horizon"], None),
+        epoch_start_min=_clock("start")(_required(block, "start"), None),
+        slot_min=_scalar(int, "slot_min")(_required(block, "slot_min"), None),
+        horizon=_scalar(int, "horizon")(_required(block, "horizon"), None),
     )
     # a document without devices is an empty feeder
     scenario = _decode(Scenario, {"devices": [], **doc}, grid, grid=grid)
@@ -457,7 +568,13 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text()
-    return scenario_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise MalformedRequest(str(exc)) from None
+    return scenario_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +633,10 @@ def fleet_scenario(
 ) -> Scenario:
     """A water-heater fleet tracking an aggregate reference on its own
     (shorter) epoch grid."""
-    if not (math.isfinite(hours) and hours > 0):
+    epochs = hours * 60 / epoch_min
+    if not (math.isfinite(epochs) and epochs > 0):
         raise MalformedRequest(f"fleet hours must be finite and positive, got {hours!r}")
-    horizon = int(round(hours * 60 / epoch_min))
+    horizon = int(round(epochs))
     grid = TimeGrid(epoch_start_min=0, slot_min=epoch_min, horizon=horizon)
     if isinstance(reference_w, ReferenceSignal):
         reference = reference_w

@@ -81,8 +81,16 @@ class TestValidate:
             (lambda doc: doc.update(import_allowed="no"), "import_allowed"),
             (lambda doc: doc["channels"]["meter"].update(max_attempts=2.7), "max_attempts"),
             (lambda doc: doc["grid"].update(slot_min=10.5), "slot_min"),
+            (lambda doc: doc.update(feeder_capacity_w=10**400), "feeder_capacity_w"),
+            (
+                lambda doc: doc.update(
+                    channels=None, trip_rate_per_hour=0, grid={**doc["grid"], "horizon": 10**30}
+                ),
+                "horizon must be at most",
+            ),
         ],
-        ids=["string_in_bool", "word_in_bool", "fraction_in_int", "fraction_in_grid"],
+        ids=["string_in_bool", "word_in_bool", "fraction_in_int", "fraction_in_grid",
+             "integer_past_float_range", "endless_horizon"],
     )
     def test_value_of_wrong_json_type_is_named(self, tmp_path, capsys, edit, key):
         doc = scenario_to_dict(three_household_scenario(seed=1))
@@ -108,6 +116,10 @@ class TestValidate:
         ("sauna", "capacitance_wh_per_c", 0), ("sauna", "capacitance_wh_per_c", -1),
         ("sauna", "loss_w_per_c", -1), ("sauna", "efficiency", 0), ("sauna", "efficiency", -1),
         ("ev", "capacity_wh", -1), ("ev", "p_max_w", -1), ("ev", "initial_soc_wh", 40_000),
+        # a sauna's 0 W packet divided by zero in the run, and a negative one
+        # was never granted; the rest were refused at admission
+        ("sauna", "packet_w", 0), ("sauna", "packet_w", -1000), ("ev", "packet_w", -1),
+        ("ev", "priority", -1), ("dishwasher", "priority", -1),
     ])
     def test_household_physics_fails_validate(self, tmp_path, capsys, device, key, value):
         doc = scenario_to_dict(three_household_scenario(seed=1))
@@ -162,6 +174,29 @@ class TestValidate:
         monkeypatch.setattr(engine, "_run_household", no_run)
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert "trip_rate_per_hour" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("device, edit", [
+        ("dishwasher", {"profile_w": []}),
+        ("dishwasher", {"profile_w": [2000.0, -1.0]}),
+        ("dishwasher", {"profile_w": None, "power_w": 2000, "duration_slots": -2}),
+        ("sauna", {"force_check_at": "19:10"}),
+        ("sauna", {"preheat_from": "18:30"}),
+        ("sauna", {"service_end": "19:00"}),
+    ], ids=["empty_profile", "negative_profile", "legacy_negative_slots", "check_after_start",
+            "preheat_after_check", "empty_service"])
+    def test_what_admission_refuses_fails_validate(self, tmp_path, capsys, device, edit):
+        """Each of these ran with the device rejected as malformed_request
+        or window_infeasible."""
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        cfg = next(d for d in doc["devices"] if d["id"] == device)
+        cfg.update(edit)
+        if cfg.get("profile_w", ()) is None:
+            del cfg["profile_w"]
+        bad = tmp_path / "refused.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"validation error: {device}: " in lines[0], lines
 
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
@@ -238,6 +273,38 @@ def test_out_that_is_or_is_under_a_file_exits_one(tmp_path, command, where):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"cannot write bundle to {out}: "), lines
     assert blocker.read_text() == "keep\n"
+
+
+def _reference_text(edit) -> str:
+    doc = scenario_to_dict(three_household_scenario(seed=1))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# islanded, no shedding: seed 1 runs short of supply
+_ISLANDED = _reference_text(
+    lambda doc: doc.update(
+        import_allowed=False, server={**doc["server"], "emergency_shedding": False}
+    )
+)
+
+
+@pytest.mark.parametrize("command, text, code, start", [
+    ("run", '{"grid": [,}', 1, "cannot read scenario file {path}: malformed JSON: line 1, "),
+    ("batch", _reference_text(lambda doc: doc["devices"][0].update(packet_w=0)), 1,
+     "cannot read scenario file {path}: validation error: sauna: packet_w"),
+    ("run", _ISLANDED, 2, "invariant violation: supply short by"),
+    ("batch", _ISLANDED, 2, "seed 1: invariant violation: supply short by"),
+], ids=["malformed_json", "invalid", "run_invariant", "batch_invariant"])
+def test_each_failure_is_one_stderr_line(tmp_path, capsys, command, text, code, start):
+    """A failed `run` or `batch` exits with the failure's code and writes one
+    stderr line, which leads with the file being read when there is one."""
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    seed = {"run": ["--seed", "1"], "batch": ["--seeds", "1"]}[command]
+    assert main([command, "--scenario", str(path), *seed, "--out", str(tmp_path / "o")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start.format(path=path)), lines
 
 
 class TestRun:
@@ -474,24 +541,25 @@ class TestFleetCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--hours", "nan"], ["--hours", "inf"], ["--ref-watts", "nan"], ["--ref-watts", "inf"],
+        ["--hours", "1e300"],
     ])
-    def test_non_finite_fleet_flags_exit_one(self, tmp_path, flags):
+    def test_non_finite_fleet_flags_exit_one(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         assert main(["fleet", "--count", "5", "--hours", "0.1", *flags, "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
 
-def _numeric_paths(node, path=()):
-    """Paths to every number in a scenario document; of a list, only the
-    first two entries."""
+def _node_paths(node, path=()):
+    """Paths to every node of a scenario document, the root included; of a
+    list, only the first two entries."""
+    yield path
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from _numeric_paths(value, path + (key,))
+            yield from _node_paths(value, path + (key,))
     elif isinstance(node, list):
         for i, value in enumerate(node[:2]):
-            yield from _numeric_paths(value, path + (i,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
+            yield from _node_paths(value, path + (i,))
 
 
 def _reject_constant(name):
@@ -499,35 +567,52 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("base", ["reference", "fleet"])
-def test_numeric_field_mutants_exit_cleanly(tmp_path, base):
-    """Each number of a scenario file set to NaN, +-inf, -1 or 0: `validate`
-    and `run` exit 0, 1 or 2 without an exception, a file that `validate`
-    accepts never fails `run` as invalid (exit 1), and a run that exits 0
-    writes strict JSON."""
+def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
+    """Each node of a scenario file (object, array, string, number, bool or
+    null) set to NaN, +-inf, -1, 0, [], {}, "x", true or null: `validate`
+    and `run` exit 0, 1 or 2 without an exception, a non-zero exit writes
+    exactly one stderr line, a file that `validate` accepts never fails
+    `run` as invalid (exit 1) nor has a request rejected as malformed, and
+    a run that exits 0 writes strict JSON."""
     if base == "reference":
         doc = scenario_to_dict(three_household_scenario(seed=5))
     else:
         doc = scenario_to_dict(fleet_scenario(count=30, hours=1.0, seed=5))
+    scenario_file, out = tmp_path / "mutant.json", tmp_path / "out"
+
+    def exit_code(argv, where):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{where}: {argv[0]} raised {exc!r}") from exc
+        err = capsys.readouterr().err.splitlines()
+        assert code == 0 or len(err) == 1, (where, argv[0], err)
+        return code
+
     mutants = 0
-    for path in _numeric_paths(doc):
-        for value in (math.nan, math.inf, -math.inf, -1, 0):
+    for path in _node_paths(doc):
+        for value in (math.nan, math.inf, -math.inf, -1, 0, [], {}, "x", True, None):
             mutant = json.loads(json.dumps(doc))
-            parent = mutant
-            for step in path[:-1]:
-                parent = parent[step]
-            parent[path[-1]] = value
-            scenario_file = tmp_path / "mutant.json"
+            if path:
+                parent = mutant
+                for step in path[:-1]:
+                    parent = parent[step]
+                parent[path[-1]] = value
+            else:
+                mutant = value
             scenario_file.write_text(json.dumps(mutant))
-            where = f"{'.'.join(map(str, path))} = {value}"
-            valid = main(["validate", "--scenario", str(scenario_file)])
+            where = f"{'.'.join(map(str, path))} = {value!r}"
+            valid = exit_code(["validate", "--scenario", str(scenario_file)], where)
             assert valid in (0, 1), where
-            out = tmp_path / f"run{mutants}"
-            code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+            # each run that starts writes its own bundle, or removes the last
+            code = exit_code(["run", "--scenario", str(scenario_file), "--out", str(out)], where)
             assert code in ((0, 2) if valid == 0 else (1,)), where
             if code == 0:
                 json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+            if valid == 0 and (out / "requests.csv").exists():
+                assert "malformed_request" not in (out / "requests.csv").read_text(), where
             mutants += 1
-    assert mutants >= 100
+    assert mutants >= 400
 
 
 class TestLibraryParity:

@@ -57,6 +57,8 @@ class TestClock:
             TimeGrid(epoch_start_min=0, slot_min=0, horizon=10)
         with pytest.raises(MalformedRequest):
             TimeGrid(epoch_start_min=0, slot_min=10, horizon=0)
+        with pytest.raises(MalformedRequest, match="horizon"):
+            TimeGrid(epoch_start_min=0, slot_min=10, horizon=10**30)
 
 
 class TestValidateRequest:
@@ -137,6 +139,30 @@ class TestScenarioSerialization:
         [cycle] = [d for d in scenario_from_dict(doc).devices if isinstance(d, CycleConfig)]
         assert cycle == CycleConfig("dishwasher", (2000.0,) * 6, 24, 48, priority=1)
         assert all(type(w) is float for w in cycle.profile_w)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: [doc], "a scenario"),
+        (lambda doc: doc.update(grid=[]), "grid"),
+        (lambda doc: doc["grid"].update(start=9.5), "start"),
+        (lambda doc: doc["grid"].update(start=True), "start"),
+        (lambda doc: doc["devices"][2].update(profile_w=2000), "profile_w"),
+        (lambda doc: doc["devices"].append("x"), "a device"),
+        (lambda doc: doc["devices"][0].update(type=["thermal"]), "type"),
+        (lambda doc: doc["channels"]["meter"].update({"class": "lte"}), "class"),
+        (lambda doc: doc["channels"].update(meter=[]), "channels"),
+        (lambda doc: doc.update(storage="x"), "storage"),
+        (lambda doc: doc.update(channels=1), "channels"),
+        (lambda doc: doc["grid"].__delitem__("horizon"), "'horizon'"),
+        (lambda doc: doc["devices"][0].__delitem__("target_c"), "'target_c'"),
+        (lambda doc: doc.update(feeder_capacity_w=10**400), "feeder_capacity_w"),
+    ], ids=["array_document", "array_grid", "fraction_start", "bool_start", "number_profile",
+            "string_device", "array_type", "unknown_class", "array_channel", "string_storage",
+            "number_channels", "missing_horizon", "missing_target", "integer_past_float"])
+    def test_malformed_document_names_its_key(self, edit, key):
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        doc = edit(doc) or doc
+        with pytest.raises(MalformedRequest, match=key):
+            scenario_from_dict(doc)
 
     def test_int_in_float_field_decodes_to_float(self):
         doc = scenario_to_dict(three_household_scenario(seed=1))
