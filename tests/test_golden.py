@@ -18,6 +18,15 @@ channel.csv holds dropped rows and trip-signal rows, and the reference
 evening over slow lossy channels (every mean delay 20 000x, loss 0.2; seed
 155 is the first seed where a request, a grant and a trip signal each need
 more than one attempt and a decision arrives more than a slot late).
+
+Three cases start their thermal nodes above ambient, so an unheated node
+cools slot by slot and the temperature in each node's first request depends
+on every unheated step before it (a node at ambient holds still): a
+generated feeder 15 C above ambient and one at 80 C (in both, the node
+cools until its first request, at slot 5 and at slot 10, and again after
+its service ends), and the slow lossy evening with the sauna 15 C above
+ambient. In the two feeders the temperature of that first request moves
+the admitted forced start, which requests.csv records.
 """
 
 import hashlib
@@ -63,6 +72,18 @@ def _slow_lossy_channels(seed):
     return replace(scenario, channels=slow)
 
 
+def _thermal_start(scenario, initial_c):
+    """The scenario with each thermal node starting at initial_c(config)."""
+    return replace(scenario, devices=tuple(
+        replace(d, initial_c=initial_c(d)) if isinstance(d, ThermalConfig) else d
+        for d in scenario.devices
+    ))
+
+
+def _warm(scenario):
+    return _thermal_start(scenario, lambda d: d.ambient_c + 15.0)
+
+
 def _stepped_fleet(seed):
     """300 heaters over 4 h whose reference steps every hour between 1.0 and
     2.2 kW per heater, around their natural demand of about 1.5 kW."""
@@ -78,9 +99,12 @@ CASES = {
     "late_force_check_87": lambda: _late_force_check(87),
     "lossy_meter_1": lambda: _lossy_meter(1),
     "slow_lossy_channels_155": lambda: _slow_lossy_channels(155),
+    "warm_slow_lossy_channels_155": lambda: _warm(_slow_lossy_channels(155)),
     "feeder_5": lambda: random_household_scenario(5),
     "feeder_9": lambda: random_household_scenario(9),
     "feeder_16": lambda: random_household_scenario(16),
+    "warm_feeder_71": lambda: _warm(random_household_scenario(71)),
+    "hot_feeder_8": lambda: _thermal_start(random_household_scenario(8), lambda d: 80.0),
     "islanded_feeder_3": lambda: random_household_scenario(3, import_allowed=False),
     "fleet_200": lambda: fleet_scenario(count=200, hours=2.0, seed=1),
     "stepped_fleet_1": lambda: _stepped_fleet(1),
@@ -92,7 +116,8 @@ CASES = {
 # template; stepped_fleet_1 before the fleet loop stepped and classified a
 # heater in one pass; slow_lossy_channels_155 before the channel layer,
 # substream seeding and the channel.csv writer lost their per-message
-# overhead.
+# overhead; hot_feeder_8, warm_feeder_71 and warm_slow_lossy_channels_155
+# before unheated thermal nodes were stepped lazily.
 DIGESTS = {
     "feeder_5": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -118,6 +143,14 @@ DIGESTS = {
         "requests.csv": "d0409a80b639d5d1c10de89a414e3474c0f94fb513f12e3511f58c544da0188b",
         "slots.csv": "7c13eb85f4470aa743d01d53bf67ec13142306cef7c10dac3820503cebfcf4dc",
         "summary.json": "0016339f17411beb56aaf07aa79d66d5c6dfc234a7123803033ff9062f35f3f6",
+    },
+    "warm_feeder_71": lambda: _warm(random_household_scenario(71)),
+    "hot_feeder_8": lambda: _thermal_start(random_household_scenario(8), lambda d: 80.0),
+    "hot_feeder_8": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "e813570a137ef4df9a58d9c8be8ab4849f1cd1de468c02a047a8f69cbda8a0d2",
+        "slots.csv": "d4c08163697a4aa52db2877fed661918a4914e197c1941ef5eb8042314d63b81",
+        "summary.json": "456461820f69083d32a5f32d9182351ba446ddcab2cf7e1cf6dd31854bb4240c",
     },
     "islanded_feeder_3": {
         "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
@@ -174,6 +207,18 @@ DIGESTS = {
         "slots.csv": "1f1cd35787d0895a0df12f50caa301b595455f933589087c2e2314d2df32ec78",
         "summary.json": "1f1e80dab71a50fe569d3eaac51b1c632ed86082a742c375fd2d3b07122b936c",
     },
+    "warm_feeder_71": {
+        "channel.csv": "247f7ab28667c85e8555823a7090337e4cedf09a348d1a1d72caccc2d259e611",
+        "requests.csv": "49255358aef641b194e14f477df948c59362a69fb068357302272f7ce011eec8",
+        "slots.csv": "8eabc6e7a3a1313f7e2c477829a306b1f3c709938cd232f040c43164ce6c89ad",
+        "summary.json": "1ec59a873ffc6c40910e9770319e6205da23966abf01216580b4d1e34ef90237",
+    },
+    "warm_slow_lossy_channels_155": {
+        "channel.csv": "cd25eb26afb6b0c6292e55616c25131b4162e177c70758907416e089e263ebcb",
+        "requests.csv": "62e0b1589d08cf36ee971dbea31c403a0a2402309eeecfc81e3e0dba921778cc",
+        "slots.csv": "01f1d1319f529ce9d55db2719f2177f40ea3b0333540d6ea45c61a4c439bfc1b",
+        "summary.json": "bbc391a48df0cd10be7757a279ef01950aa89f853ca67b696cd90d16bbd34a00",
+    },
 }
 
 
@@ -209,6 +254,21 @@ def test_cases_hold_what_they_claim():
     cooling = run_scenario(CASES["feeder_16"]())
     (thermal,) = [o for o in cooling.requests if o.kind == "thermal"]
     assert thermal.service_failed and len(cooling.device_traces[thermal.device_id]) == cooling.grid.horizon
+    for name in ("warm_feeder_71", "hot_feeder_8", "warm_slow_lossy_channels_155"):
+        scenario = CASES[name]()
+        nodes = [d for d in scenario.devices if isinstance(d, ThermalConfig)]
+        assert nodes and all(d.initial_c > d.ambient_c for d in nodes)
+        # every node is unheated in slot 0 and accepted, one is unheated
+        # before its first request, and one is heated
+        result = run_scenario(scenario)
+        assert all(result.slots[0].consumed_w[d.device_id] == 0.0 for d in nodes)
+        assert all(o.accepted for o in result.requests if o.kind == "thermal")
+        assert any(d.preheat_from > 1 for d in nodes)
+        assert any(r.consumed_w[d.device_id] > 0 for r in result.slots for d in nodes)
+    for name, preheat_from in (("warm_feeder_71", 5), ("hot_feeder_8", 10)):
+        scenario = CASES[name]()
+        (node,) = [d for d in scenario.devices if isinstance(d, ThermalConfig)]
+        assert node.preheat_from == preheat_from and node.service_end < scenario.grid.horizon
     stepped = _stepped_fleet(1)
     rated_w = stepped.devices[0].params.rated_w
     epochs = run_scenario(stepped).fleet
