@@ -16,6 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 from .comms import ChannelClass, MessageKind
@@ -74,6 +75,19 @@ class _DeviceCells(dict):
         return cell
 
 
+class _DeviceRows(dict):
+    """A slots.csv row's device cells by its tuple of values, joined once
+    from the cells of `cells`."""
+
+    def __init__(self, cells: _DeviceCells):
+        super().__init__()
+        self.cell = cells.__getitem__
+
+    def __missing__(self, values: tuple[float, ...]) -> str:
+        text = self[values] = "".join(map(self.cell, values))
+        return text
+
+
 def _header(fh, names: list[str]) -> None:
     """Header rows go through csv.writer: a device id may need quoting."""
     csv.writer(fh, lineterminator="\n").writerow(names)
@@ -86,8 +100,9 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
     `emergency` as 1 or 0. The slots.csv device columns, mostly 0.0, print
-    through a per-bundle table that formats each distinct value once as
-    %.6f; values that compare equal share a text, so a device-column zero
+    through two per-bundle tables: one formats each distinct value once as
+    %.6f, the other joins each distinct row of device values once. Values
+    (and rows) that compare equal share a text, so a device-column zero
     prints as 0.000000 whatever its sign. The engine records no -0.0 there.
 
     Every name in BUNDLE_FILES is unlinked first, so the directory ends up
@@ -124,14 +139,20 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
             ],
         )
         row = "%d,%s,%s%s" + "%.6f," * 6 + "%d\n"
-        text = _DeviceCells({0.0: "0.000000,"}).__getitem__  # -0.0 finds 0.0's entry
+        # -0.0 finds 0.0's entry, and a row holding -0.0 that of the same row with 0.0
+        text = _DeviceRows(_DeviceCells({0.0: "0.000000,"}))
+        # itemgetter of one key returns the value itself, and of none is an error
+        values = (
+            itemgetter(*device_ids) if len(device_ids) > 1
+            else lambda watts: tuple(map(watts.__getitem__, device_ids))
+        )
         fh.writelines(
             row
             % (
                 rec.slot,
                 rec.clock,
-                "".join(map(text, map(rec.granted_w.__getitem__, device_ids))),
-                "".join(map(text, map(rec.consumed_w.__getitem__, device_ids))),
+                text[values(rec.granted_w)],
+                text[values(rec.consumed_w)],
                 rec.renewable_available_w,
                 rec.renewable_used_w,
                 rec.storage_soc_wh,

@@ -9,7 +9,7 @@ give bit-identical results; all randomness flows through per-purpose
 substreams of the scenario seed.
 
 Per-slot work touches only the jobs whose state can change. A household job
-is in one of four roles:
+is in one of three roles:
 
 - allocating: accepted and not yet done or failed. Only these jobs state a
   slot need in phase (4), in device order, and they step at their grants;
@@ -18,15 +18,18 @@ is in one of four roles:
   step records the service-window temperatures and finishes it, accepted or
   not. Phase (6) runs `apply` on these in device order, because a finishing
   job releases its ledger commitment;
-- coasting: any other thermal node, which takes the unheated Euler step;
-- parked: any other battery or cycle job, whose state holds and which
-  draws 0 W. Its trace repeats the held value and is filled in when the
-  job next steps or the run ends.
+- idle: any other job, which draws 0 W. A battery or cycle holds its state,
+  so its trace repeats the held value; a thermal node cools by the unheated
+  Euler step, so its trace iterates that step. Either way the trace, and a
+  node's temperature, are filled in only when the job next steps, sends a
+  request, or the run ends.
 
 The role lists are rebuilt only when a role can change: a decision is
 delivered, a job finishes, fails or is shed, or a thermal job reaches its
-first stepping slot. Phase (2) wakes a job only from its `next_emit` slot
-(its first request, a retry or a re-ask), so each wake sends or fails.
+first stepping slot. Phase (2) wakes jobs from a slot index: a job is filed
+under its `next_emit` slot (its first request, a retry or a re-ask) each
+time that slot is set, and a slot's entries that no longer match are
+skipped, so each wake sends or fails.
 
 Household battery and thermal jobs keep their evolving state as one float
 (`soc_wh`, `temp_c`) and read their constants from the device's config,
@@ -315,8 +318,8 @@ class _HouseholdJob:
         self.done = False
         self.failed = False
         self.outcome: RequestOutcome | None = None
-        # the state after each slot the job has recorded; a parked job's
-        # state holds, so its trace is filled in when it next steps
+        # the state after each slot the job has recorded; an idle job's
+        # slots are filled in later, by fill_trace
         self.trace: list[float] = []
 
     @property
@@ -326,12 +329,13 @@ class _HouseholdJob:
         return self.active_from is not None and not self.done and not self.failed
 
     def steps_at(self, now: int) -> bool:
-        """Whether slot `now` runs `apply`; otherwise the job is parked (its
-        state holds and it draws 0 W) or, for a thermal job, coasts."""
+        """Whether slot `now` runs `apply`; otherwise the job is idle and
+        draws 0 W."""
         return self.allocating
 
     def fill_trace(self, upto: int) -> None:
-        """Record the held state for the parked slots before slot `upto`."""
+        """Record the idle slots before slot `upto` that the trace lacks:
+        the held state, repeated."""
         self.trace.extend([self.trace_value()] * (upto - len(self.trace)))
 
     # subclass hooks -------------------------------------------------------
@@ -349,11 +353,14 @@ class _HouseholdJob:
         raise NotImplementedError
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
-        """Step one slot at the granted watts; returns the watts consumed.
-        Called only at a slot where steps_at holds."""
+        """Step one slot at the granted watts, append the state after it to
+        the trace, and return the watts consumed. Called only at a slot
+        where steps_at holds, once the trace is filled up to it."""
         raise NotImplementedError
 
     def trace_value(self) -> float:
+        """The held state that fill_trace repeats for an idle battery or
+        cycle; a thermal node fills its idle slots by stepping instead."""
         raise NotImplementedError
 
     def final_state(self) -> dict:
@@ -478,6 +485,7 @@ class _BatteryJob(_HouseholdJob):
         self.soc_wh, absorbed_wh = _absorb(
             self.soc_wh, cfg.capacity_wh, cfg.p_max_w, granted_w, self.slot_min
         )
+        self.trace.append(self.soc_wh)
         consumed_w = absorbed_wh / self.slot_hours
         self._mark_service(now, consumed_w)
         if cfg.capacity_wh - self.soc_wh <= COMPLETION_TOL_WH:
@@ -508,7 +516,7 @@ class _ThermalJob(_HouseholdJob):
         self.next_emit = cfg.preheat_from
         # from here on apply records the service-window temperatures and
         # finishes the job, accepted or not; before it, and once the job is
-        # done or failed, the node coasts
+        # done or failed, the node is idle and fill_trace steps it unheated
         self.step_from = min(cfg.preheat_from, cfg.service_start - 1)
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
@@ -520,14 +528,29 @@ class _ThermalJob(_HouseholdJob):
         return now >= self.cfg.service_end
 
     def build_request(self, now: int) -> LoadRequest:
+        # an idle node's temperature lags; its first request can come at its
+        # step_from, before phase (4) fills the stepping jobs
+        self.fill_trace(now)
         return _thermal_request(self.cfg, now, self.temp_c)
 
     def steps_at(self, now: int) -> bool:
         return now >= self.step_from and not self.done and not self.failed
 
-    def coast(self) -> None:
-        """One unheated slot, as apply takes it at 0 W."""
-        self.temp_c = _euler_temp(self.cfg, self.temp_c, 0.0, self.slot_min)
+    def fill_trace(self, upto: int) -> None:
+        """Step the node unheated through the idle slots before slot `upto`
+        that the trace lacks, as apply takes a slot at 0 W, and record each
+        temperature. A step that returns its own nonzero input (a node at
+        ambient) returns it again on every later step, bit for bit, so the
+        rest of the gap repeats it."""
+        cfg, slot_min, temp_c, trace = self.cfg, self.slot_min, self.temp_c, self.trace
+        for left in range(upto - len(trace), 0, -1):
+            after = _euler_temp(cfg, temp_c, 0.0, slot_min)
+            if after == temp_c and after != 0.0:
+                trace.extend([after] * left)
+                break
+            temp_c = after
+            trace.append(temp_c)
+        self.temp_c = temp_c
 
     def slot_need(self, now: int) -> SlotNeed | None:
         # reads only the request's configuration, the same in every request sent
@@ -550,6 +573,7 @@ class _ThermalJob(_HouseholdJob):
         cfg = self.cfg
         consumed_w = min(max(granted_w, 0.0), cfg.rated_w)
         temp_c = self.temp_c = _euler_temp(cfg, self.temp_c, consumed_w, self.slot_min)
+        self.trace.append(temp_c)
         self._mark_service(now, consumed_w)
         # post-step temperature is the boundary value at slot now+1
         if now + 1 == cfg.service_start:
@@ -567,9 +591,6 @@ class _ThermalJob(_HouseholdJob):
                 self.outcome.deadline_met = reached >= cfg.target_c - 0.5
             ledger.release(self.device_id, cfg.service_end)
         return consumed_w
-
-    def trace_value(self) -> float:
-        return self.temp_c
 
     def final_state(self) -> dict:
         return {
@@ -621,9 +642,11 @@ class _CycleJob(_HouseholdJob):
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         if self.failed:  # shed earlier in this slot
+            self.trace.append(float(self.progress))
             return 0.0
         if granted_w <= CAP_TOL_W:
             if self.started_at is None:
+                self.trace.append(0.0)  # no progress yet
                 return 0.0
             raise ContiguityViolation(
                 f"cycle started at {self.started_at} denied power at slot {now}"
@@ -633,6 +656,7 @@ class _CycleJob(_HouseholdJob):
         profile_w = self.cfg.profile_w
         consumed_w = profile_w[self.progress]
         self.progress += 1
+        self.trace.append(float(self.progress))
         self._mark_service(now, consumed_w)
         if self.progress == len(profile_w):
             self.done = True
@@ -747,8 +771,18 @@ def _run_household(scenario: Scenario) -> RunResult:
     ]
     jobs_by_id = {job.device_id: job for job in jobs}
     no_grants = dict.fromkeys(jobs_by_id, 0.0)
-    thermal_jobs = [job for job in jobs if isinstance(job, _ThermalJob)]
-    thermal_entries = {job.step_from for job in thermal_jobs}
+    thermal_entries = {job.step_from for job in jobs if isinstance(job, _ThermalJob)}
+    position = {job: i for i, job in enumerate(jobs)}
+    # slot -> the jobs filed under it as their next_emit; an entry goes stale
+    # when the job's next_emit moves on or the job settles
+    wake: dict[int, list[_HouseholdJob]] = {}
+
+    def file_wake(job: _HouseholdJob) -> None:
+        if job.next_emit is not None and not (job.done or job.failed):
+            wake.setdefault(job.next_emit, []).append(job)
+
+    for job in jobs:
+        file_wake(job)
 
     request_inbox: dict[int, list[tuple[_HouseholdJob, LoadRequest]]] = {}
     decision_outbox: dict[int, list[tuple[_HouseholdJob, GrantDecision]]] = {}
@@ -756,33 +790,34 @@ def _run_household(scenario: Scenario) -> RunResult:
     slots: list[SlotRecord] = []
     shed_events: list[ShedEvent] = []
 
-    emitting = jobs
     # the jobs' roles, rebuilt only when one changes: a decision arrives, a
     # job finishes or is shed, or a thermal job reaches its step_from. A job
     # that fails at emit was never accepted, so a battery or cycle stays
-    # parked; a thermal job's window closes at its service end, and apply
+    # idle; a thermal job's window closes at its service end, and apply
     # finishes the job first (slot 0 rebuilds after its emits anyway).
     changed = True
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
         for job, decision in decision_outbox.pop(t, ()):
             job.on_decision(decision, t)
+            file_wake(job)
             changed = True
         server_inbox = list(request_inbox.pop(t, ()))
 
-        # (2) devices emit requests, retries, and lost-response re-asks; a
-        # done, failed or accepted job leaves for good, the others keep
-        # their order and wake only from their next_emit
-        emitting = [
-            job for job in emitting
-            if not (job.done or job.failed or job.active_from is not None)
-        ]
-        for job in emitting:
-            if job.next_emit is None or t < job.next_emit:
+        # (2) devices emit requests, retries, and lost-response re-asks: the
+        # jobs filed under slot t that still have it as their next_emit and
+        # are not done, failed or accepted, in device order. A job filed
+        # twice under t emits once: its second entry is stale by then
+        due = wake.pop(t, ())
+        if len(due) > 1:
+            due.sort(key=position.__getitem__)
+        for job in due:
+            if job.next_emit != t or job.done or job.failed or job.active_from is not None:
                 continue
             request = job.maybe_emit(t)
             if request is None:
                 continue
+            file_wake(job)  # its re-ask
             delivery = channels.send_slot(MessageKind.PACKET_REQUEST, t)
             if delivery is None:
                 continue  # dropped; device asks again after its wait
@@ -800,6 +835,7 @@ def _run_household(scenario: Scenario) -> RunResult:
                 continue  # dropped decision; the ledger answer is idempotent
             if delivery == t:
                 job.on_decision(decision, t)
+                file_wake(job)
                 changed = True
             else:
                 decision_outbox.setdefault(delivery, []).append((job, decision))
@@ -810,7 +846,6 @@ def _run_household(scenario: Scenario) -> RunResult:
             changed = False
             allocating = [job for job in jobs if job.allocating]
             stepping = [job for job in jobs if job.steps_at(t)]
-            coasting = [job for job in thermal_jobs if not job.steps_at(t)]
             for job in stepping:
                 job.fill_trace(t)
         needs = [n for job in allocating if (n := job.slot_need(t)) is not None]
@@ -831,16 +866,12 @@ def _run_household(scenario: Scenario) -> RunResult:
                 _shed_grants(grants, needs, capability, ledger, jobs_by_id, t, shed_events)
 
         # (6) device physics, in device order, since finishing jobs release
-        # their commitments; a trace records the state after the step
+        # their commitments; each step appends the state after it to the trace
         granted = {**no_grants, **grants}
         consumed = no_grants.copy()
         for job in stepping:
             consumed[job.device_id] = job.apply(granted[job.device_id], t, ledger)
-            job.trace.append(job.trace_value())
             changed = changed or job.done
-        for job in coasting:
-            job.coast()
-            job.trace.append(job.temp_c)
 
         # (7) supply dispatch, storage and metrics
         slots.append(supply_side.settle(supply, t, granted, consumed, emergency))

@@ -330,6 +330,8 @@ def allocate_slot(
     renewable surplus left after forced commitments, which concentrates
     flexible consumption under renewable availability.
     """
+    if not needs:  # nothing to grant, and no shuffle to draw
+        return {}
     cap = supply.feeder_capacity_w
     forced_total = sum(n.forced_w for n in needs)
     if forced_total > cap + CAP_TOL_W:

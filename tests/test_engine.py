@@ -16,14 +16,22 @@ from test_thermal_planning import node_of, reference_step_storage, reference_ste
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import TimeGrid, substream
 from pemsim.cli import run_batch
-from pemsim.devices import _absorb
-from pemsim.engine import _HouseholdJob, audit_conservation, run_scenario, summarize_run
+from pemsim.comms import MessageKind
+from pemsim.devices import _absorb, _euler_temp
+from pemsim.engine import (
+    _HouseholdJob,
+    _ThermalJob,
+    audit_conservation,
+    run_scenario,
+    summarize_run,
+)
 from pemsim.scenario import (
     BatteryConfig,
     CycleConfig,
     RenewableConfig,
     Scenario,
     ThermalConfig,
+    default_channels,
     scenario_from_dict,
     three_household_scenario,
 )
@@ -172,8 +180,8 @@ class TestStepEquivalence:
 
     def test_channel_runs_iterate_the_public_steps(self):
         """Over the reference channels a decision lands slots after its
-        request, so jobs sit parked (battery) or coasting (thermal) while it
-        is in flight; their traces must still iterate the public steps."""
+        request, so jobs sit idle while it is in flight; their traces must
+        still iterate the public steps."""
         late = 0
         for seed in range(1, 41):
             scenario = three_household_scenario(seed=seed)
@@ -214,6 +222,77 @@ class TestStepEquivalence:
             charged += sum(r.storage_flow_w > 0.0 for r in result.slots)
             discharged += sum(r.storage_flow_w < 0.0 for r in result.slots)
         assert charged > 0 and discharged > 0
+
+
+def _thermal_start(doc: dict, initial_c: float) -> dict:
+    """A scenario document with every thermal node starting at initial_c."""
+    return {**doc, "devices": [
+        {**d, "initial_c": initial_c} if d["type"] == "thermal" else d for d in doc["devices"]
+    ]}
+
+
+def _slowed(scenario, factor=20000, loss_prob=0.2):
+    """The scenario over the default channels with every mean delay scaled
+    by `factor` and every loss probability set to `loss_prob`."""
+    return replace(scenario, channels={
+        name: replace(profile, mean_ms=profile.mean_ms * factor, loss_prob=loss_prob)
+        for name, profile in default_channels().items()
+    })
+
+
+class TestIdleThermalNodes:
+    def test_idle_slots_iterate_the_unheated_step(self, monkeypatch):
+        """A thermal node steps through apply from its step_from until it is
+        done or fails; in every other slot it is idle, and fill_trace steps
+        it later. Its trace there must equal, bit for bit, _euler_temp at
+        0 W iterated from the slot before (or from initial_c). Nodes start
+        at ambient, where the unheated step holds them still, or above it."""
+        stepped = set()
+        apply = _ThermalJob.apply
+
+        def recorded(job, granted_w, now, ledger):
+            stepped.add((job.device_id, now))
+            return apply(job, granted_w, now, ledger)
+
+        monkeypatch.setattr(_ThermalJob, "apply", recorded)
+        scenarios = [
+            scenario_from_dict(_thermal_start(mixed_feeder_doc(n), initial_c))
+            for n in range(1, 11) for initial_c in (20.0, 35.0, 80.0)
+        ]
+        scenarios += [  # a thermal job that fails (16, 30), one unheated till slot 21 (22)
+            replace(scenario, devices=tuple(
+                replace(d, initial_c=d.ambient_c + 15.0) if isinstance(d, ThermalConfig) else d
+                for d in scenario.devices
+            ))
+            for scenario in map(random_household_scenario, (16, 22, 30))
+        ]
+        before = after_done = after_failed = 0
+        for scenario in scenarios:
+            stepped.clear()
+            result = run_scenario(scenario)
+            outcomes = {o.device_id: o for o in result.requests}
+            for cfg in scenario.devices:
+                if not isinstance(cfg, ThermalConfig):
+                    continue
+                trace = result.device_traces[cfg.device_id]
+                step_from = min(cfg.preheat_from, cfg.service_start - 1)
+                steps = sorted(t for device_id, t in stepped if device_id == cfg.device_id)
+                # the stepped slots are one run from step_from on
+                assert steps == list(range(step_from, step_from + len(steps)))
+                temp = cfg.initial_c
+                for t, value in enumerate(trace):
+                    if (cfg.device_id, t) not in stepped:
+                        temp = _euler_temp(cfg, temp, 0.0, scenario.grid.slot_min)
+                        assert value.hex() == temp.hex(), (scenario.seed, cfg.device_id, t)
+                    temp = value
+                before += step_from > 0 and trace[0] != cfg.initial_c
+                end = step_from + len(steps)
+                if end < len(trace) and trace[end] != trace[end - 1]:
+                    if outcomes[cfg.device_id].service_failed:
+                        after_failed += 1
+                    else:
+                        after_done += 1
+        assert before > 0 and after_done > 0 and after_failed > 0
 
 
 class TestFullBattery:
@@ -459,6 +538,70 @@ class TestEmitWakeUps:
             retried += sum(o.retries > 0 for o in result.requests)
         assert calls.count((True, False)) + calls.count((False, True)) == len(calls)
         assert calls.count((False, True)) > 0 and retried > 0  # both paths fired
+
+    def test_jobs_due_together_send_in_device_order(self, monkeypatch):
+        """Jobs woken in one slot send their requests in device order, so
+        their channel.csv message ids rise in device order. Each request is
+        sent right after the maybe_emit call that returns it, so the run's
+        requests pair up, in order, with its packet_request messages."""
+        sent = []
+        maybe_emit = _HouseholdJob.maybe_emit
+
+        def recorded(job, now):
+            request = maybe_emit(job, now)
+            if request is not None:
+                sent.append((now, job.device_id))
+            return request
+
+        monkeypatch.setattr(_HouseholdJob, "maybe_emit", recorded)
+        together = 0
+        for number in range(1, 11):
+            scenario = _slowed(scenario_from_dict(mixed_feeder_doc(number)))
+            order = {cfg.device_id: i for i, cfg in enumerate(scenario.devices)}
+            sent.clear()
+            result = run_scenario(scenario)
+            messages = [m for m in result.channel if m.kind is MessageKind.PACKET_REQUEST]
+            assert len(messages) == len(sent)
+            slot_ms = scenario.grid.slot_ms
+            by_slot = {}
+            for message, (now, device_id) in zip(messages, sent):
+                assert message.sent_at_ms == now * slot_ms
+                by_slot.setdefault(now, []).append((message.msg_id, order[device_id]))
+            for pairs in by_slot.values():
+                positions = [i for _, i in sorted(pairs)]  # in message-id order
+                assert positions == sorted(set(positions)), (number, pairs)
+                together += len(pairs) > 1
+        assert together > 0
+
+    def test_job_filed_twice_under_a_slot_emits_once(self, monkeypatch):
+        """A job is filed under its re-ask slot when it sends a request and
+        under its retry slot when a capacity rejection reaches it; over slow
+        channels the two can be the same slot. It still emits once there."""
+        emitted, reask, twice = [], {}, []
+        maybe_emit, on_decision = _HouseholdJob.maybe_emit, _HouseholdJob.on_decision
+
+        def emit(job, now):
+            request = maybe_emit(job, now)
+            emitted.append((job.device_id, now))
+            if request is not None:
+                reask[job.device_id] = job.next_emit
+            return request
+
+        def decide(job, decision, slot):
+            on_decision(job, decision, slot)
+            if job.next_emit is not None and job.next_emit == reask.get(job.device_id):
+                twice.append((job.device_id, job.next_emit))
+
+        monkeypatch.setattr(_HouseholdJob, "maybe_emit", emit)
+        monkeypatch.setattr(_HouseholdJob, "on_decision", decide)
+        filed_twice = 0
+        for number in range(1, 11):
+            emitted.clear(), reask.clear(), twice.clear()
+            run_scenario(_slowed(scenario_from_dict(mixed_feeder_doc(number))))
+            assert len(set(emitted)) == len(emitted)
+            # each such job woke at that slot, or settled before it
+            filed_twice += sum(entry in emitted for entry in twice)
+        assert filed_twice > 0
 
 
 class TestLossyChannelRecovery:
