@@ -84,6 +84,11 @@ def format_hhmm(minutes: int) -> str:
 # keeps one from drawing and holding an endless horizon.
 MAX_HORIZON = 1_000_000
 
+# The largest heater fleet a scenario may hold. A fleet run keeps several
+# values per heater (its temperature, its packet's last epoch, its heat
+# gain), so the bound likewise keeps one from building lists of any size.
+MAX_FLEET_COUNT = 1_000_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:

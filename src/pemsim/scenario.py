@@ -21,6 +21,7 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
 from .core import (
+    MAX_FLEET_COUNT,
     FixedProfileRequest,
     MalformedRequest,
     ThermalTargetRequest,
@@ -36,6 +37,9 @@ from .server import ReferenceSignal
 # Trip signals are sent one message per Poisson arrival, so a run's time and
 # its channel log grow with the rate; validate bounds the expected count.
 MAX_TRIP_MESSAGES = 100_000
+
+# The message kinds a channel block routes, one profile each.
+_CHANNEL_KINDS = frozenset({"request", "grant", "meter", "trip"})
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,10 @@ class Scenario:
         for device in fleet:
             if device.count < 1:
                 raise MalformedRequest(f"{device.device_id}.count must be at least 1")
+            if device.count > MAX_FLEET_COUNT:
+                raise MalformedRequest(
+                    f"{device.device_id}.count must be at most {MAX_FLEET_COUNT}"
+                )
             if device.packet_epochs < 1:
                 raise MalformedRequest(f"{device.device_id}.packet_epochs must be at least 1")
             # every heater may be forced on at once, and the fleet loop cannot refuse one
@@ -218,9 +226,12 @@ class Scenario:
                         f"{all_on_w:g}"
                     )
         if self.channels is not None:
-            missing = {"request", "grant", "meter", "trip"} - set(self.channels)
+            missing = _CHANNEL_KINDS - set(self.channels)
             if missing:
                 raise MalformedRequest(f"channel block missing kinds: {sorted(missing)}")
+            unknown = set(self.channels) - _CHANNEL_KINDS
+            if unknown:
+                raise MalformedRequest(f"channel block has unknown kinds: {sorted(unknown)}")
         for device in household:
             for slot_attr in _TIME_FIELDS[type(device)]:
                 slot = getattr(device, slot_attr)
@@ -496,10 +507,38 @@ def _decoder(cls) -> tuple[tuple[str, str, Callable, bool], ...]:
     return tuple(decoder)
 
 
+# Keys a document may hold beyond its fields': a device's `type`, and a
+# cycle's legacy form. A heater fleet's parameters sit flat beside its own
+# fields, so either of the two accepts the other's keys; `params` is no key.
+_EXTRA_KEYS: dict[type, frozenset[str]] = {
+    ThermalConfig: frozenset({"type"}),
+    BatteryConfig: frozenset({"type"}),
+    CycleConfig: frozenset({"type", "power_w", "duration_slots"}),
+}
+
+
+@functools.cache
+def _document_keys(cls) -> frozenset[str]:
+    """The keys a document of `cls` may hold."""
+    if cls in (HeaterFleetConfig, WaterHeaterParams):
+        fleet = {key for _, key, _, _ in _decoder(HeaterFleetConfig) if key != "params"}
+        return frozenset({"type", *fleet, *(key for _, key, _, _ in _decoder(WaterHeaterParams))})
+    return frozenset(key for _, key, _, _ in _decoder(cls)) | _EXTRA_KEYS.get(cls, frozenset())
+
+
+def _known_keys(doc: dict, keys: frozenset[str]) -> None:
+    """Reject the first key of `doc` outside `keys`: a misspelt key would
+    otherwise leave its field at the default."""
+    for key in doc:
+        if key not in keys:
+            raise MalformedRequest(f"unknown key {key!r}")
+
+
 def _decode(cls, doc: dict, grid: TimeGrid, /, **given):
     """Build `cls` from its document, an object. A missing or null key takes
-    the field's default; a required one is an error naming the key. Fields
-    in `given` are taken as they are."""
+    the field's default; a required one is an error naming the key, and so
+    is a key no field holds. Fields in `given` are taken as they are."""
+    _known_keys(doc, _document_keys(cls))
     for name, key, convert, required in _decoder(cls):
         if name in given:
             continue
@@ -520,7 +559,11 @@ def _decode_device(doc, grid: TimeGrid) -> DeviceConfig:
         raise MalformedRequest(f"type must be one of {sorted(_DEVICE_TYPES)}, got {_shown(kind)}")
     if cls is HeaterFleetConfig:
         return _decode(cls, doc, grid, params=_decode(WaterHeaterParams, doc, grid))
-    if cls is CycleConfig and "profile_w" not in doc:
+    if cls is CycleConfig and "profile_w" in doc:
+        for key in ("power_w", "duration_slots"):
+            if key in doc:
+                raise MalformedRequest(f"{key} is the legacy form of profile_w; give one form")
+    elif cls is CycleConfig:
         # legacy form: one power level held for a number of slots
         slots = _scalar(int, "duration_slots")(_required(doc, "duration_slots"), grid)
         if slots > grid.horizon:
@@ -543,12 +586,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+_GRID_KEYS = frozenset({"start", "slot_min", "horizon"})
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a document, validated. A malformed document raises
     MalformedRequest naming the key; a well-formed one that
     Scenario.validate refuses raises what validate raises."""
     doc = _container(doc, dict, "a scenario")
     block = _container(_required(doc, "grid"), dict, "grid")
+    _known_keys(block, _GRID_KEYS)
     grid = TimeGrid(
         epoch_start_min=_clock("start")(_required(block, "start"), None),
         slot_min=_scalar(int, "slot_min")(_required(block, "slot_min"), None),

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from pemsim import engine
 from pemsim.core import (
+    MAX_FLEET_COUNT,
     FlexibleTotalRequest,
     MalformedRequest,
     TimeGrid,
@@ -18,6 +20,7 @@ from pemsim.core import (
     substream,
     validate_request,
 )
+from pemsim.engine import run_scenario
 from pemsim.scenario import (
     CycleConfig,
     ServerPolicy,
@@ -164,6 +167,38 @@ class TestScenarioSerialization:
         with pytest.raises(MalformedRequest, match=key):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc["devices"][0].update(pakcet_w=500), "pakcet_w"),
+        (lambda doc: doc.update(chanels=None), "chanels"),
+        (lambda doc: doc["grid"].update(slot_mins=10), "slot_mins"),
+        (lambda doc: doc["renewable"].update(mean=3000.0), "mean"),
+        (lambda doc: doc["channels"]["grant"].update(loss_prob=0.1), "loss_prob"),
+        (lambda doc: doc["server"].update(backoff=3), "backoff"),
+        (lambda doc: doc["devices"][1].update(device_id="ev"), "device_id"),
+        (lambda doc: doc["devices"][2].update(power_w=2000.0), "power_w"),
+        (lambda doc: doc["channels"].update(tirp=doc["channels"]["trip"]), "tirp"),
+    ], ids=["device", "top_level", "grid", "renewable", "channel_profile", "server",
+            "field_name_for_alias", "legacy_beside_profile", "channel_kind"])
+    def test_unknown_key_is_refused_by_name(self, edit, key):
+        """A key the codec does not read would leave its field at the
+        default, so it is refused by name."""
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        edit(doc)
+        with pytest.raises(MalformedRequest, match=key):
+            scenario_from_dict(doc)
+
+    def test_fleet_document_holds_its_parameters_flat(self):
+        """A fleet device document holds the fleet's fields and its heater
+        parameters side by side; any other key is refused."""
+        doc = scenario_to_dict(fleet_scenario(count=20, hours=1.0))
+        assert {"count", "packet_epochs", "t_low_c", "draw_prob"} <= set(doc["devices"][0])
+        assert scenario_from_dict(doc) == fleet_scenario(count=20, hours=1.0)
+        for key in ("params", "t_low", "rated_power_w"):
+            bad = json.loads(json.dumps(doc))
+            bad["devices"][0][key] = 1.0
+            with pytest.raises(MalformedRequest, match=f"unknown key '{key}'"):
+                scenario_from_dict(bad)
+
     def test_int_in_float_field_decodes_to_float(self):
         doc = scenario_to_dict(three_household_scenario(seed=1))
         doc["feeder_capacity_w"] = 10000
@@ -203,6 +238,22 @@ class TestFleetValidation:
     def test_empty_fleet_rejected(self, count):
         with pytest.raises(MalformedRequest, match="fleet.count"):
             fleet_scenario(count=count, hours=1.0).validate()
+
+    def test_oversized_fleet_rejected_before_the_run(self, monkeypatch):
+        """A count past MAX_FLEET_COUNT would have the fleet loop build
+        per-heater lists of that length; validate refuses it first."""
+        def no_run(scenario):
+            raise AssertionError("the fleet run started")
+
+        monkeypatch.setattr(engine, "_run_fleet", no_run)
+        scenario = fleet_scenario(count=10, hours=1.0)
+        for count in (MAX_FLEET_COUNT + 1, 10**9):
+            fleet = replace(scenario.devices[0], count=count)
+            big = replace(scenario, devices=(fleet,), feeder_capacity_w=1e13)
+            with pytest.raises(MalformedRequest, match=f"fleet.count must be at most {MAX_FLEET_COUNT}"):
+                run_scenario(big)
+        fleet = replace(scenario.devices[0], count=MAX_FLEET_COUNT)
+        replace(scenario, devices=(fleet,), feeder_capacity_w=1e13).validate()
 
     @pytest.mark.parametrize("packet_epochs", [0, -5])
     def test_packet_without_epochs_rejected(self, packet_epochs):
