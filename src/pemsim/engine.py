@@ -539,16 +539,10 @@ class _ThermalJob(_HouseholdJob):
     def fill_trace(self, upto: int) -> None:
         """Step the node unheated through the idle slots before slot `upto`
         that the trace lacks, as apply takes a slot at 0 W, and record each
-        temperature. A step that returns its own nonzero input (a node at
-        ambient) returns it again on every later step, bit for bit, so the
-        rest of the gap repeats it."""
+        temperature."""
         cfg, slot_min, temp_c, trace = self.cfg, self.slot_min, self.temp_c, self.trace
-        for left in range(upto - len(trace), 0, -1):
-            after = _euler_temp(cfg, temp_c, 0.0, slot_min)
-            if after == temp_c and after != 0.0:
-                trace.extend([after] * left)
-                break
-            temp_c = after
+        for _ in range(upto - len(trace)):
+            temp_c = _euler_temp(cfg, temp_c, 0.0, slot_min)
             trace.append(temp_c)
         self.temp_c = temp_c
 

@@ -281,16 +281,8 @@ def _slots_rows(result, out: Path) -> str:
                 renewable=RenewableConfig(kind="trace", values_w=(1000.0,) * 6),
             )
         ],
-        lambda: [
-            Scenario(
-                grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=6),
-                feeder_capacity_w=5000.0,
-                devices=(CycleConfig("washer", (2000.0, 1500.0), earliest_start=1, deadline=6),),
-                renewable=RenewableConfig(kind="trace", values_w=(4000.0,) * 6),
-            )
-        ],
     ],
-    ids=["feeders", "reference", "fleet", "no_devices", "one_household_device"],
+    ids=["feeders", "reference", "fleet", "no_devices"],
 )
 def test_device_cells_match_template_writer(tmp_path, scenarios):
     for k, scenario in enumerate(scenarios()):
