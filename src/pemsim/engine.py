@@ -9,22 +9,22 @@ give bit-identical results; all randomness flows through per-purpose
 substreams of the scenario seed.
 
 Per-slot work touches only the jobs whose state can change. A household job
-is in one of three roles:
+is in one of two roles:
 
-- allocating: accepted and not yet done or failed. Only these jobs state a
-  slot need in phase (4), in device order, and they step at their grants;
-- stepping: the allocating jobs plus each thermal job from
-  min(preheat_from, service_start - 1) until it is done or fails, since its
-  step records the service-window temperatures and finishes it, accepted or
-  not. Phase (6) runs `apply` on these in device order, because a finishing
-  job releases its ledger commitment;
+- stepping: a battery or cycle that is accepted and not yet done or failed,
+  and a thermal job from min(preheat_from, service_start - 1) until it is
+  done or fails, accepted or not, since its step records the service-window
+  temperatures and finishes it. Phase (4) asks these jobs for their needs
+  in device order (a thermal job has none until it is accepted), and phase
+  (6) runs `apply` on them in device order, because a finishing job
+  releases its ledger commitment;
 - idle: any other job, which draws 0 W. A battery or cycle holds its state,
   so its trace repeats the held value; a thermal node cools by the unheated
   Euler step, so its trace iterates that step. Either way the trace, and a
   node's temperature, are filled in only when the job next steps, sends a
   request, or the run ends.
 
-The role lists are rebuilt only when a role can change: a decision is
+The stepping list is rebuilt only when a role can change: a decision is
 delivered, a job finishes, fails or is shed, or a thermal job reaches its
 first stepping slot. Phase (2) wakes jobs from a slot index: a job is filed
 under its `next_emit` slot (its first request, a retry or a re-ask) each
@@ -314,7 +314,6 @@ class _HouseholdJob:
         # the slot of the next request, retry or re-ask; None while none is due
         self.next_emit: int | None = None
         self.active_from: int | None = None
-        self.request: LoadRequest | None = None  # the one last sent
         self.done = False
         self.failed = False
         self.outcome: RequestOutcome | None = None
@@ -322,16 +321,11 @@ class _HouseholdJob:
         # slots are filled in later, by fill_trace
         self.trace: list[float] = []
 
-    @property
-    def allocating(self) -> bool:
-        """Accepted and not yet done or failed: the job takes part in each
-        slot's allocation and steps at its grant."""
-        return self.active_from is not None and not self.done and not self.failed
-
     def steps_at(self, now: int) -> bool:
-        """Whether slot `now` runs `apply`; otherwise the job is idle and
-        draws 0 W."""
-        return self.allocating
+        """Whether slot `now` states a need and runs `apply`; otherwise the
+        job is idle and draws 0 W. A battery or cycle steps while it is
+        accepted and not yet done or failed."""
+        return self.active_from is not None and not self.done and not self.failed
 
     def fill_trace(self, upto: int) -> None:
         """Record the idle slots before slot `upto` that the trace lacks:
@@ -349,7 +343,8 @@ class _HouseholdJob:
         raise NotImplementedError
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        """This slot's need; called only on an allocating job."""
+        """This slot's need, None for none; called only where steps_at
+        holds, once the trace is filled up to the slot."""
         raise NotImplementedError
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
@@ -385,7 +380,6 @@ class _HouseholdJob:
         else:
             self.outcome.retries += 1
         self.next_emit = now + self.backoff_max + 1  # re-ask if no answer came by then
-        self.request = request
         return request
 
     def on_decision(self, decision: GrantDecision, slot: int) -> None:
@@ -547,8 +541,9 @@ class _ThermalJob(_HouseholdJob):
         self.temp_c = temp_c
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        # reads only the request's configuration, the same in every request sent
-        forced = thermal_forced_need(self.temp_c, self.request, now, self.grid)
+        if self.active_from is None:  # stepping, but not accepted
+            return None
+        forced = thermal_forced_need(self.temp_c, self.cfg, now, self.grid)
         if forced > 0:
             return SlotNeed(self.device_id, self.priority, forced_w=forced)
         if (
@@ -796,7 +791,6 @@ def _run_household(scenario: Scenario) -> RunResult:
             job.on_decision(decision, t)
             file_wake(job)
             changed = True
-        server_inbox = list(request_inbox.pop(t, ()))
 
         # (2) devices emit requests, retries, and lost-response re-asks: the
         # jobs filed under slot t that still have it as their next_emit and
@@ -813,15 +807,12 @@ def _run_household(scenario: Scenario) -> RunResult:
                 continue
             file_wake(job)  # its re-ask
             delivery = channels.send_slot(MessageKind.PACKET_REQUEST, t)
-            if delivery is None:
-                continue  # dropped; device asks again after its wait
-            if delivery == t:
-                server_inbox.append((job, request))
-            else:
+            if delivery is not None:  # else dropped; device asks again after its wait
                 request_inbox.setdefault(delivery, []).append((job, request))
 
-        # (3) server admits
-        for job, request in server_inbox:
+        # (3) server admits the requests delivered by now: those filed under
+        # slot t in earlier slots, then this slot's
+        for job, request in request_inbox.pop(t, ()):
             decision = ledger.admit(request, now=t)
             kind = MessageKind.GRANT if isinstance(decision, Accept) else MessageKind.REJECT
             delivery = channels.send_slot(kind, t)
@@ -834,15 +825,14 @@ def _run_household(scenario: Scenario) -> RunResult:
             else:
                 decision_outbox.setdefault(delivery, []).append((job, decision))
 
-        # (4) per-slot allocation among the allocating jobs, in device order,
-        # which allocate_slot's sums and shuffle depend on
+        # (4) per-slot allocation among the stepping jobs' needs, in device
+        # order, which allocate_slot's sums and shuffle depend on
         if changed or t in thermal_entries:
             changed = False
-            allocating = [job for job in jobs if job.allocating]
             stepping = [job for job in jobs if job.steps_at(t)]
             for job in stepping:
                 job.fill_trace(t)
-        needs = [n for job in allocating if (n := job.slot_need(t)) is not None]
+        needs = [n for job in stepping if (n := job.slot_need(t)) is not None]
         supply = supply_side.view(t)
         grants = allocate_slot(
             ledger, needs, supply, server_rng, now=t,
@@ -891,18 +881,13 @@ def _run_household(scenario: Scenario) -> RunResult:
                 job.outcome.deadline_met = False
             outcomes.append(job.outcome)
 
-    aggregated = (
-        aggregate_reports(delivered_meters, slot_ms)
-        if delivered_meters
-        else []
-    )
     return RunResult(
         seed=scenario.seed,
         grid=grid,
         slots=slots,
         requests=outcomes,
         channel=channels.records,
-        aggregated=aggregated,
+        aggregated=aggregate_reports(delivered_meters, slot_ms),
         shed_events=shed_events,
         device_traces=frozen_traces,
         final_states=final_states,

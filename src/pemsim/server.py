@@ -121,9 +121,10 @@ def thermal_forced_need(
     temp_c: float, request: ThermalTargetRequest, now: int, grid: TimeGrid
 ) -> float:
     """Forced heating power for a thermal job this slot, re-evaluated against
-    the node's actual temperature `temp_c`. It reads the request's node
-    constants and schedule, never its snapshot temp_c or issued_at, so every
-    request a job sends gives the same answer.
+    the node's actual temperature `temp_c`. `request` is the node's
+    ThermalConfig or any request the node sent: only the node constants and
+    the schedule are read, never a request's snapshot temp_c or issued_at,
+    so each gives the same answer.
 
     Inside [force_check, service_end): heat at rated iff coasting from here
     would drop below target at the next checkpoint (service start before

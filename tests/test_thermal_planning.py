@@ -19,6 +19,7 @@ import pytest
 
 from pemsim.core import ThermalTargetRequest, TimeGrid, WindowInfeasible
 from pemsim.devices import _euler_temp, decay_temp, min_heating_slots
+from pemsim.scenario import ThermalConfig
 from pemsim.server import plan_thermal_forced_start, thermal_forced_need
 
 
@@ -122,6 +123,26 @@ def reference_thermal_forced_need(temp_c, request, now, grid):
     if decay_temp(state, state.temp_c, horizon, grid.slot_min) < request.target_c:
         return request.rated_w
     return 0.0
+
+
+def config_of(request):
+    """The ThermalConfig of the node that sent `request`, starting at an
+    initial temperature of its own."""
+    return ThermalConfig(
+        device_id=request.device_id,
+        rated_w=request.rated_w,
+        target_c=request.target_c,
+        service_start=request.service_start,
+        service_end=request.service_end,
+        preheat_from=request.preheat_from,
+        force_check_at=request.force_check_at,
+        priority=request.priority,
+        capacitance_wh_per_c=request.capacitance_wh_per_c,
+        loss_w_per_c=request.loss_w_per_c,
+        ambient_c=request.ambient_c,
+        initial_c=request.temp_c - 7.0,
+        efficiency=request.efficiency,
+    )
 
 
 def random_state(rng):
@@ -245,10 +266,12 @@ class TestPlanning:
             now = rng.randint(0, grid.horizon)
             got = thermal_forced_need(temp, request, now, grid)
             assert got == reference_thermal_forced_need(temp, request, now, grid)
-            # the engine passes whichever request it sent last: the need must
-            # not read the snapshot temperature or the issue slot
+            # a request's snapshot temperature and issue slot are never read,
+            # so a resent request and the node's config give the same need:
+            # the engine passes the config
             resent = replace(request, temp_c=request.target_c + 25.0, issued_at=0)
             assert thermal_forced_need(temp, resent, now, grid) == got
+            assert thermal_forced_need(temp, config_of(request), now, grid) == got
             if got > 0:
                 forced += 1
             else:
