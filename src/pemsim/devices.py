@@ -10,15 +10,17 @@ the functions below take any of them as the node and its temperature as a
 float; core.check_thermal_node checks the constants. The node's temperature
 is integrated with one explicit Euler step per slot:
 
-    T' = T + dt_h * (eta * P - U * (T - T_ambient)) / C,   dt_h = dt_min / 60
+    T' = T + (dt_h * eta * P / C - dt_h * U / C * (T - T_ambient)),   dt_h = dt_min / 60
 
 which converges to T_ambient + eta*P/U and admits the closed-form solution
 used as the test oracle. `_euler_temp` is the one implementation of that
-step, evaluated in exactly this grouping (the product dt_h * (...) first,
-then the division by C, then the addition to T). min_heating_slots and the
-engine's household thermal job both call it, so a heating run that
-min_heating_slots plans is exactly the run the engine simulates at rated
-power. `_absorb` is likewise the one charging step of a battery.
+step, evaluated left to right in exactly this grouping: the heat gain
+dt_h * eta * P / C, less the loss rate dt_h * U / C times T - T_ambient,
+added to T. min_heating_slots and the engine's household thermal job both
+call it, so a heating run that min_heating_slots plans is exactly the run
+the engine simulates at rated power. The heater fleet inlines it with the
+gain at rated power and the loss rate computed once per run; the grouping
+is the same, so its temperatures are this step's bit for bit. `_absorb` is likewise the one charging step of a battery.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ def _euler_temp(node, temp_c: float, power_w: float, dt_min: float) -> float:
     """Temperature after one Euler step of `node` from `temp_c` at
     `power_w` heating power (not clamped here)."""
     dt_h = dt_min / 60.0
-    return temp_c + dt_h * (
-        node.efficiency * power_w - node.loss_w_per_c * (temp_c - node.ambient_c)
-    ) / node.capacitance_wh_per_c
+    return temp_c + (
+        dt_h * node.efficiency * power_w / node.capacitance_wh_per_c
+        - dt_h * node.loss_w_per_c / node.capacitance_wh_per_c * (temp_c - node.ambient_c)
+    )
 
 
 def decay_temp(node, temp_c: float, steps: int, dt_min: float) -> float:

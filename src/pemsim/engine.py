@@ -972,9 +972,9 @@ def _run_fleet(scenario: Scenario) -> RunResult:
         # unbeaten, and only then does the record scan temps with min() (max()).
         coldest, hottest = force_on_below, t_high
         for i, temp in enumerate(temps):
-            # devices._euler_temp's step, inlined for the n*epochs loop with its
-            # terms grouped differently (a temperature can differ from
-            # _euler_temp's in the last bit), then a random.uniform draw inlined
+            # devices._euler_temp's step, inlined for the n*epochs loop with
+            # its gain and loss rate computed once (the same grouping, so the
+            # same temperature bit for bit), then a random.uniform draw inlined
             temp += gain[i] - loss_rate * (temp - ambient)
             if draw_random() < draw_prob:
                 temp -= draw_min + draw_width * draw_random()

@@ -259,9 +259,9 @@ class TestWaterHeater:
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_inline_euler_step_tracks_step_thermal(seed):
-    """The fleet inlines the Euler step with its terms grouped differently;
-    without draws, a lone heater's temperature stays within 1e-9 C of
-    iterated reference_step_thermal at the power the fleet applied."""
+    """The fleet inlines the Euler step with its gain and loss rate computed
+    once; without draws, a lone heater's temperature equals iterated
+    reference_step_thermal at the power the fleet applied, bit for bit."""
     params = replace(DEFAULT, draw_prob=0.0)
     scenario = stepped_fleet(count=1, seed=seed, params=params, hours=8.0,
                              low_w=0.0, high_w=params.rated_w)
@@ -270,6 +270,6 @@ def test_inline_euler_step_tracks_step_thermal(seed):
     state = node_of(params, start_c)
     for record in result.fleet:
         state = reference_step_thermal(state, record.aggregate_w, scenario.grid.slot_min)
-        assert abs(record.temp_min_c - state.temp_c) <= 1e-9
+        assert record.temp_min_c == state.temp_c
     powers = {record.aggregate_w for record in result.fleet}
     assert powers == {0.0, params.rated_w}

@@ -52,10 +52,9 @@ def node_of(source, temp_c):
 def reference_step_thermal(state, applied_w, dt_min):
     power = min(max(applied_w, 0.0), state.rated_w)
     dt_h = dt_min / 60.0
-    delta = dt_h * (
-        state.efficiency * power
-        - state.loss_w_per_c * (state.temp_c - state.ambient_c)
-    ) / state.capacitance_wh_per_c
+    gain = dt_h * state.efficiency * power / state.capacitance_wh_per_c
+    loss_rate = dt_h * state.loss_w_per_c / state.capacitance_wh_per_c
+    delta = gain - loss_rate * (state.temp_c - state.ambient_c)
     return replace(state, temp_c=state.temp_c + delta)
 
 
