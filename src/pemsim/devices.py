@@ -20,7 +20,8 @@ added to T. min_heating_slots and the engine's household thermal job both
 call it, so a heating run that min_heating_slots plans is exactly the run
 the engine simulates at rated power. The heater fleet inlines it with the
 gain at rated power and the loss rate computed once per run; the grouping
-is the same, so its temperatures are this step's bit for bit. `_absorb` is likewise the one charging step of a battery.
+is the same, so its temperatures are this step's bit for bit. `_absorb` is
+likewise the one charging step of a battery.
 """
 
 from __future__ import annotations

@@ -322,9 +322,9 @@ class _HouseholdJob:
         self.trace: list[float] = []
 
     def steps_at(self, now: int) -> bool:
-        """Whether slot `now` states a need and runs `apply`; otherwise the
-        job is idle and draws 0 W. A battery or cycle steps while it is
-        accepted and not yet done or failed."""
+        """Whether slot `now` asks the job for its need and runs `apply`;
+        otherwise the job is idle and draws 0 W. A battery or cycle steps
+        while it is accepted and not yet done or failed."""
         return self.active_from is not None and not self.done and not self.failed
 
     def fill_trace(self, upto: int) -> None:

@@ -37,11 +37,13 @@ MANIFEST = Path(__file__).resolve().parent / "identity.json"
 REFERENCE_FILE = ROOT / "scenarios" / "three_household.json"
 
 
-def _reference(seed):
+def reference(seed):
     return replace(load_scenario(REFERENCE_FILE), seed=seed)
 
 
-def _mixed(number, initial_c=None):
+def mixed(number, initial_c=None):
+    """Generated feeder `number`, every thermal node starting at `initial_c`
+    if one is given."""
     doc = mixed_feeder_doc(number)
     if initial_c is not None:
         doc["devices"] = [
@@ -50,11 +52,11 @@ def _mixed(number, initial_c=None):
     return scenario_from_dict(doc)
 
 
-def _slow_lossy(seed, warmer_c=0.0):
+def slow_lossy(seed, warmer_c=0.0):
     """The reference evening with every mean delay 20 000x and every loss
     probability 0.2, its thermal nodes starting `warmer_c` above their own
     initial temperature."""
-    scenario = _reference(seed)
+    scenario = reference(seed)
     return replace(
         scenario,
         channels={
@@ -69,18 +71,18 @@ def _slow_lossy(seed, warmer_c=0.0):
 
 
 CATEGORIES = {
-    "reference": lambda: map(_reference, range(1, 2001)),
-    "mixed_feeders": lambda: map(_mixed, range(1, 601)),
-    "mixed_feeders_35c": lambda: (_mixed(n, 35.0) for n in range(1, 601)),
-    "mixed_feeders_80c": lambda: (_mixed(n, 80.0) for n in range(1, 601)),
+    "reference": lambda: map(reference, range(1, 2001)),
+    "mixed_feeders": lambda: map(mixed, range(1, 601)),
+    "mixed_feeders_35c": lambda: (mixed(n, 35.0) for n in range(1, 601)),
+    "mixed_feeders_80c": lambda: (mixed(n, 80.0) for n in range(1, 601)),
     "generated": lambda: map(random_household_scenario, range(1, 601)),
     "generated_islanded": lambda: (
         random_household_scenario(s, import_allowed=False) for s in range(1, 601)
     ),
     "fault": lambda: [fault_scenario()],
     "fleet": lambda: map(fleet_case, range(1, 5)),
-    "slow_lossy": lambda: map(_slow_lossy, range(1, 401)),
-    "slow_lossy_warm": lambda: (_slow_lossy(s, 15.0) for s in range(1, 401)),
+    "slow_lossy": lambda: map(slow_lossy, range(1, 401)),
+    "slow_lossy_warm": lambda: (slow_lossy(s, 15.0) for s in range(1, 401)),
 }
 
 

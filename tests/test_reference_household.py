@@ -12,14 +12,15 @@ idle slots and admission from the forced start change no output.
 """
 
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from identity import mixed, reference, slow_lossy  # puts src/ and bench/ on sys.path
 from scenario_gen import random_household_scenario
 from test_server import reference_admit
+from workloads import fault_scenario
 
 from pemsim.cli import write_bundle
 from pemsim.comms import MessageKind, aggregate_reports
@@ -33,7 +34,7 @@ from pemsim.engine import (
     _Supply,
     run_scenario,
 )
-from pemsim.scenario import default_channels, load_scenario, scenario_from_dict
+from pemsim.scenario import default_channels
 from pemsim.server import (
     CAP_TOL_W,
     CommitmentLedger,
@@ -41,12 +42,6 @@ from pemsim.server import (
     UnderSupply,
     allocate_slot,
 )
-
-# the benchmark's generated feeders and its thermal-fault evening
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import fault_scenario, mixed_feeder_doc  # noqa: E402
-
-REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
 
 
 class ScanningLedger(CommitmentLedger):
@@ -162,39 +157,21 @@ def _output(result, out_dir):
     return files, repr(result)
 
 
-def _thermal_start(doc, initial_c):
-    return {**doc, "devices": [
-        {**d, "initial_c": initial_c} if d["type"] == "thermal" else d for d in doc["devices"]
-    ]}
-
-
-def _slowed(scenario, channels, factor=20000):
-    """The scenario over `channels` with every mean delay scaled by `factor`
-    and every loss probability 0.2."""
-    return replace(scenario, channels={
-        name: replace(profile, mean_ms=profile.mean_ms * factor, loss_prob=0.2)
-        for name, profile in channels.items()
-    })
-
-
-def _slow_lossy(seed):
-    scenario = replace(load_scenario(REFERENCE_FILE), seed=seed)
-    return _slowed(scenario, scenario.channels)
-
-
 def _unheard(seed):
     """The reference evening whose requests all arrive after the run ends:
     no decision ever comes, so only a thermal job's own schedule starts its
     steps."""
-    scenario = replace(load_scenario(REFERENCE_FILE), seed=seed)
+    scenario = reference(seed)
     late_ms = scenario.grid.horizon * scenario.grid.slot_ms
     request = replace(scenario.channels["request"], offset_ms=late_ms, mean_ms=late_ms)
     return replace(scenario, channels={**scenario.channels, "request": request})
 
 
-def _mixed(number, initial_c=None):
-    doc = mixed_feeder_doc(number)
-    return scenario_from_dict(doc if initial_c is None else _thermal_start(doc, initial_c))
+def _lossy(scenario):
+    """The scenario over the default channels with every loss probability 0.2."""
+    return replace(scenario, channels={
+        name: replace(profile, loss_prob=0.2) for name, profile in default_channels().items()
+    })
 
 
 SETS = {
@@ -202,13 +179,11 @@ SETS = {
     "generated_islanded": lambda: [
         random_household_scenario(s, import_allowed=False) for s in range(1, 61)
     ],
-    "mixed_feeders": lambda: [_mixed(n) for n in range(1, 11)],
-    "mixed_feeders_at_80c": lambda: [_mixed(n, 80.0) for n in range(1, 6)],
+    "mixed_feeders": lambda: [mixed(n) for n in range(1, 11)],
+    "mixed_feeders_at_80c": lambda: [mixed(n, 80.0) for n in range(1, 6)],
     # lost requests make two jobs wake in one slot out of device order
-    "lossy_mixed_feeders": lambda: [
-        _slowed(_mixed(n), default_channels(), factor=1) for n in (16, 18, 19)
-    ],
-    "slow_lossy_evenings": lambda: [_slow_lossy(s) for s in range(150, 174)],
+    "lossy_mixed_feeders": lambda: [_lossy(mixed(n)) for n in (16, 18, 19)],
+    "slow_lossy_evenings": lambda: [slow_lossy(s) for s in range(150, 174)],
     "unheard_evenings": lambda: [_unheard(s) for s in (1, 2)],
     "fault_evening": lambda: [fault_scenario()],
 }
