@@ -63,26 +63,6 @@ class ChannelProfile:
             raise MalformedRequest("retransmit timeout must be non-negative")
 
 
-# Default profiles; the trip-signal numbers are the ones audited against the
-# 100 ms protection budget.
-URLLC_DEFAULT = ChannelProfile(
-    cls=ChannelClass.URLLC,
-    offset_ms=1.0,
-    mean_ms=5.0,
-    loss_prob=0.001,
-    retransmit_timeout_ms=20.0,
-    max_attempts=7,
-)
-MMTC_DEFAULT = ChannelProfile(
-    cls=ChannelClass.MMTC,
-    offset_ms=10.0,
-    mean_ms=50.0,
-    loss_prob=0.01,
-    retransmit_timeout_ms=200.0,
-    max_attempts=3,
-)
-
-
 @dataclass(slots=True)
 class Delivered:
     """A transmit outcome; slotted and not frozen, as MessageRecord says."""

@@ -237,8 +237,8 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
     if isinstance(request, FixedProfileRequest):
         if not request.profile_w:
             raise MalformedRequest("profile must be non-empty")
-        if any(w < 0 for w in request.profile_w):
-            raise MalformedRequest("profile power must be non-negative")
+        if not all(w > 0 for w in request.profile_w):
+            raise MalformedRequest("profile power must be positive")
         if request.latest_start < request.earliest_start:
             raise WindowInfeasible("latest start precedes earliest start")
         if request.earliest_start < 0 or request.deadline > grid.horizon:
@@ -246,7 +246,7 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
     elif isinstance(request, FlexibleTotalRequest):
         if request.energy_needed_wh < 0:
             raise MalformedRequest("energy needed must be non-negative")
-        if request.p_max_w < 0 or request.packet_w <= 0:
+        if request.p_max_w <= 0 or request.packet_w <= 0:
             raise MalformedRequest("power limits must be positive")
         if request.energy_needed_wh > 0 and request.deadline <= request.available_from:
             raise WindowInfeasible("deadline does not follow availability")

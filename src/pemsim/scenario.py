@@ -13,13 +13,13 @@ import functools
 import json
 import math
 import random
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
 
-from .comms import ChannelProfile, MMTC_DEFAULT, URLLC_DEFAULT
+from .comms import ChannelProfile
 from .core import (
     MAX_FLEET_COUNT,
     FixedProfileRequest,
@@ -275,8 +275,8 @@ def _check_device(device: ThermalConfig | BatteryConfig | CycleConfig, grid: Tim
             raise MalformedRequest("priority level must be non-negative")
         if device.packet_w <= 0:
             raise MalformedRequest("packet_w must be positive")
-        if device.p_max_w < 0:
-            raise MalformedRequest("p_max_w must be non-negative")
+        if device.p_max_w <= 0:
+            raise MalformedRequest("p_max_w must be positive")
         if device.initial_soc_wh is not None:
             if not 0 <= device.initial_soc_wh <= device.capacity_wh:
                 raise MalformedRequest("initial_soc_wh out of [0, capacity_wh]")
@@ -321,17 +321,6 @@ _TIME_FIELDS: dict[type, tuple[str, ...]] = {
     BatteryConfig: ("arrival", "deadline"),
     CycleConfig: ("earliest_start", "deadline"),
 }
-
-
-def default_channels() -> dict[str, ChannelProfile]:
-    """Request/grant on the low-latency class, metering on the massive class,
-    trip signals on the low-latency class."""
-    return {
-        "request": URLLC_DEFAULT,
-        "grant": URLLC_DEFAULT,
-        "meter": MMTC_DEFAULT,
-        "trip": URLLC_DEFAULT,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -628,47 +617,14 @@ def load_scenario(path: str | Path) -> Scenario:
 # Built-in scenarios
 # ---------------------------------------------------------------------------
 
-def three_household_scenario(seed: int = 1, *, with_channels: bool = True) -> Scenario:
-    """The built-in three-household evening: a sauna that must reach 70 C by
-    19:00, an EV that must be full by midnight, and a one-hour dishwasher
-    cycle that must finish by midnight, on a 10 kW feeder with a random
-    renewable trace and imports allowed."""
-    grid = TimeGrid(epoch_start_min=16 * 60, slot_min=10, horizon=48)
-    sauna = ThermalConfig(
-        device_id="sauna",
-        rated_w=3600.0,
-        target_c=70.0,
-        service_start=grid.slot_of("19:00"),
-        service_end=grid.slot_of("20:00"),
-        preheat_from=grid.slot_of("16:30"),
-        force_check_at=grid.slot_of("18:20"),
-        priority=2,
-    )
-    ev = BatteryConfig(
-        device_id="ev",
-        capacity_wh=30_000.0,
-        p_max_w=5000.0,
-        arrival=grid.slot_of("16:00"),
-        deadline=grid.slot_of("24:00"),
-        priority=3,
-        packet_w=1000.0,
-    )
-    dishwasher = CycleConfig(
-        device_id="dishwasher",
-        profile_w=(2000.0,) * 6,
-        earliest_start=grid.slot_of("20:00"),
-        deadline=grid.slot_of("24:00"),
-        priority=1,
-    )
-    return Scenario(
-        grid=grid,
-        feeder_capacity_w=10_000.0,
-        devices=(sauna, ev, dishwasher),
-        renewable=RenewableConfig(kind="random_walk", mean_w=3000.0, volatility_w=600.0),
-        channels=default_channels() if with_channels else None,
-        trip_rate_per_hour=2.0 if with_channels else 0.0,
-        seed=seed,
-    )
+def three_household_scenario(seed: int = 1) -> Scenario:
+    """The reference three-household evening, shipped as three_household.json
+    beside this module: a sauna that must reach 70 C by 19:00, an EV that
+    must be full by midnight, and a one-hour dishwasher cycle that must
+    finish by midnight, on a 10 kW feeder with a random renewable trace and
+    imports allowed. Requests, grants and trip signals go over URLLC
+    channels, meter reports over an mMTC channel."""
+    return replace(load_scenario(Path(__file__).with_name("three_household.json")), seed=seed)
 
 
 def fleet_scenario(

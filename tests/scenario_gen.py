@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import (
@@ -32,6 +33,11 @@ def null_channels() -> dict[str, ChannelProfile]:
         "meter": ChannelProfile(cls=ChannelClass.MMTC, **zero),
         "trip": ChannelProfile(cls=ChannelClass.URLLC, **zero),
     }
+
+
+def without_channels(scenario: Scenario) -> Scenario:
+    """The scenario with its channel layer and trip traffic switched off."""
+    return replace(scenario, channels=None, trip_rate_per_hour=0.0)
 
 
 def random_household_scenario(

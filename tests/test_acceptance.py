@@ -11,7 +11,12 @@ from dataclasses import replace
 
 import pytest
 
-from scenario_gen import null_channels, random_admission_instance, random_household_scenario
+from scenario_gen import (
+    null_channels,
+    random_admission_instance,
+    random_household_scenario,
+    without_channels,
+)
 from test_server import oracle_admit_sequence
 
 from pemsim.comms import (
@@ -20,7 +25,6 @@ from pemsim.comms import (
     Delivered,
     MessageKind,
     MessageRecord,
-    URLLC_DEFAULT,
     audit_budget,
     sample_delay,
     transmit,
@@ -188,8 +192,9 @@ def test_criterion_6_channel_statistics():
 
     rng = random.Random(9999)
     records = []
+    trip = three_household_scenario().channels["trip"]
     for i in range(n):
-        outcome = transmit(0.0, URLLC_DEFAULT, rng)
+        outcome = transmit(0.0, trip, rng)
         if isinstance(outcome, Delivered):
             records.append(MessageRecord(i, MessageKind.TRIP_SIGNAL, ChannelClass.URLLC,
                                          0.0, outcome.at_ms, outcome.attempts))
@@ -207,7 +212,7 @@ def test_criterion_6_channel_statistics():
 def test_criterion_7_null_channel_equivalence():
     failures = []
     for seed in range(1, 21):
-        disabled = three_household_scenario(seed=seed, with_channels=False)
+        disabled = without_channels(three_household_scenario(seed=seed))
         zeroed = replace(disabled, channels=null_channels())
         a = run_scenario(disabled)
         b = run_scenario(zeroed)

@@ -175,18 +175,30 @@ class TestValidate:
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert "trip_rate_per_hour" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("device, edit", [
-        ("dishwasher", {"profile_w": []}),
-        ("dishwasher", {"profile_w": [2000.0, -1.0]}),
-        ("dishwasher", {"profile_w": None, "power_w": 2000, "duration_slots": -2}),
-        ("sauna", {"force_check_at": "19:10"}),
-        ("sauna", {"preheat_from": "18:30"}),
-        ("sauna", {"service_end": "19:00"}),
+    @pytest.mark.parametrize("device, edit, reason", [
+        ("dishwasher", {"profile_w": []}, "profile must be non-empty"),
+        ("dishwasher", {"profile_w": [2000.0, -1.0]}, "profile power must be positive"),
+        ("dishwasher", {"profile_w": None, "power_w": 2000, "duration_slots": -2},
+         "profile must be non-empty"),
+        ("sauna", {"force_check_at": "19:10"}, "thermal schedule out of order"),
+        ("sauna", {"preheat_from": "18:30"}, "thermal schedule out of order"),
+        ("sauna", {"service_end": "19:00"}, "thermal schedule out of order"),
+        ("dishwasher", {"profile_w": [0.0, 2000.0, 2000.0]}, "profile power must be positive"),
+        ("dishwasher", {"profile_w": [2000.0, 0.0, 2000.0]}, "profile power must be positive"),
+        ("dishwasher", {"profile_w": [2000.0, 2000.0, 0.0]}, "profile power must be positive"),
+        ("dishwasher", {"profile_w": None, "power_w": 0, "duration_slots": 3},
+         "profile power must be positive"),
+        ("ev", {"p_max_w": 0.0, "initial_soc_wh": 30_000.0}, "p_max_w must be positive"),
+        ("ev", {"p_max_w": 0.0, "capacity_wh": 0.0}, "p_max_w must be positive"),
     ], ids=["empty_profile", "negative_profile", "legacy_negative_slots", "check_after_start",
-            "preheat_after_check", "empty_service"])
-    def test_what_admission_refuses_fails_validate(self, tmp_path, capsys, device, edit):
+            "preheat_after_check", "empty_service", "leading_zero_slot", "inner_zero_slot",
+            "trailing_zero_slot", "legacy_zero_power", "full_battery_zero_power",
+            "no_capacity_zero_power"])
+    def test_what_admission_refuses_fails_validate(self, tmp_path, capsys, device, edit, reason):
         """Each of these ran with the device rejected as malformed_request
-        or window_infeasible."""
+        or window_infeasible, or broke the run: a 0 W cycle slot after the
+        first broke the cycle's contiguity (exit 2), and a leading one kept
+        the accepted cycle from ever starting."""
         doc = scenario_to_dict(three_household_scenario(seed=1))
         cfg = next(d for d in doc["devices"] if d["id"] == device)
         cfg.update(edit)
@@ -196,7 +208,7 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and f"validation error: {device}: " in lines[0], lines
+        assert len(lines) == 1 and f"validation error: {device}: {reason}" in lines[0], lines
 
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
@@ -551,14 +563,13 @@ class TestFleetCommand:
 
 
 def _node_paths(node, path=()):
-    """Paths to every node of a scenario document, the root included; of a
-    list, only the first two entries."""
+    """Paths to every node of a scenario document, the root included."""
     yield path
     if isinstance(node, dict):
         for key, value in node.items():
             yield from _node_paths(value, path + (key,))
     elif isinstance(node, list):
-        for i, value in enumerate(node[:2]):
+        for i, value in enumerate(node):
             yield from _node_paths(value, path + (i,))
 
 
@@ -570,10 +581,11 @@ def _reject_constant(name):
 def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
     """Each node of a scenario file (object, array, string, number, bool or
     null) set to NaN, +-inf, -1, 0, [], {}, "x", true or null: `validate`
-    and `run` exit 0, 1 or 2 without an exception, a non-zero exit writes
-    exactly one stderr line, a file that `validate` accepts never fails
-    `run` as invalid (exit 1) nor has a request rejected as malformed, and
-    a run that exits 0 writes strict JSON."""
+    and `run` exit without an exception, a non-zero exit writes exactly one
+    stderr line, a file that `validate` accepts runs to exit 0 (no
+    invariant violation) with no request rejected as malformed, one it
+    refuses makes `run` exit 1, and a run that exits 0 writes strict
+    JSON."""
     if base == "reference":
         doc = scenario_to_dict(three_household_scenario(seed=5))
     else:
@@ -606,7 +618,7 @@ def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
             assert valid in (0, 1), where
             # each run that starts writes its own bundle, or removes the last
             code = exit_code(["run", "--scenario", str(scenario_file), "--out", str(out)], where)
-            assert code in ((0, 2) if valid == 0 else (1,)), where
+            assert code == (0 if valid == 0 else 1), where
             if code == 0:
                 json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
             if valid == 0 and (out / "requests.csv").exists():

@@ -24,7 +24,6 @@ from pemsim.engine import run_scenario
 from pemsim.scenario import (
     CycleConfig,
     ServerPolicy,
-    default_channels,
     fleet_scenario,
     load_scenario,
     save_scenario,
@@ -94,6 +93,10 @@ class TestValidateRequest:
         with pytest.raises(WindowInfeasible):
             validate_request(self._flexible(energy_needed_wh=40_001.0), GRID)
 
+    def test_zero_power_limit(self):
+        with pytest.raises(MalformedRequest, match="power limits must be positive"):
+            validate_request(self._flexible(energy_needed_wh=0.0, p_max_w=0.0), GRID)
+
     def test_negative_energy(self):
         with pytest.raises(MalformedRequest):
             validate_request(self._flexible(energy_needed_wh=-1.0), GRID)
@@ -123,14 +126,6 @@ class TestScenarioSerialization:
     def test_reference_file_roundtrips_byte_identically(self, tmp_path):
         save_scenario(load_scenario(REFERENCE_FILE), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == REFERENCE_FILE.read_bytes()
-
-    def test_reference_file_is_the_built_in_evening(self):
-        """The reference evening is defined twice, as the shipped file and
-        as three_household_scenario; the two must not drift apart."""
-        assert scenario_to_dict(three_household_scenario(seed=1)) == json.loads(
-            REFERENCE_FILE.read_text()
-        )
-        assert load_scenario(REFERENCE_FILE) == three_household_scenario(seed=1)
 
     def test_legacy_cycle_form(self):
         doc = scenario_to_dict(three_household_scenario(seed=1))
@@ -218,7 +213,8 @@ class TestFleetValidation:
         fleet_scenario(count=10, hours=1.0).validate()
 
     def test_channels_rejected(self):
-        scenario = replace(fleet_scenario(count=10, hours=1.0), channels=default_channels())
+        channels = three_household_scenario().channels
+        scenario = replace(fleet_scenario(count=10, hours=1.0), channels=channels)
         with pytest.raises(MalformedRequest, match="channels"):
             scenario.validate()
 

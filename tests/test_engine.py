@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from scenario_gen import null_channels, random_household_scenario
+from scenario_gen import null_channels, random_household_scenario, without_channels
 from test_thermal_planning import node_of, reference_step_storage, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
@@ -31,7 +31,6 @@ from pemsim.scenario import (
     RenewableConfig,
     Scenario,
     ThermalConfig,
-    default_channels,
     scenario_from_dict,
     three_household_scenario,
 )
@@ -48,7 +47,9 @@ def _slot_consumed_wh(result):
 def _full_ev(seed, below_capacity_wh, with_channels=False):
     """The reference evening with the EV arriving at slot 4 already charged
     to `below_capacity_wh` under its capacity, within COMPLETION_TOL_WH."""
-    scenario = three_household_scenario(seed=seed, with_channels=with_channels)
+    scenario = three_household_scenario(seed=seed)
+    if not with_channels:
+        scenario = without_channels(scenario)
     return replace(scenario, devices=tuple(
         replace(d, initial_soc_wh=d.capacity_wh - below_capacity_wh, arrival=4)
         if isinstance(d, BatteryConfig) else d
@@ -232,11 +233,11 @@ def _thermal_start(doc: dict, initial_c: float) -> dict:
 
 
 def _slowed(scenario, factor=20000, loss_prob=0.2):
-    """The scenario over the default channels with every mean delay scaled
-    by `factor` and every loss probability set to `loss_prob`."""
+    """The scenario over the reference evening's channels with every mean
+    delay scaled by `factor` and every loss probability set to `loss_prob`."""
     return replace(scenario, channels={
         name: replace(profile, mean_ms=profile.mean_ms * factor, loss_prob=loss_prob)
-        for name, profile in default_channels().items()
+        for name, profile in three_household_scenario().channels.items()
     })
 
 
@@ -361,7 +362,7 @@ class TestConservation:
 class TestNullChannelEquivalence:
     def test_zero_channel_matches_disabled(self):
         for seed in (1, 7, 19):
-            disabled = three_household_scenario(seed=seed, with_channels=False)
+            disabled = without_channels(three_household_scenario(seed=seed))
             zeroed = replace(disabled, channels=null_channels())
             a = run_scenario(disabled)
             b = run_scenario(zeroed)

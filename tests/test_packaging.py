@@ -1,8 +1,10 @@
-"""The package stays standard-library only, its public names resolve, and
-the README's library example runs."""
+"""The package stays standard-library only, its public names resolve, the
+reference evening ships as package data, and the README's library example
+runs."""
 
 import ast
 import importlib
+import importlib.resources
 import os
 import re
 import subprocess
@@ -63,6 +65,23 @@ def test_module_imports_on_its_own(module):
         argv = [sys.executable, "-c", IMPORT_FIRST, f"pemsim.{module}"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_reference_evening_ships_as_package_data():
+    """The evening that three_household_scenario loads is the repository's
+    scenarios/three_household.json byte for byte, importlib.resources finds
+    it in the package, and the packaging config lists it, so an installed
+    package carries it too."""
+    shipped = ROOT / "src" / "pemsim" / "three_household.json"
+    assert shipped.read_bytes() == (ROOT / "scenarios" / "three_household.json").read_bytes()
+    resource = importlib.resources.files("pemsim") / "three_household.json"
+    assert resource.is_file() and resource.read_bytes() == shipped.read_bytes()
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(
+        r"^\[tool\.setuptools\.package-data\]\n((?:[^\[\n].*\n?)*)", text, re.MULTILINE
+    )
+    assert section is not None
+    assert re.search(r'^pemsim = \[.*"three_household\.json".*\]$', section.group(1), re.MULTILINE)
 
 
 def test_public_names_resolve():

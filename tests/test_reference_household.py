@@ -34,7 +34,7 @@ from pemsim.engine import (
     _Supply,
     run_scenario,
 )
-from pemsim.scenario import default_channels
+from pemsim.scenario import three_household_scenario
 from pemsim.server import (
     CAP_TOL_W,
     CommitmentLedger,
@@ -168,9 +168,11 @@ def _unheard(seed):
 
 
 def _lossy(scenario):
-    """The scenario over the default channels with every loss probability 0.2."""
+    """The scenario over the reference evening's channels with every loss
+    probability 0.2."""
     return replace(scenario, channels={
-        name: replace(profile, loss_prob=0.2) for name, profile in default_channels().items()
+        name: replace(profile, loss_prob=0.2)
+        for name, profile in three_household_scenario().channels.items()
     })
 
 
