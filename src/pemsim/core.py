@@ -32,6 +32,11 @@ ENERGY_REL_TOL = 1e-4
 # this tolerance.
 COMPLETION_TOL_WH = 1.0
 
+# Absolute watt-level tolerance for capacity comparisons. A grant at or below
+# it counts as no power, so every slot of a fixed cycle's profile must exceed
+# it: a started cycle denied power breaks its contiguity.
+CAP_TOL_W = 1e-6
+
 
 class MalformedRequest(ValueError):
     """A request field is structurally invalid (negative power, empty profile, ...)."""
@@ -237,8 +242,8 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
     if isinstance(request, FixedProfileRequest):
         if not request.profile_w:
             raise MalformedRequest("profile must be non-empty")
-        if not all(w > 0 for w in request.profile_w):
-            raise MalformedRequest("profile power must be positive")
+        if not all(w > CAP_TOL_W for w in request.profile_w):
+            raise MalformedRequest(f"profile power must be positive (above {CAP_TOL_W:g} W)")
         if request.latest_start < request.earliest_start:
             raise WindowInfeasible("latest start precedes earliest start")
         if request.earliest_start < 0 or request.deadline > grid.horizon:

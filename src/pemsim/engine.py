@@ -57,6 +57,7 @@ from .comms import (
 )
 from .core import (
     Accept,
+    CAP_TOL_W,
     COMPLETION_TOL_WH,
     FlexibleTotalRequest,
     GrantDecision,
@@ -78,7 +79,6 @@ from .scenario import (
     _thermal_request,
 )
 from .server import (
-    CAP_TOL_W,
     CommitmentLedger,
     SlotNeed,
     SupplyView,

@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .core import (
     Accept,
+    CAP_TOL_W,
     COMPLETION_TOL_WH,
     ENERGY_REL_TOL,
     FixedProfileRequest,
@@ -45,9 +46,6 @@ from .core import (
     validate_request,
 )
 from .devices import decay_temp, min_heating_slots
-
-# Absolute watt-level tolerance for capacity comparisons.
-CAP_TOL_W = 1e-6
 
 
 class CapacityViolation(RuntimeError):

@@ -18,11 +18,12 @@ run does not write is removed.
 """
 
 import csv
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from identity import lossy_meter, mixed  # puts src/ and bench/ on sys.path
 
 from pemsim.cli import BUNDLE_FILES, write_bundle
 from pemsim.core import TimeGrid
@@ -32,16 +33,9 @@ from pemsim.scenario import (
     RenewableConfig,
     Scenario,
     fleet_scenario,
-    load_scenario,
-    scenario_from_dict,
+    three_household_scenario,
 )
 from scenario_gen import random_household_scenario
-
-REFERENCE_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "three_household.json"
-
-# the benchmark's generated feeders
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import mixed_feeder_doc  # noqa: E402
 
 
 def reference_fmt(value) -> str:
@@ -132,7 +126,7 @@ def assert_same_files(scenario, tmp_path):
 
 @pytest.mark.parametrize("seed", range(1, 41))
 def test_reference_evening_matches_reference_writer(tmp_path, seed):
-    assert_same_files(replace(load_scenario(REFERENCE_FILE), seed=seed), tmp_path)
+    assert_same_files(three_household_scenario(seed), tmp_path)
 
 
 @pytest.mark.parametrize("import_allowed", [True, False])
@@ -147,10 +141,7 @@ def test_fleet_matches_reference_writer(tmp_path):
 
 
 def test_dropped_messages_leave_empty_cells(tmp_path):
-    scenario = replace(load_scenario(REFERENCE_FILE), seed=1)
-    meter = replace(scenario.channels["meter"], loss_prob=0.3, max_attempts=1)
-    scenario = replace(scenario, channels={**scenario.channels, "meter": meter})
-    assert_same_files(scenario, tmp_path)
+    assert_same_files(lossy_meter(1), tmp_path)
     rows = list(csv.DictReader((tmp_path / "got" / "channel.csv").read_text().splitlines()))
     dropped = [row for row in rows if row["status"] == "dropped"]
     assert dropped
@@ -182,7 +173,7 @@ def _bundle(path: Path) -> dict:
 @pytest.mark.parametrize(
     "scenario",
     [
-        replace(load_scenario(REFERENCE_FILE), seed=7),
+        three_household_scenario(7),
         random_household_scenario(5, import_allowed=False),
         fleet_scenario(count=20, hours=0.5, seed=2),
     ],
@@ -202,7 +193,7 @@ def test_rewrite_over_longer_files_equals_fresh_write(tmp_path, scenario):
 
 
 def test_symlink_at_bundle_path_is_replaced_and_target_kept(tmp_path):
-    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=3))
+    result = run_scenario(three_household_scenario(3))
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     write_bundle(result, fresh)
     out.mkdir()
@@ -220,7 +211,7 @@ def test_symlink_at_bundle_path_is_replaced_and_target_kept(tmp_path):
 def test_granted_and_consumed_fill_their_own_columns(tmp_path):
     """No run seen draws other than its grant, so the two dicts are made to
     differ here: each must land in its own column group."""
-    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=1))
+    result = run_scenario(three_household_scenario(1))
     ids = sorted(result.slots[0].granted_w)
     slots = [
         replace(
@@ -270,8 +261,8 @@ def _slots_rows(result, out: Path) -> str:
 @pytest.mark.parametrize(
     "scenarios",
     [
-        lambda: [scenario_from_dict(mixed_feeder_doc(n)) for n in range(1, 21)],
-        lambda: [replace(load_scenario(REFERENCE_FILE), seed=s) for s in range(1, 11)],
+        lambda: [mixed(n) for n in range(1, 21)],
+        lambda: [three_household_scenario(s) for s in range(1, 11)],
         lambda: [fleet_scenario(count=50, hours=2.0, seed=4)],
         lambda: [
             Scenario(
@@ -294,7 +285,7 @@ def test_device_zero_prints_unsigned(tmp_path):
     """Device cells that compare equal share one text, so -0.0 prints as
     0.000000, as 0.0 does, whichever of the two the bundle meets first. The
     engine records no -0.0 in these columns; this run is built by hand."""
-    result = run_scenario(replace(load_scenario(REFERENCE_FILE), seed=1))
+    result = run_scenario(three_household_scenario(1))
     ids = sorted(result.slots[0].granted_w)
     first, *rest = result.slots
     signed = replace(first, granted_w=dict.fromkeys(ids, -0.0), consumed_w=dict.fromkeys(ids, -0.0))

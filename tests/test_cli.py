@@ -190,15 +190,20 @@ class TestValidate:
          "profile power must be positive"),
         ("ev", {"p_max_w": 0.0, "initial_soc_wh": 30_000.0}, "p_max_w must be positive"),
         ("ev", {"p_max_w": 0.0, "capacity_wh": 0.0}, "p_max_w must be positive"),
+        ("dishwasher", {"profile_w": [2000.0, 1e-9, 2000.0, 2000.0, 2000.0, 2000.0]},
+         "profile power must be positive"),
+        ("dishwasher", {"profile_w": [2000.0, 1e-6, 2000.0, 2000.0, 2000.0, 2000.0]},
+         "profile power must be positive"),
     ], ids=["empty_profile", "negative_profile", "legacy_negative_slots", "check_after_start",
             "preheat_after_check", "empty_service", "leading_zero_slot", "inner_zero_slot",
             "trailing_zero_slot", "legacy_zero_power", "full_battery_zero_power",
-            "no_capacity_zero_power"])
+            "no_capacity_zero_power", "slot_below_grant_tolerance", "slot_at_grant_tolerance"])
     def test_what_admission_refuses_fails_validate(self, tmp_path, capsys, device, edit, reason):
         """Each of these ran with the device rejected as malformed_request
-        or window_infeasible, or broke the run: a 0 W cycle slot after the
-        first broke the cycle's contiguity (exit 2), and a leading one kept
-        the accepted cycle from ever starting."""
+        or window_infeasible, or broke the run: a cycle slot after the first
+        at 0 W, or at or below the 1e-6 W under which the engine counts a
+        grant as none, broke the cycle's contiguity (exit 2), and a leading
+        0 W slot kept the accepted cycle from ever starting."""
         doc = scenario_to_dict(three_household_scenario(seed=1))
         cfg = next(d for d in doc["devices"] if d["id"] == device)
         cfg.update(edit)
@@ -580,7 +585,8 @@ def _reject_constant(name):
 @pytest.mark.parametrize("base", ["reference", "fleet"])
 def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
     """Each node of a scenario file (object, array, string, number, bool or
-    null) set to NaN, +-inf, -1, 0, [], {}, "x", true or null: `validate`
+    null) set to NaN, +-inf, -1, 0, 1e-9, 1e-6, 2e-6 (below, at and above
+    the grant tolerance CAP_TOL_W), [], {}, "x", true or null: `validate`
     and `run` exit without an exception, a non-zero exit writes exactly one
     stderr line, a file that `validate` accepts runs to exit 0 (no
     invariant violation) with no request rejected as malformed, one it
@@ -603,7 +609,9 @@ def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
 
     mutants = 0
     for path in _node_paths(doc):
-        for value in (math.nan, math.inf, -math.inf, -1, 0, [], {}, "x", True, None):
+        for value in (
+            math.nan, math.inf, -math.inf, -1, 0, 1e-9, 1e-6, 2e-6, [], {}, "x", True, None
+        ):
             mutant = json.loads(json.dumps(doc))
             if path:
                 parent = mutant

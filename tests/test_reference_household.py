@@ -17,14 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from identity import mixed, reference, slow_lossy  # puts src/ and bench/ on sys.path
+from identity import mixed, slow_lossy, thermal_start  # puts src/ and bench/ on sys.path
 from scenario_gen import random_household_scenario
 from test_server import reference_admit
 from workloads import fault_scenario
 
 from pemsim.cli import write_bundle
 from pemsim.comms import MessageKind, aggregate_reports
-from pemsim.core import Accept, substream
+from pemsim.core import CAP_TOL_W, Accept, substream
 from pemsim.engine import (
     RunResult,
     _ChannelLayer,
@@ -36,7 +36,6 @@ from pemsim.engine import (
 )
 from pemsim.scenario import three_household_scenario
 from pemsim.server import (
-    CAP_TOL_W,
     CommitmentLedger,
     JobCommitment,
     UnderSupply,
@@ -161,7 +160,7 @@ def _unheard(seed):
     """The reference evening whose requests all arrive after the run ends:
     no decision ever comes, so only a thermal job's own schedule starts its
     steps."""
-    scenario = reference(seed)
+    scenario = three_household_scenario(seed)
     late_ms = scenario.grid.horizon * scenario.grid.slot_ms
     request = replace(scenario.channels["request"], offset_ms=late_ms, mean_ms=late_ms)
     return replace(scenario, channels={**scenario.channels, "request": request})
@@ -182,7 +181,7 @@ SETS = {
         random_household_scenario(s, import_allowed=False) for s in range(1, 61)
     ],
     "mixed_feeders": lambda: [mixed(n) for n in range(1, 11)],
-    "mixed_feeders_at_80c": lambda: [mixed(n, 80.0) for n in range(1, 6)],
+    "mixed_feeders_at_80c": lambda: [thermal_start(mixed(n), 80.0) for n in range(1, 6)],
     # lost requests make two jobs wake in one slot out of device order
     "lossy_mixed_feeders": lambda: [_lossy(mixed(n)) for n in (16, 18, 19)],
     "slow_lossy_evenings": lambda: [slow_lossy(s) for s in range(150, 174)],

@@ -10,6 +10,7 @@ from scenario_gen import random_admission_instance
 
 from pemsim.core import (
     Accept,
+    CAP_TOL_W,
     COMPLETION_TOL_WH,
     ENERGY_REL_TOL,
     FixedProfileRequest,
@@ -24,7 +25,6 @@ from pemsim.core import (
     validate_request,
 )
 from pemsim.server import (
-    CAP_TOL_W,
     CapacityViolation,
     CommitmentLedger,
     SlotNeed,
