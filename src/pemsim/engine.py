@@ -684,53 +684,24 @@ def _make_job(cfg: DeviceConfig, grid: TimeGrid, seed: int, backoff_max: int) ->
 
 def _shed_grants(
     grants: dict[str, float],
-    needs: list[SlotNeed],
+    total_w: float,
     capability_w: float,
     ledger: CommitmentLedger,
     jobs_by_id: dict[str, _HouseholdJob],
     slot: int,
     shed_events: list[ShedEvent],
 ) -> None:
-    """Emergency mode: trim grants until local supply covers them. Sheds
-    opportunistic grants first (least important first), then whole forced
-    grants, logging every cut."""
-    total = math.fsum(grants.values())
-    forced_w = {n.job_id: n.forced_w for n in needs}
-    cycle_starts = {
-        n.job_id for n in needs if n.cycle_start and grants.get(n.job_id, 0.0) > 0
-    }
-    priority = {n.job_id: n.priority for n in needs}
-
-    opportunistic = [
-        job_id
-        for job_id in grants
-        if job_id not in cycle_starts
-        and grants[job_id] - forced_w.get(job_id, 0.0) > CAP_TOL_W
-    ]
-    for job_id in sorted(opportunistic, key=lambda j: (-priority[j], j)):
-        if total <= capability_w + CAP_TOL_W:
-            return
-        cut = grants[job_id] - forced_w.get(job_id, 0.0)
-        grants[job_id] -= cut
-        total -= cut
-        shed_events.append(ShedEvent(slot, job_id, cut, forced=False))
-
-    for job_id in sorted(cycle_starts, key=lambda j: (-priority[j], j)):
-        if total <= capability_w + CAP_TOL_W:
+    """Emergency mode: cut whole grants of `total_w` in all, least important
+    job first (then by id), until local supply covers the rest, logging
+    every cut. allocate_slot keeps an islanded slot's opportunistic grants
+    within local supply, so only forced grants outrun it: each cut job is
+    shed."""
+    granted = [j for j in grants if grants[j] > CAP_TOL_W]
+    for job_id in sorted(granted, key=lambda j: (-jobs_by_id[j].priority, j)):
+        if total_w <= capability_w + CAP_TOL_W:
             return
         cut = grants.pop(job_id)
-        total -= cut
-        job = jobs_by_id[job_id]
-        assert isinstance(job, _CycleJob)
-        ledger.reanchor_cycle(job_id, job.cfg.latest_start)
-        shed_events.append(ShedEvent(slot, job_id, cut, forced=False))
-
-    still_granted = [j for j in grants if grants[j] > CAP_TOL_W]
-    for job_id in sorted(still_granted, key=lambda j: (-priority.get(j, 0), j)):
-        if total <= capability_w + CAP_TOL_W:
-            return
-        cut = grants.pop(job_id)
-        total -= cut
+        total_w -= cut
         jobs_by_id[job_id].on_forced_shed(slot, ledger)
         shed_events.append(ShedEvent(slot, job_id, cut, forced=True))
 
@@ -839,15 +810,18 @@ def _run_household(scenario: Scenario) -> RunResult:
             renewable_first=policy.renewable_first,
         )
 
-        # (5) capability check; emergency shedding when imports are barred
+        # (5) capability check; emergency shedding when imports are barred.
+        # allocate_slot kept opportunistic power within local supply (up to
+        # its 1e-9-of-a-packet rounding), so only forced grants can outrun it
         emergency = False
         if not scenario.import_allowed:
             capability = supply.renewable_w + supply.discharge_max_w
-            if math.fsum(grants.values()) > capability + CAP_TOL_W:
+            total = math.fsum(grants.values())
+            if total > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
-                    raise UnderSupply(math.fsum(grants.values()) - capability)
+                    raise UnderSupply(total - capability)
                 emergency = changed = True
-                _shed_grants(grants, needs, capability, ledger, jobs_by_id, t, shed_events)
+                _shed_grants(grants, total, capability, ledger, jobs_by_id, t, shed_events)
 
         # (6) device physics, in device order, since finishing jobs release
         # their commitments; each step appends the state after it to the trace

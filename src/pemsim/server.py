@@ -245,9 +245,10 @@ class CommitmentLedger:
             job.profile_w[t] = 0.0
         job.released = True
 
-    def can_reanchor_cycle(self, device_id: str, start_slot: int) -> bool:
-        """Check whether a pending cycle can start at `start_slot` without the
-        re-anchored run breaking any committed slot."""
+    def reanchor_cycle(self, device_id: str, start_slot: int) -> bool:
+        """Move a pending cycle's commitment from its latest start to an
+        earlier actual start `start_slot`, if the re-anchored run breaks no
+        committed slot. Returns whether it moved."""
         job = self.jobs.get(device_id)
         if job is None or job.released:
             return False
@@ -261,20 +262,13 @@ class CommitmentLedger:
             others = self.committed_w[t] - job.profile_w[t]
             if others + watts > self.feeder_capacity_w + CAP_TOL_W:
                 return False
-        return True
-
-    def reanchor_cycle(self, device_id: str, start_slot: int) -> None:
-        """Move a pending cycle's commitment from its latest start to an
-        earlier actual start. Callers must have checked can_reanchor_cycle."""
-        job = self.jobs[device_id]
-        request = job.request
-        assert isinstance(request, FixedProfileRequest)
         for t in range(self.grid.horizon):
             self.committed_w[t] -= job.profile_w[t]
             job.profile_w[t] = 0.0
         for i, watts in enumerate(request.profile_w):
             job.profile_w[start_slot + i] = watts
             self.committed_w[start_slot + i] += watts
+        return True
 
 
 @dataclass(slots=True)
@@ -286,8 +280,8 @@ class SlotNeed:
     grant is all-or-nothing and re-anchors the ledger commitment.
 
     Slotted and not frozen, so it builds about four times faster: the engine
-    builds several hundred a run. Only allocate_slot and the engine's
-    shedding read them, and neither writes one.
+    builds several hundred a run. Only allocate_slot reads them, and it
+    writes none.
     """
 
     job_id: str
@@ -324,10 +318,16 @@ def allocate_slot(
 
     Forced needs are served first and in full. Remaining capacity is offered
     in priority order with a seeded uniform shuffle among equal priorities;
-    each opportunistic grant is a whole number of the job's packets. With
-    renewable_first, opportunistic power is only handed out up to the
-    renewable surplus left after forced commitments, which concentrates
-    flexible consumption under renewable availability.
+    each opportunistic grant is a whole number of the job's packets. When
+    imports are barred, opportunistic power is only handed out up to the
+    local supply (renewable plus storage discharge) left after forced needs,
+    so only forced grants can outrun it. With renewable_first, it is only
+    handed out up to the renewable surplus left after forced needs, which
+    concentrates flexible consumption under renewable availability.
+
+    A grant's packet count is rounded up when within 1e-9 of a whole packet,
+    so the opportunistic total can pass either limit by at most 1e-9 of a
+    packet (within CAP_TOL_W for packets up to 1 kW).
     """
     if not needs:  # nothing to grant, and no shuffle to draw
         return {}
@@ -339,6 +339,8 @@ def allocate_slot(
         )
     grants = {n.job_id: n.forced_w for n in needs if n.forced_w > 0}
     spare = cap - forced_total
+    if not supply.import_allowed:
+        spare = min(spare, supply.renewable_w + supply.discharge_max_w - forced_total)
     if renewable_first:
         spare = min(spare, max(0.0, supply.renewable_w - forced_total))
     willing = [n for n in needs if n.willing_w > 0 and n.forced_w <= 0]
@@ -349,9 +351,8 @@ def allocate_slot(
         if spare < need.packet_w:
             continue
         if need.cycle_start:
-            if not ledger.can_reanchor_cycle(need.job_id, now):
+            if not ledger.reanchor_cycle(need.job_id, now):
                 continue
-            ledger.reanchor_cycle(need.job_id, now)
             grants[need.job_id] = grants.get(need.job_id, 0.0) + need.packet_w
             spare -= need.packet_w
             continue
@@ -385,8 +386,10 @@ def dispatch_supply(total_granted_w: float, supply: SupplyView) -> DispatchPlan:
     charges storage, the rest is curtailed. Storage flows stay within the
     view's discharge_max_w and charge_max_w.
 
-    Raises UnderSupply when imports are disallowed and a deficit remains; the
-    engine then sheds grants and retries (emergency mode).
+    Raises UnderSupply when imports are disallowed and a deficit remains.
+    The engine never lets that happen: with imports barred, it sheds grants
+    before dispatch until local supply covers them (emergency mode), or
+    raises UnderSupply itself when emergency shedding is off.
     """
     if total_granted_w > supply.feeder_capacity_w + CAP_TOL_W:
         raise CapacityViolation("dispatch asked to serve more than feeder capacity")

@@ -430,7 +430,7 @@ class TestRenewableMonotonicity:
 
 
 class TestEmergencyMode:
-    def _island(self, shedding=True):
+    def _island(self, shedding=True, renewable_first=True):
         grid = TimeGrid(epoch_start_min=0, slot_min=10, horizon=24)
         return Scenario(
             grid=grid,
@@ -443,7 +443,10 @@ class TestEmergencyMode:
             ),
             renewable=RenewableConfig(kind="trace", values_w=(500.0,) * 24),
             import_allowed=False,
-            policy=replace(three_household_scenario(1).policy, emergency_shedding=shedding),
+            policy=replace(
+                three_household_scenario(1).policy,
+                emergency_shedding=shedding, renewable_first=renewable_first,
+            ),
             seed=3,
         )
 
@@ -455,8 +458,19 @@ class TestEmergencyMode:
         assert audit_conservation(result) is None
         # forced sheds drop the least important job first
         forced_sheds = [e for e in result.shed_events if e.forced]
-        if forced_sheds:
-            assert forced_sheds[0].device_id == "b"
+        assert forced_sheds[0].device_id == "b"
+
+    def test_islanded_opportunistic_power_stays_within_local_supply(self):
+        """Without renewable_first, opportunistic power is still capped at
+        local supply when imports are barred: no slot before the battery's
+        forced window is an emergency, and every shed is a forced grant."""
+        result = run_scenario(self._island(renewable_first=False))
+        emergencies = [t for t, r in enumerate(result.slots) if r.emergency]
+        # 8 kWh at 4 kW takes 12 slots of 10 min before the deadline at 24
+        assert emergencies and emergencies[0] == 12
+        assert result.shed_events and all(e.forced for e in result.shed_events)
+        assert all(r.imported_w == 0.0 for r in result.slots)
+        assert audit_conservation(result) is None
 
     def test_undersupply_raises_without_shedding(self):
         from pemsim.server import UnderSupply

@@ -107,11 +107,12 @@ def reference_household(scenario):
         emergency = False
         if not scenario.import_allowed:
             capability = supply.renewable_w + supply.discharge_max_w
-            if math.fsum(grants.values()) > capability + CAP_TOL_W:
+            total = math.fsum(grants.values())
+            if total > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
-                    raise UnderSupply(math.fsum(grants.values()) - capability)
+                    raise UnderSupply(total - capability)
                 emergency = True
-                _shed_grants(grants, needs, capability, ledger, jobs_by_id, t, shed_events)
+                _shed_grants(grants, total, capability, ledger, jobs_by_id, t, shed_events)
         # (6) every job that steps now applies its grant; every other job
         # records its idle slot
         granted = {job.device_id: grants.get(job.device_id, 0.0) for job in jobs}
@@ -175,10 +176,19 @@ def _lossy(scenario):
     })
 
 
+def _renewable_first_off(scenario):
+    return replace(scenario, policy=replace(scenario.policy, renewable_first=False))
+
+
 SETS = {
     "generated_imports_allowed": lambda: [random_household_scenario(s) for s in range(1, 61)],
     "generated_islanded": lambda: [
         random_household_scenario(s, import_allowed=False) for s in range(1, 61)
+    ],
+    # opportunistic power beyond the renewable surplus, capped by local supply
+    "generated_islanded_renewable_first_off": lambda: [
+        _renewable_first_off(random_household_scenario(s, import_allowed=False))
+        for s in range(1, 31)
     ],
     "mixed_feeders": lambda: [mixed(n) for n in range(1, 11)],
     "mixed_feeders_at_80c": lambda: [thermal_start(mixed(n), 80.0) for n in range(1, 6)],

@@ -402,6 +402,12 @@ class TestAllocateSlot:
             renewable_first=False,
         )
         assert grants["j"] == 4000.0
+        # without imports, local supply (renewable plus discharge) caps it
+        islanded = _supply(renewable=2500.0, storage=(500.0, 0.0), import_allowed=False)
+        grants = allocate_slot(
+            self._ledger(), needs, islanded, random.Random(0), renewable_first=False,
+        )
+        assert grants["j"] == 3000.0
 
     def test_forced_always_backed_by_import(self):
         needs = [SlotNeed("j", 1, forced_w=4000.0)]
