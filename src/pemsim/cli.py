@@ -307,7 +307,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 @contextmanager
 def _doing(action: str):
-    """Name `action` (say, "read scenario file X") in the report of a
+    """Name `action` (say, "load scenario file X") in the report of a
     failure raised inside."""
     try:
         yield
@@ -432,7 +432,7 @@ def _build_parser() -> _Parser:
 def _command(args) -> tuple[int, list[str]]:
     """Carry out a parsed command; returns (exit code, stderr lines)."""
     if args.command in ("validate", "run", "batch"):
-        with _doing(f"read scenario file {args.scenario}"):
+        with _doing(f"load scenario file {args.scenario}"):
             scenario = load_scenario(args.scenario)
     if args.command == "validate":
         print(f"ok: {args.scenario}")

@@ -1,14 +1,20 @@
 """CLI behavior: exit codes, byte-identical bundles, golden output schema."""
 
+import functools
 import json
 import math
+import operator
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+import identity  # noqa: F401  puts src/ and bench/ on sys.path
+from workloads import mixed_feeder_doc
 
 import pemsim
 from pemsim import engine
@@ -215,6 +221,19 @@ class TestValidate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and f"validation error: {device}: {reason}" in lines[0], lines
 
+    def test_invalid_file_is_reported_as_not_loaded(self, tmp_path, capsys):
+        """A file that is read and decoded but fails validation names the
+        load step, not reading, in its one stderr line."""
+        doc = scenario_to_dict(three_household_scenario(seed=1))
+        next(d for d in doc["devices"] if d["id"] == "dishwasher")["profile_w"][1] = 1e-9
+        bad = tmp_path / "refused.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot load scenario file {bad}: validation error: dishwasher: "
+            "profile power must be positive (above 1e-06 W)"
+        ]
+
     def test_invalid_scenario_body(self, tmp_path):
         bad = tmp_path / "dupes.json"
         doc = {
@@ -307,9 +326,9 @@ _ISLANDED = _reference_text(
 
 
 @pytest.mark.parametrize("command, text, code, start", [
-    ("run", '{"grid": [,}', 1, "cannot read scenario file {path}: malformed JSON: line 1, "),
+    ("run", '{"grid": [,}', 1, "cannot load scenario file {path}: malformed JSON: line 1, "),
     ("batch", _reference_text(lambda doc: doc["devices"][0].update(packet_w=0)), 1,
-     "cannot read scenario file {path}: validation error: sauna: packet_w"),
+     "cannot load scenario file {path}: validation error: sauna: packet_w"),
     ("run", _ISLANDED, 2, "invariant violation: supply short by"),
     ("batch", _ISLANDED, 2, "seed 1: invariant violation: supply short by"),
 ], ids=["malformed_json", "invalid", "run_invariant", "batch_invariant"])
@@ -578,6 +597,11 @@ def _node_paths(node, path=()):
             yield from _node_paths(value, path + (i,))
 
 
+def _at(doc, path):
+    """The node of a scenario document at `path`."""
+    return functools.reduce(operator.getitem, path, doc)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -586,11 +610,12 @@ def _reject_constant(name):
 def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
     """Each node of a scenario file (object, array, string, number, bool or
     null) set to NaN, +-inf, -1, 0, 1e-9, 1e-6, 2e-6 (below, at and above
-    the grant tolerance CAP_TOL_W), [], {}, "x", true or null: `validate`
-    and `run` exit without an exception, a non-zero exit writes exactly one
-    stderr line, a file that `validate` accepts runs to exit 0 (no
-    invariant violation) with no request rejected as malformed, one it
-    refuses makes `run` exit 1, and a run that exits 0 writes strict
+    the grant tolerance CAP_TOL_W), 1 - 1e-6, 1.0, 1 + 1e-6 (below, at and
+    above the completion tolerance COMPLETION_TOL_WH), [], {}, "x", true or
+    null: `validate` and `run` exit without an exception, a non-zero exit
+    writes exactly one stderr line, a file that `validate` accepts runs to
+    exit 0 (no invariant violation) with no request rejected as malformed,
+    one it refuses makes `run` exit 1, and a run that exits 0 writes strict
     JSON."""
     if base == "reference":
         doc = scenario_to_dict(three_household_scenario(seed=5))
@@ -610,14 +635,12 @@ def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
     mutants = 0
     for path in _node_paths(doc):
         for value in (
-            math.nan, math.inf, -math.inf, -1, 0, 1e-9, 1e-6, 2e-6, [], {}, "x", True, None
+            math.nan, math.inf, -math.inf, -1, 0, 1e-9, 1e-6, 2e-6,
+            1.0 - 1e-6, 1.0, 1.0 + 1e-6, [], {}, "x", True, None,
         ):
             mutant = json.loads(json.dumps(doc))
             if path:
-                parent = mutant
-                for step in path[:-1]:
-                    parent = parent[step]
-                parent[path[-1]] = value
+                _at(mutant, path[:-1])[path[-1]] = value
             else:
                 mutant = value
             scenario_file.write_text(json.dumps(mutant))
@@ -633,6 +656,42 @@ def test_numeric_field_mutants_exit_cleanly(tmp_path, capsys, base):
                 assert "malformed_request" not in (out / "requests.csv").read_text(), where
             mutants += 1
     assert mutants >= 400
+
+
+def test_seeded_multi_field_fuzz(tmp_path, capsys):
+    """Generated feeder documents 1..400 (the benchmark's `household_mixed`
+    inputs), each with one to three of its numbers scaled by a factor drawn
+    log-uniformly from 0.001 to 1000 or set to 1e-9, 1 or 2: `validate`
+    exits 0 or 1, a document it accepts runs to exit 0 with no request
+    rejected as malformed, and one it refuses makes `run` exit 1."""
+    rng = random.Random("multi-field fuzz")
+    scenario_file, out = tmp_path / "fuzzed.json", tmp_path / "out"
+    accepted = 0
+    for number in range(1, 401):
+        doc = mixed_feeder_doc(number)
+        numbers = [
+            path for path in _node_paths(doc)
+            if isinstance(_at(doc, path), (int, float)) and not isinstance(_at(doc, path), bool)
+        ]
+        edits = []
+        for path in rng.sample(numbers, rng.randint(1, 3)):
+            parent = _at(doc, path[:-1])
+            if rng.random() < 0.5:
+                parent[path[-1]] *= 10 ** rng.uniform(-3.0, 3.0)
+            else:
+                parent[path[-1]] = rng.choice([1e-9, 1, 2])
+            edits.append(f"{'.'.join(map(str, path))} = {parent[path[-1]]!r}")
+        scenario_file.write_text(json.dumps(doc))
+        where = (number, edits)
+        valid = main(["validate", "--scenario", str(scenario_file)])
+        assert valid in (0, 1), where
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        assert code == (0 if valid == 0 else 1), (where, capsys.readouterr().err)
+        if valid == 0:
+            accepted += 1
+            assert "malformed_request" not in (out / "requests.csv").read_text(), where
+        capsys.readouterr()
+    assert accepted >= 100
 
 
 class TestLibraryParity:
