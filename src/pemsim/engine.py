@@ -147,7 +147,6 @@ class ShedEvent:
     slot: int
     device_id: str
     watts: float
-    forced: bool
 
 
 @dataclass
@@ -703,7 +702,7 @@ def _shed_grants(
         cut = grants.pop(job_id)
         total_w -= cut
         jobs_by_id[job_id].on_forced_shed(slot, ledger)
-        shed_events.append(ShedEvent(slot, job_id, cut, forced=True))
+        shed_events.append(ShedEvent(slot, job_id, cut))
 
 
 def _emit_trip_traffic(channels: _ChannelLayer, rate_per_hour: float, grid: TimeGrid, seed: int) -> None:

@@ -456,19 +456,21 @@ class TestEmergencyMode:
         assert result.shed_events
         assert all(r.imported_w == 0.0 for r in result.slots)
         assert audit_conservation(result) is None
-        # forced sheds drop the least important job first
-        forced_sheds = [e for e in result.shed_events if e.forced]
-        assert forced_sheds[0].device_id == "b"
+        # sheds drop the least important job first
+        assert result.shed_events[0].device_id == "b"
 
     def test_islanded_opportunistic_power_stays_within_local_supply(self):
         """Without renewable_first, opportunistic power is still capped at
         local supply when imports are barred: no slot before the battery's
-        forced window is an emergency, and every shed is a forced grant."""
+        forced window is an emergency, and every shed cuts a job inside its
+        forced window."""
         result = run_scenario(self._island(renewable_first=False))
         emergencies = [t for t, r in enumerate(result.slots) if r.emergency]
         # 8 kWh at 4 kW takes 12 slots of 10 min before the deadline at 24
         assert emergencies and emergencies[0] == 12
-        assert result.shed_events and all(e.forced for e in result.shed_events)
+        forced_start = {o.device_id: o.forced_start for o in result.requests}
+        assert result.shed_events
+        assert all(e.slot >= forced_start[e.device_id] for e in result.shed_events)
         assert all(r.imported_w == 0.0 for r in result.slots)
         assert audit_conservation(result) is None
 

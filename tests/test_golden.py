@@ -33,11 +33,11 @@ def test_cases_hold_what_they_claim():
     assert any(o.decided_slot > o.issued_slot + 2 for o in slow.requests)
     assert summarize_run(slow)["budget_violation_rates"]
     islanded = run_scenario(CASES["islanded_feeder_3"]())
-    forced_kinds = {
+    shed_kinds = {
         o.kind for o in islanded.requests
-        if o.shed and any(e.device_id == o.device_id and e.forced for e in islanded.shed_events)
+        if o.shed and any(e.device_id == o.device_id for e in islanded.shed_events)
     }
-    assert forced_kinds == {"battery", "thermal", "cycle"}
+    assert shed_kinds == {"battery", "thermal", "cycle"}
     cooling = run_scenario(CASES["feeder_16"]())
     (thermal,) = [o for o in cooling.requests if o.kind == "thermal"]
     assert thermal.service_failed and len(cooling.device_traces[thermal.device_id]) == cooling.grid.horizon
