@@ -177,6 +177,7 @@ def _lossy(scenario):
 
 
 def _renewable_first_off(scenario):
+    """The scenario with the server's renewable_first switch off."""
     return replace(scenario, policy=replace(scenario.policy, renewable_first=False))
 
 
