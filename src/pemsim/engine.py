@@ -24,12 +24,13 @@ is in one of two roles:
   node's temperature, are filled in only when the job next steps, sends a
   request, or the run ends.
 
-The stepping list is rebuilt only when a role can change: a decision is
-delivered, a job finishes, fails or is shed, or a thermal job reaches its
-first stepping slot. Phase (2) wakes jobs from a slot index: a job is filed
-under its `next_emit` slot (its first request, a retry or a re-ask) each
-time that slot is set, and a slot's entries that no longer match are
-skipped, so each wake sends or fails.
+The stepping list is rebuilt only when a role can change: a delivered
+decision accepts or fails a job, a job finishes or is shed, or a thermal job
+reaches its first stepping slot. A capacity reject only moves a retry slot,
+and a decision that reaches an accepted job is ignored. Phase (2) wakes jobs
+from a slot index: a job is filed under its `next_emit` slot (its first
+request, a retry or a re-ask) each time that slot is set, and a slot's
+entries that no longer match are skipped, so each wake sends or fails.
 
 Household battery and thermal jobs keep their evolving state as one float
 (`soc_wh`, `temp_c`) and read their constants from the device's config,
@@ -382,16 +383,18 @@ class _HouseholdJob:
         return request
 
     def on_decision(self, decision: GrantDecision, slot: int) -> None:
-        if self.done or self.failed:
+        """Take a decision. One that reaches an accepted, done or failed job
+        is ignored: over a slow channel a Reject of an earlier request can
+        arrive after the Accept of the job's re-ask."""
+        if self.done or self.failed or self.active_from is not None:
             return
         self.next_emit = None
         if self.outcome is not None and self.outcome.decided_slot is None:
             self.outcome.decided_slot = slot
         if isinstance(decision, Accept):
-            if self.active_from is None:
-                self.active_from = slot
-                self.outcome.accepted = True
-                self.outcome.forced_start = decision.forced_start
+            self.active_from = slot
+            self.outcome.accepted = True
+            self.outcome.forced_start = decision.forced_start
             return
         self.outcome.accepted = False
         self.outcome.reject_reason = decision.reason.value
@@ -749,18 +752,19 @@ def _run_household(scenario: Scenario) -> RunResult:
     slots: list[SlotRecord] = []
     shed_events: list[ShedEvent] = []
 
-    # the jobs' roles, rebuilt only when one changes: a decision arrives, a
-    # job finishes or is shed, or a thermal job reaches its step_from. A job
-    # that fails at emit was never accepted, so a battery or cycle stays
-    # idle; a thermal job's window closes at its service end, and apply
-    # finishes the job first (slot 0 rebuilds after its emits anyway).
+    # the jobs' roles, rebuilt only when one changes: a delivered decision
+    # accepts or fails a job, a job finishes or is shed, or a thermal job
+    # reaches its step_from. A job that fails at emit was never accepted, so
+    # a battery or cycle stays idle; a thermal job's window closes at its
+    # service end, and apply finishes the job first (slot 0 rebuilds after
+    # its emits anyway).
     changed = True
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
         for job, decision in decision_outbox.pop(t, ()):
             job.on_decision(decision, t)
             file_wake(job)
-            changed = True
+            changed = changed or job.active_from == t or job.failed
 
         # (2) devices emit requests, retries, and lost-response re-asks: the
         # jobs filed under slot t that still have it as their next_emit and
@@ -791,7 +795,7 @@ def _run_household(scenario: Scenario) -> RunResult:
             if delivery == t:
                 job.on_decision(decision, t)
                 file_wake(job)
-                changed = True
+                changed = changed or job.active_from == t or job.failed
             else:
                 decision_outbox.setdefault(delivery, []).append((job, decision))
 

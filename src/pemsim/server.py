@@ -149,9 +149,11 @@ def thermal_forced_need(
 
 def forced_profile(
     request: LoadRequest, grid: TimeGrid, now: int = 0
-) -> tuple[int, list[float]]:
-    """(forced start, per-slot committed watts over the horizon) for a job."""
-    profile = [0.0] * grid.horizon
+) -> tuple[int, tuple[float, ...]]:
+    """(start, watts) of a job's forced profile: one run of slots, where
+    watts[i] is the committed power at slot start + i and nothing is
+    committed outside the run. For a request that passes validate_request,
+    every entry is positive."""
     if isinstance(request, FlexibleTotalRequest):
         start = compute_forced_start(
             request.energy_needed_wh,
@@ -160,32 +162,29 @@ def forced_profile(
             grid,
             now=max(now, request.available_from),
         )
-        for t in range(start, request.deadline):
-            profile[t] = request.p_max_w
-        return start, profile
+        return start, (request.p_max_w,) * (request.deadline - start)
     if isinstance(request, FixedProfileRequest):
         start = request.latest_start
         if start < now:
             raise InfeasibleDeadline(f"latest start {start} already passed")
-        for i, watts in enumerate(request.profile_w):
-            profile[start + i] = watts
-        return start, profile
+        return start, request.profile_w
     if isinstance(request, ThermalTargetRequest):
         start = plan_thermal_forced_start(request, grid)
         if start < now:
             raise InfeasibleDeadline(f"forced heating window {start} already passed")
-        for t in range(start, request.service_end):
-            profile[t] = request.rated_w
-        return start, profile
+        return start, (request.rated_w,) * (request.service_end - start)
     raise MalformedRequest(f"unknown request type {type(request).__name__}")
 
 
 @dataclass
 class JobCommitment:
+    """An admitted job's forced run: profile_w[i] watts at slot start + i.
+    Re-anchoring a cycle moves `start`; a released job leaves the ledger."""
+
     request: LoadRequest
     decision: Accept
-    profile_w: list[float]
-    released: bool = False
+    start: int
+    profile_w: tuple[float, ...]
 
 
 class CommitmentLedger:
@@ -210,7 +209,7 @@ class CommitmentLedger:
         original acceptance (grant delivery may have been lost).
         """
         existing = self.jobs.get(request.device_id)
-        if existing is not None and not existing.released:
+        if existing is not None:
             return existing.decision
         try:
             validate_request(request, self.grid)
@@ -219,55 +218,48 @@ class CommitmentLedger:
             return Reject(RejectReason.MALFORMED_REQUEST)
         except WindowInfeasible:
             return Reject(RejectReason.WINDOW_INFEASIBLE)
-        # a forced profile is 0 W before its start, and adding 0.0 leaves a
-        # committed slot as it is (the ledger never holds -0.0)
         committed, limit = self.committed_w, self.feeder_capacity_w + CAP_TOL_W
-        for t in range(start, self.grid.horizon):
-            if profile[t] > 0 and committed[t] + profile[t] > limit:
+        for t, watts in enumerate(profile, start):
+            if committed[t] + watts > limit:
                 return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t)
-        for t in range(start, self.grid.horizon):
-            committed[t] += profile[t]
+        for t, watts in enumerate(profile, start):
+            committed[t] += watts
         decision = Accept(forced_start=start)
-        self.jobs[request.device_id] = JobCommitment(
-            request=request,
-            decision=decision,
-            profile_w=profile,
-        )
+        self.jobs[request.device_id] = JobCommitment(request, decision, start, profile)
         return decision
 
     def release(self, device_id: str, from_slot: int) -> None:
-        """Free a finished (or failed) job's future commitments."""
-        job = self.jobs.get(device_id)
-        if job is None or job.released:
+        """Free a finished (or failed) job's commitments from `from_slot` on;
+        the job leaves the ledger."""
+        job = self.jobs.pop(device_id, None)
+        if job is None:
             return
-        for t in range(max(from_slot, 0), self.grid.horizon):
-            self.committed_w[t] -= job.profile_w[t]
-            job.profile_w[t] = 0.0
-        job.released = True
+        for t, watts in enumerate(job.profile_w, job.start):
+            if t >= from_slot:
+                self.committed_w[t] -= watts
 
     def reanchor_cycle(self, device_id: str, start_slot: int) -> bool:
         """Move a pending cycle's commitment from its latest start to an
         earlier actual start `start_slot`, if the re-anchored run breaks no
         committed slot. Returns whether it moved."""
         job = self.jobs.get(device_id)
-        if job is None or job.released:
+        if job is None:
             return False
         request = job.request
         if not isinstance(request, FixedProfileRequest):
             return False
         if not request.earliest_start <= start_slot <= request.latest_start:
             return False
-        for i, watts in enumerate(request.profile_w):
-            t = start_slot + i
-            others = self.committed_w[t] - job.profile_w[t]
-            if others + watts > self.feeder_capacity_w + CAP_TOL_W:
+        old = dict(enumerate(job.profile_w, job.start))
+        committed, limit = self.committed_w, self.feeder_capacity_w + CAP_TOL_W
+        for t, watts in enumerate(job.profile_w, start_slot):
+            if committed[t] - old.get(t, 0.0) + watts > limit:
                 return False
-        for t in range(self.grid.horizon):
-            self.committed_w[t] -= job.profile_w[t]
-            job.profile_w[t] = 0.0
-        for i, watts in enumerate(request.profile_w):
-            job.profile_w[start_slot + i] = watts
-            self.committed_w[start_slot + i] += watts
+        for t, watts in old.items():
+            committed[t] -= watts
+        for t, watts in enumerate(job.profile_w, start_slot):
+            committed[t] += watts
+        job.start = start_slot
         return True
 
 

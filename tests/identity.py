@@ -11,7 +11,7 @@ The manifest has two sections:
   length and bytes, in name order) and the `full` digest the same bytes
   plus `repr(RunResult)`. A run that raises adds the exception's repr to
   both.
-- `cases`: sixteen golden runs, each built to reach one corner of the
+- `cases`: seventeen golden runs, each built to reach one corner of the
   engine, with the digest of each bundle file. tests/test_golden.py checks
   that each case reaches what its name claims and compares its files with
   this section in tier-1.
@@ -82,6 +82,15 @@ def lossy_meter(seed):
     return replace(scenario, channels={**scenario.channels, "meter": meter})
 
 
+def slow_channels(scenario):
+    """`scenario` over the reference evening's channels with no loss, no
+    offset and every mean delay 1 200 000 ms (two 10-minute slots)."""
+    return replace(scenario, channels={
+        name: replace(profile, offset_ms=0.0, mean_ms=1_200_000.0, loss_prob=0.0)
+        for name, profile in three_household_scenario(1).channels.items()
+    })
+
+
 def stepped_fleet(seed):
     """300 heaters over 4 h whose reference steps every hour between 1.0 and
     2.2 kW per heater, around their natural demand of about 1.5 kW."""
@@ -115,10 +124,13 @@ CATEGORIES = {
 # decision arrives more than a slot late). Two generated feeders that hold
 # two thermal jobs each; an islanded generated feeder whose battery, thermal
 # job and cycle are all shed as forced grants; a generated feeder whose
-# thermal job fails and keeps cooling. A heater fleet on a constant
-# reference, and one whose reference steps around its natural demand, so the
-# loop reaches force-on, force-off, a budget short of the requests, a gap no
-# request fills and a surplus of heaters already on.
+# thermal job fails and keeps cooling. The benchmark's feeder 89 over slow
+# lossless channels, where decisions arrive out of order: the capacity
+# Reject of bat3's first request reaches it after the Accept of its re-ask,
+# and must not undo it. A heater fleet on a constant reference, and one
+# whose reference steps around its natural demand, so the loop reaches
+# force-on, force-off, a budget short of the requests, a gap no request
+# fills and a surplus of heaters already on.
 #
 # Three cases start their thermal nodes above ambient (20 C), so an unheated
 # node cools slot by slot and the temperature in each node's first request
@@ -143,6 +155,7 @@ CASES = {
     "warm_feeder_71": lambda: thermal_start(random_household_scenario(71), 35.0),
     "hot_feeder_8": lambda: thermal_start(random_household_scenario(8), 80.0),
     "islanded_feeder_3": lambda: random_household_scenario(3, import_allowed=False),
+    "late_reject_feeder_89": lambda: slow_channels(mixed(89)),
     "fleet_200": lambda: fleet_scenario(count=200, hours=2.0, seed=1),
     "stepped_fleet_1": lambda: stepped_fleet(1),
 }

@@ -11,7 +11,8 @@ import pytest
 
 from identity import CASES, MANIFEST, case_digests, moved  # puts src/ and bench/ on sys.path
 
-from pemsim.engine import run_scenario, summarize_run
+from pemsim.core import Accept, Reject
+from pemsim.engine import _HouseholdJob, run_scenario, summarize_run
 from pemsim.scenario import ThermalConfig
 
 PINNED = json.loads(MANIFEST.read_text())["cases"]
@@ -38,6 +39,9 @@ def test_cases_hold_what_they_claim():
         if o.shed and any(e.device_id == o.device_id for e in islanded.shed_events)
     }
     assert shed_kinds == {"battery", "thermal", "cycle"}
+    late = run_scenario(CASES["late_reject_feeder_89"]())
+    (bat3,) = [o for o in late.requests if o.device_id == "bat3"]
+    assert bat3.accepted and bat3.reject_reason is None and bat3.deadline_met
     cooling = run_scenario(CASES["feeder_16"]())
     (thermal,) = [o for o in cooling.requests if o.kind == "thermal"]
     assert thermal.service_failed and len(cooling.device_traces[thermal.device_id]) == cooling.grid.horizon
@@ -63,6 +67,22 @@ def test_cases_hold_what_they_claim():
     assert any(r.accepted < r.requests for r in epochs)
     assert any(r.accepted == r.requests and r.reference_w - r.aggregate_w >= rated_w for r in epochs)
     assert any(r.aggregate_w > r.reference_w for r in epochs)
+
+
+def test_late_reject_reaches_an_accepted_job(monkeypatch):
+    """In late_reject_feeder_89 the capacity Reject of bat3's first request
+    is delivered after the Accept of its re-ask."""
+    kinds = []
+    on_decision = _HouseholdJob.on_decision
+
+    def record(job, decision, slot):
+        if job.device_id == "bat3":
+            kinds.append(type(decision))
+        on_decision(job, decision, slot)
+
+    monkeypatch.setattr(_HouseholdJob, "on_decision", record)
+    run_scenario(CASES["late_reject_feeder_89"]())
+    assert Accept in kinds and Reject in kinds[kinds.index(Accept) + 1:]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -49,13 +49,13 @@ class ScanningLedger(CommitmentLedger):
 
     def admit(self, request, now=0):
         existing = self.jobs.get(request.device_id)
-        if existing is not None and not existing.released:
+        if existing is not None:
             return existing.decision
-        decision, _, profile = reference_admit(
+        decision, start, run = reference_admit(
             self.committed_w, self.feeder_capacity_w, request, self.grid, now
         )
         if isinstance(decision, Accept):
-            self.jobs[request.device_id] = JobCommitment(request, decision, profile)
+            self.jobs[request.device_id] = JobCommitment(request, decision, start, run)
         return decision
 
 

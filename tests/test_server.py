@@ -175,24 +175,33 @@ def oracle_admit_sequence(requests, capacity, grid):
     return verdicts
 
 
+def dense_profile(start, run, grid):
+    """A forced run (watts from slot `start` on) as per-slot watts over the
+    whole horizon, 0.0 outside the run."""
+    profile = [0.0] * grid.horizon
+    profile[start:start + len(run)] = run
+    return profile
+
+
 def reference_admit(committed, capacity, request, grid, now):
     """CommitmentLedger.admit for a new device, with the capacity check and
     the commit scanning the whole horizon; extends `committed` on acceptance.
-    Returns (decision, forced start, forced profile), both None for a request
+    Returns (decision, forced start, forced run), both None for a request
     that has no forced profile."""
     try:
         validate_request(request, grid)
-        start, profile = forced_profile(request, grid, now=now)
+        start, run = forced_profile(request, grid, now=now)
     except MalformedRequest:
         return Reject(RejectReason.MALFORMED_REQUEST), None, None
     except WindowInfeasible:
         return Reject(RejectReason.WINDOW_INFEASIBLE), None, None
+    profile = dense_profile(start, run, grid)
     for t in range(grid.horizon):
         if profile[t] > 0 and committed[t] + profile[t] > capacity + CAP_TOL_W:
-            return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t), start, profile
+            return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t), start, run
     for t in range(grid.horizon):
         committed[t] += profile[t]
-    return Accept(forced_start=start), start, profile
+    return Accept(forced_start=start), start, run
 
 
 class TestAdmission:
@@ -260,30 +269,57 @@ class TestAdmission:
             assert got == expected, f"instance {seed} disagrees"
 
     def test_admit_scans_from_the_forced_start(self):
-        """admit checks and commits from the forced start on: a forced
-        profile is 0 W before its start, so the whole-horizon scan gives the
-        same decision, the same first violating slot and the same committed
-        watts, sign of zero included, also across releases."""
+        """admit checks and commits only the forced run, release frees the
+        run from a slot on, and reanchor_cycle moves a cycle's run to an
+        earlier start: the whole-horizon scans of the dense oracle give the
+        same decisions, the same first violating slot and the same
+        committed watts, sign of zero included. A refused re-anchor changes
+        nothing, and a released job can be admitted again."""
         rng = random.Random(15)
-        outcomes = set()
+        outcomes, reanchored, readmitted = set(), set(), set()
         for seed in range(300):
             grid, capacity, requests = random_admission_instance(seed, max_jobs=8, max_slots=30)
+            limit = capacity + CAP_TOL_W
             ledger = CommitmentLedger(grid, capacity)
             committed = [0.0] * grid.horizon
             for request in requests:
                 now = rng.randint(0, grid.horizon // 3)
-                want, start, profile = reference_admit(committed, capacity, request, grid, now)
+                want = reference_admit(committed, capacity, request, grid, now)[0]
                 assert ledger.admit(request, now=now) == want
                 outcomes.add(getattr(want, "reason", None))
-                if profile is not None:
-                    assert all(w == 0.0 for w in profile[:start])
-                if isinstance(want, Accept) and rng.random() < 0.3:
+                if not isinstance(want, Accept):
+                    continue
+                job = ledger.jobs[request.device_id]
+                if isinstance(request, FixedProfileRequest):
+                    slot = rng.randint(request.earliest_start, request.latest_start)
+                    old = dense_profile(job.start, job.profile_w, grid)
+                    new = dense_profile(slot, job.profile_w, grid)
+                    fits = all(
+                        new[t] == 0.0 or committed[t] - old[t] + new[t] <= limit
+                        for t in range(grid.horizon)
+                    )
+                    if fits:
+                        for t in range(grid.horizon):
+                            committed[t] = committed[t] - old[t] + new[t]
+                    before = [repr(w) for w in ledger.committed_w]
+                    assert ledger.reanchor_cycle(request.device_id, slot) == fits
+                    assert job.start == (slot if fits else request.latest_start)
+                    assert fits or [repr(w) for w in ledger.committed_w] == before
+                    reanchored.add(fits)
+                if rng.random() < 0.3:
                     from_slot = rng.randint(0, grid.horizon)
+                    profile = dense_profile(job.start, job.profile_w, grid)
                     for t in range(from_slot, grid.horizon):
-                        committed[t] -= ledger.jobs[request.device_id].profile_w[t]
+                        committed[t] -= profile[t]
                     ledger.release(request.device_id, from_slot)
+                    assert request.device_id not in ledger.jobs
+                    if rng.random() < 0.5:
+                        again = reference_admit(committed, capacity, request, grid, now)[0]
+                        assert ledger.admit(request, now=now) == again
+                        readmitted.add(isinstance(again, Accept))
                 assert [repr(w) for w in ledger.committed_w] == [repr(w) for w in committed]
         assert {None, RejectReason.CAPACITY_EXCEEDED, RejectReason.WINDOW_INFEASIBLE} <= outcomes
+        assert reanchored == {True, False} and True in readmitted
 
     def test_scheduled_requests_always_validate(self):
         # validation is a necessary condition for admission
@@ -306,17 +342,18 @@ class TestAdmission:
             assert max(ledger.committed_w, default=0.0) <= capacity + 1e-6
             for job in ledger.jobs.values():
                 request = job.request
+                profile = dense_profile(job.start, job.profile_w, grid)
                 if isinstance(request, FlexibleTotalRequest):
-                    committed_wh = sum(job.profile_w[: request.deadline]) * slot_h
+                    committed_wh = sum(profile[: request.deadline]) * slot_h
                     need = request.energy_needed_wh
                     assert committed_wh >= need - COMPLETION_TOL_WH
-                    assert all(w == 0.0 for w in job.profile_w[request.deadline:])
+                    assert all(w == 0.0 for w in profile[request.deadline:])
                 elif isinstance(request, FixedProfileRequest):
-                    anchored = job.profile_w[request.latest_start:request.deadline]
+                    anchored = profile[request.latest_start:request.deadline]
                     assert tuple(anchored) == request.profile_w
-                    assert all(w == 0.0 for w in job.profile_w[request.deadline:])
+                    assert all(w == 0.0 for w in profile[request.deadline:])
                 else:
-                    assert all(w == 0.0 for w in job.profile_w[request.service_end:])
+                    assert all(w == 0.0 for w in profile[request.service_end:])
 
     def test_admission_monotone_in_capacity(self):
         rng = random.Random(2024)
