@@ -25,12 +25,13 @@ is in one of two roles:
   request, or the run ends.
 
 The stepping list is rebuilt only when a role can change: a delivered
-decision accepts or fails a job, a job finishes or is shed, or a thermal job
-reaches its first stepping slot. A capacity reject only moves a retry slot,
-and a decision that reaches an accepted job is ignored. Phase (2) wakes jobs
-from a slot index: a job is filed under its `next_emit` slot (its first
-request, a retry or a re-ask) each time that slot is set, and a slot's
-entries that no longer match are skipped, so each wake sends or fails.
+decision accepts or fails a job, a job finishes, a shed cycle fails, or a
+thermal job reaches its first stepping slot. A capacity reject only moves a
+retry slot, and a decision that reaches an accepted job is ignored. Phase
+(2) wakes jobs from a slot index: a job is filed under its `next_emit` slot
+(its first request, a retry or a re-ask) each time that slot is set, and a
+slot's entries that no longer match are skipped, so each wake sends or
+fails.
 
 Household battery and thermal jobs keep their evolving state as one float
 (`soc_wh`, `temp_c`) and read their constants from the device's config,
@@ -39,6 +40,14 @@ and a thermal node through devices._euler_temp with the config as the node,
 so a trace iterates that one step at the granted (clamped) watts, bit for
 bit. A fixed cycle keeps `started_at` and `progress` as ints and steps its
 own profile; the supply side keeps the storage charge as the float `soc_wh`.
+
+A job's needs are re-planned only when its state moves. A battery plans its
+watts and its forced window from its charge at construction and after each
+step that takes the _absorb path; a step with no grant appends the held
+charge, exactly as _absorb at 0 W would, and keeps the plan. A thermal job
+builds its two needs (rated forced, rated willing in packets) once. The
+SlotNeeds are handed to allocate_slot again slot after slot, which is sound
+because allocate_slot writes none of them.
 """
 
 from __future__ import annotations
@@ -426,7 +435,8 @@ class _HouseholdJob:
 
 class _BatteryJob(_HouseholdJob):
     """A charging job; its state is the charge `soc_wh`, stepped by
-    devices._absorb."""
+    devices._absorb. Its need is a function of the charge, planned by _plan
+    at construction and after each apply that calls _absorb."""
 
     kind_name = "battery"
 
@@ -438,6 +448,24 @@ class _BatteryJob(_HouseholdJob):
             init = substream(seed, "device", cfg.device_id, "init")
             self.soc_wh = init.uniform(0.0, cfg.capacity_wh / 2.0)
         self.next_emit = cfg.arrival
+        self._plan()
+
+    def _plan(self) -> None:
+        """Plan the need for the current charge. Before `need_until` (the
+        deadline, or 0 for a battery within COMPLETION_TOL_WH of full, which
+        needs nothing) the battery asks for `want_w`: in packets before
+        `forced_from`, in full from it on. Each SlotNeed is built when
+        slot_need first asks for it."""
+        cfg = self.cfg
+        remaining = cfg.capacity_wh - self.soc_wh
+        if remaining <= COMPLETION_TOL_WH:
+            self.want_w = 0.0
+            self.need_until = 0
+            return
+        self.want_w = min(cfg.p_max_w, remaining / self.slot_hours)
+        self.need_until = cfg.deadline
+        self.forced_from = cfg.deadline - needed_full_slots(remaining, cfg.p_max_w, self.slot_hours)
+        self._forced_need = self._willing_need = None
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
@@ -462,21 +490,29 @@ class _BatteryJob(_HouseholdJob):
         )
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        cfg = self.cfg
-        if now >= cfg.deadline:
+        if now >= self.need_until:
             return None
-        remaining = cfg.capacity_wh - self.soc_wh
-        if remaining <= COMPLETION_TOL_WH:
-            return None
-        want_w = min(cfg.p_max_w, remaining / self.slot_hours)
-        slots_needed = needed_full_slots(remaining, cfg.p_max_w, self.slot_hours)
-        if cfg.deadline - now <= slots_needed:
-            return SlotNeed(self.device_id, self.priority, forced_w=want_w)
-        return SlotNeed(
-            self.device_id, self.priority, willing_w=want_w, packet_w=cfg.packet_w
-        )
+        if now >= self.forced_from:
+            need = self._forced_need
+            if need is None:
+                need = self._forced_need = SlotNeed(
+                    self.device_id, self.priority, forced_w=self.want_w
+                )
+            return need
+        need = self._willing_need
+        if need is None:
+            need = self._willing_need = SlotNeed(
+                self.device_id, self.priority, willing_w=self.want_w, packet_w=self.cfg.packet_w
+            )
+        return need
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
+        if granted_w <= 0.0 and self.want_w > 0.0:
+            # what _absorb gives at 0 W short of full: the charge plus 0.0
+            # (a -0.0 charge reads 0.0 after it) and nothing absorbed
+            self.soc_wh += 0.0
+            self.trace.append(self.soc_wh)
+            return 0.0
         cfg = self.cfg
         self.soc_wh, absorbed_wh = _absorb(
             self.soc_wh, cfg.capacity_wh, cfg.p_max_w, granted_w, self.slot_min
@@ -484,7 +520,8 @@ class _BatteryJob(_HouseholdJob):
         self.trace.append(self.soc_wh)
         consumed_w = absorbed_wh / self.slot_hours
         self._mark_service(now, consumed_w)
-        if cfg.capacity_wh - self.soc_wh <= COMPLETION_TOL_WH:
+        self._plan()
+        if self.want_w == 0.0:  # within COMPLETION_TOL_WH of full
             self.done = True
             self.outcome.completion_slot = now
             self.outcome.deadline_met = now < cfg.deadline
@@ -516,6 +553,12 @@ class _ThermalJob(_HouseholdJob):
         self.step_from = min(cfg.preheat_from, cfg.service_start - 1)
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
+        # the only two needs the job states: thermal_forced_need forces 0 W
+        # or rated_w
+        self.forced_need = SlotNeed(self.device_id, self.priority, forced_w=cfg.rated_w)
+        self.willing_need = SlotNeed(
+            self.device_id, self.priority, willing_w=cfg.rated_w, packet_w=cfg.quantum_w
+        )
 
     def deadline_slot(self) -> int:
         return self.cfg.service_start
@@ -545,19 +588,13 @@ class _ThermalJob(_HouseholdJob):
     def slot_need(self, now: int) -> SlotNeed | None:
         if self.active_from is None:  # stepping, but not accepted
             return None
-        forced = thermal_forced_need(self.temp_c, self.cfg, now, self.grid)
-        if forced > 0:
-            return SlotNeed(self.device_id, self.priority, forced_w=forced)
+        if thermal_forced_need(self.temp_c, self.cfg, now, self.grid) > 0:
+            return self.forced_need
         if (
             self.cfg.preheat_from <= now < self.cfg.service_start
             and self.temp_c < self.cfg.target_c
         ):
-            return SlotNeed(
-                self.device_id,
-                self.priority,
-                willing_w=self.cfg.rated_w,
-                packet_w=self.cfg.quantum_w,
-            )
+            return self.willing_need
         return None
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
@@ -753,11 +790,11 @@ def _run_household(scenario: Scenario) -> RunResult:
     shed_events: list[ShedEvent] = []
 
     # the jobs' roles, rebuilt only when one changes: a delivered decision
-    # accepts or fails a job, a job finishes or is shed, or a thermal job
-    # reaches its step_from. A job that fails at emit was never accepted, so
-    # a battery or cycle stays idle; a thermal job's window closes at its
-    # service end, and apply finishes the job first (slot 0 rebuilds after
-    # its emits anyway).
+    # accepts or fails a job, a job finishes, a shed cycle fails, or a
+    # thermal job reaches its step_from. A job that fails at emit was never
+    # accepted, so a battery or cycle stays idle; a thermal job's window
+    # closes at its service end, and apply finishes the job first (slot 0
+    # rebuilds after its emits anyway).
     changed = True
     for t in range(grid.horizon):
         # (1) deliver messages due at this boundary
@@ -823,8 +860,13 @@ def _run_household(scenario: Scenario) -> RunResult:
             if total > capability + CAP_TOL_W:
                 if not policy.emergency_shedding:
                     raise UnderSupply(total - capability)
-                emergency = changed = True
+                emergency = True
+                first_cut = len(shed_events)
                 _shed_grants(grants, total, capability, ledger, jobs_by_id, t, shed_events)
+                # a shed cycle fails; a shed battery or thermal job steps on
+                changed = changed or any(
+                    jobs_by_id[event.device_id].failed for event in shed_events[first_cut:]
+                )
 
         # (6) device physics, in device order, since finishing jobs release
         # their commitments; each step appends the state after it to the trace

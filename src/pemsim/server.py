@@ -271,9 +271,10 @@ class SlotNeed:
     in whole multiples of packet_w. Pending cycles set cycle_start: their
     grant is all-or-nothing and re-anchors the ledger commitment.
 
-    Slotted and not frozen, so it builds about four times faster: the engine
-    builds several hundred a run. Only allocate_slot reads them, and it
-    writes none.
+    Slotted and not frozen, so it builds about four times faster. The
+    engine builds a job's needs when its state moves and hands the same
+    objects to allocate_slot slot after slot. That relies on an invariant:
+    only allocate_slot reads them, and it writes none (tested).
     """
 
     job_id: str

@@ -11,14 +11,18 @@ from pathlib import Path
 import pytest
 
 from scenario_gen import null_channels, random_household_scenario, without_channels
+from test_reference_household import reference_battery_need
 from test_thermal_planning import node_of, reference_step_storage, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
-from pemsim.core import TimeGrid, substream
+from pemsim.core import COMPLETION_TOL_WH, TimeGrid, substream
 from pemsim.cli import run_batch
 from pemsim.comms import MessageKind
 from pemsim.devices import _absorb, _euler_temp
+from pemsim import engine
 from pemsim.engine import (
+    RequestOutcome,
+    _BatteryJob,
     _HouseholdJob,
     _ThermalJob,
     audit_conservation,
@@ -34,6 +38,7 @@ from pemsim.scenario import (
     scenario_from_dict,
     three_household_scenario,
 )
+from pemsim.server import CommitmentLedger
 
 # the benchmark's generated feeders
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -315,6 +320,133 @@ class TestFullBattery:
         ev = next(o for o in result.requests if o.device_id == "ev")
         assert ev.accepted and ev.decided_slot > 4
         assert ev.completion_slot == ev.decided_slot and ev.deadline_met is True
+
+
+def _battery_job(cfg, grid, seed=7):
+    """A battery job as the engine makes it, with the outcome an Accept
+    would have opened, so apply can record service and completion."""
+    job = _BatteryJob(cfg, grid, seed, backoff_max=3)
+    job.outcome = RequestOutcome(cfg.device_id, "battery", cfg.arrival)
+    return job
+
+
+def _generated_batteries():
+    """(config, grid) for every battery of generated scenarios 1..60, and
+    one that arrives full and one within COMPLETION_TOL_WH of full."""
+    batteries = [
+        (cfg, scenario.grid)
+        for scenario in map(random_household_scenario, range(1, 61))
+        for cfg in scenario.devices if isinstance(cfg, BatteryConfig)
+    ]
+    cfg, grid = batteries[0]
+    batteries.append((replace(cfg, initial_soc_wh=cfg.capacity_wh), grid))
+    batteries.append((replace(cfg, initial_soc_wh=cfg.capacity_wh - 0.5 * COMPLETION_TOL_WH), grid))
+    return batteries
+
+
+class TestBatteryNeedPlan:
+    def _assert_plan_matches_formula(self, job, grid):
+        cfg = job.cfg
+        for now in range(cfg.arrival, cfg.deadline + 2):
+            want = reference_battery_need(cfg, job.soc_wh, now, grid.slot_hours)
+            assert repr(job.slot_need(now)) == repr(want), (cfg.device_id, job.soc_wh, now)
+
+    def test_slot_need_matches_the_formula_after_every_step(self):
+        """After construction and after each apply, the cached need equals
+        the need recomputed from the charge, field by field, at every slot
+        from arrival to one past the deadline."""
+        rng = random.Random(24)
+        steps = zero_steps = 0
+        for cfg, grid in _generated_batteries():
+            job = _battery_job(cfg, grid)
+            ledger = CommitmentLedger(grid, 1e9)
+            self._assert_plan_matches_formula(job, grid)
+            for now in range(cfg.arrival, cfg.deadline + 2):
+                granted_w = rng.choice([
+                    0.0, 0.0, cfg.packet_w, 2 * cfg.packet_w, cfg.p_max_w,
+                    rng.uniform(0.0, cfg.p_max_w), 2 * cfg.p_max_w,
+                ])
+                job.apply(granted_w, now, ledger)
+                steps += 1
+                zero_steps += granted_w == 0.0
+                self._assert_plan_matches_formula(job, grid)
+                if job.done:
+                    break
+        assert steps > 500 and zero_steps > 100
+
+    def test_needs_are_built_once_per_plan(self):
+        """A battery hands out the same need object while its charge holds,
+        and a new one once the charge moves."""
+        cfg = BatteryConfig("ev", capacity_wh=10_000.0, p_max_w=4000.0, packet_w=1000.0,
+                            arrival=0, deadline=36, initial_soc_wh=0.0)
+        grid = TimeGrid(epoch_start_min=0, slot_min=10, horizon=36)
+        job = _battery_job(cfg, grid)  # forced from slot 21 on
+        ledger = CommitmentLedger(grid, 1e9)
+        willing = job.slot_need(0)
+        assert willing.willing_w > 0 and job.slot_need(2) is willing
+        job.apply(0.0, 0, ledger)
+        assert job.slot_need(1) is willing
+        job.apply(1000.0, 1, ledger)
+        assert job.slot_need(2) is not willing and job.slot_need(2) is job.slot_need(3)
+
+    def test_zero_grant_step_matches_absorb(self):
+        """A 0 W step leaves the charge, the trace and the watts consumed as
+        _absorb at 0 W does, down to the sign of a zero charge."""
+        cfg, grid = _generated_batteries()[0]
+        ledger = CommitmentLedger(grid, 1e9)
+        rng = random.Random(5)
+        charges = [0.0, -0.0, cfg.capacity_wh - 1.5 * COMPLETION_TOL_WH] + [
+            rng.uniform(0.0, cfg.capacity_wh - COMPLETION_TOL_WH) for _ in range(50)
+        ]
+        for soc_wh in charges:
+            job = _battery_job(replace(cfg, initial_soc_wh=soc_wh), grid)
+            want_soc, absorbed_wh = _absorb(soc_wh, cfg.capacity_wh, cfg.p_max_w, 0.0, grid.slot_min)
+            consumed_w = job.apply(0.0, cfg.arrival, ledger)
+            assert repr(consumed_w) == repr(absorbed_wh / grid.slot_hours)
+            assert repr(job.soc_wh) == repr(want_soc)
+            assert [repr(v) for v in job.trace] == [repr(want_soc)]
+            assert not job.done and job.outcome.first_service_slot is None
+
+    @pytest.mark.parametrize("below_capacity_wh", [0.0, 0.5])
+    def test_full_battery_finishes_at_its_first_step(self, below_capacity_wh):
+        cfg, grid = _generated_batteries()[0]
+        job = _battery_job(replace(cfg, initial_soc_wh=cfg.capacity_wh - below_capacity_wh), grid)
+        assert job.apply(0.0, cfg.arrival, CommitmentLedger(grid, 1e9)) == 0.0
+        assert job.done and job.outcome.completion_slot == cfg.arrival
+        assert job.slot_need(cfg.arrival) is None
+
+
+class TestAllocateSlotReadsNeeds:
+    def test_allocate_slot_writes_no_need(self, monkeypatch):
+        """The engine hands a job's cached needs to allocate_slot slot after
+        slot, so allocate_slot must leave every need it is given as it was,
+        on runs that grant forced, willing and cycle-start needs and shed."""
+        real = engine.allocate_slot
+        given = {}  # id -> every need object handed over, kept alive
+        reused = cycle_starts = 0
+
+        def checked(ledger, needs, *args, **kwargs):
+            nonlocal reused, cycle_starts
+            before = [repr(need) for need in needs]
+            grants = real(ledger, needs, *args, **kwargs)
+            assert [repr(need) for need in needs] == before
+            reused += sum(id(need) in given for need in needs)
+            cycle_starts += sum(need.cycle_start for need in needs)
+            given.update((id(need), need) for need in needs)
+            return grants
+
+        monkeypatch.setattr(engine, "allocate_slot", checked)
+        scenarios = [scenario_from_dict(mixed_feeder_doc(n)) for n in range(1, 6)] + [
+            replace(
+                random_household_scenario(s, import_allowed=False),
+                policy=replace(three_household_scenario(1).policy, renewable_first=False),
+            )
+            for s in range(1, 31)
+        ]
+        shed = 0
+        for scenario in scenarios:
+            shed += len(run_scenario(scenario).shed_events)
+        assert reused > 1000 and cycle_starts > 100 and shed > 100
 
 
 class TestDeterminism:

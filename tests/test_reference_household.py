@@ -4,11 +4,13 @@
 channel layer, shedding and trip traffic through the seven phases of the
 engine module docstring, the plain way: every slot it scans all jobs in
 device order, emits where `next_emit` is due, lets every accepted, live job
-state a need, steps every job for which `steps_at` holds, and records every
-other job's idle slot at once. Its ledger scans the whole horizon on each
-admission. `run_scenario` must give the same bundle bytes and the same
-`repr(RunResult)`: the engine's wake index, cached roles, lazily filled
-idle slots and admission from the forced start change no output.
+state a need (a battery's recomputed from its charge by
+`reference_battery_need`), steps every job for which `steps_at` holds, and
+records every other job's idle slot at once. Its ledger scans the whole
+horizon on each admission. `run_scenario` must give the same bundle bytes
+and the same `repr(RunResult)`: the engine's wake index, cached roles,
+cached battery needs, lazily filled idle slots and admission from the
+forced start change no output.
 """
 
 import math
@@ -24,9 +26,10 @@ from workloads import fault_scenario
 
 from pemsim.cli import write_bundle
 from pemsim.comms import MessageKind, aggregate_reports
-from pemsim.core import CAP_TOL_W, Accept, substream
+from pemsim.core import CAP_TOL_W, COMPLETION_TOL_WH, Accept, substream
 from pemsim.engine import (
     RunResult,
+    _BatteryJob,
     _ChannelLayer,
     _emit_trip_traffic,
     _make_job,
@@ -38,9 +41,33 @@ from pemsim.scenario import three_household_scenario
 from pemsim.server import (
     CommitmentLedger,
     JobCommitment,
+    SlotNeed,
     UnderSupply,
     allocate_slot,
+    needed_full_slots,
 )
+
+
+def reference_battery_need(cfg, soc_wh, now, slot_hours):
+    """A battery's need at slot `now` with charge `soc_wh`, computed afresh:
+    none from the deadline on or within COMPLETION_TOL_WH of full, else the
+    watts that finish it, forced once only the full-power slots it needs
+    are left before the deadline and willing in packets before that."""
+    if now >= cfg.deadline:
+        return None
+    remaining = cfg.capacity_wh - soc_wh
+    if remaining <= COMPLETION_TOL_WH:
+        return None
+    want_w = min(cfg.p_max_w, remaining / slot_hours)
+    if cfg.deadline - now <= needed_full_slots(remaining, cfg.p_max_w, slot_hours):
+        return SlotNeed(cfg.device_id, cfg.priority, forced_w=want_w)
+    return SlotNeed(cfg.device_id, cfg.priority, willing_w=want_w, packet_w=cfg.packet_w)
+
+
+def _reference_need(job, now):
+    if isinstance(job, _BatteryJob):
+        return reference_battery_need(job.cfg, job.soc_wh, now, job.slot_hours)
+    return job.slot_need(now)
 
 
 class ScanningLedger(CommitmentLedger):
@@ -97,7 +124,7 @@ def reference_household(scenario):
         needs = [
             need for job in jobs
             if job.active_from is not None and not job.done and not job.failed
-            and (need := job.slot_need(t)) is not None
+            and (need := _reference_need(job, t)) is not None
         ]
         supply = supply_side.view(t)
         grants = allocate_slot(
