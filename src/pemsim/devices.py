@@ -19,8 +19,11 @@ dt_h * eta * P / C, less the loss rate dt_h * U / C times T - T_ambient,
 added to T. min_heating_slots and the engine's household thermal job both
 call it, so a heating run that min_heating_slots plans is exactly the run
 the engine simulates at rated power. The heater fleet inlines it with the
-gain at rated power and the loss rate computed once per run; the grouping
-is the same, so its temperatures are this step's bit for bit. `_absorb` is
+gain at rated power and the loss rate computed once per run, and the
+household thermal job's fill_trace inlines it for idle slots with the gain
+at 0 W and the loss rate computed once per job; the grouping is the same,
+so their temperatures are this step's bit for bit (tests/test_fleet.py and
+tests/test_engine.py check both). `_absorb` is
 likewise the one charging step of a battery.
 """
 

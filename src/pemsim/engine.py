@@ -45,9 +45,10 @@ A job's needs are re-planned only when its state moves. A battery plans its
 watts and its forced window from its charge at construction and after each
 step that takes the _absorb path; a step with no grant appends the held
 charge, exactly as _absorb at 0 W would, and keeps the plan. A thermal job
-builds its two needs (rated forced, rated willing in packets) once. The
-SlotNeeds are handed to allocate_slot again slot after slot, which is sound
-because allocate_slot writes none of them.
+builds its two needs (rated forced, rated willing in packets) once, and a
+cycle its forced need per profile slot and its start need. The SlotNeeds
+are handed to allocate_slot again slot after slot, which is sound because
+allocate_slot writes none of them.
 """
 
 from __future__ import annotations
@@ -241,11 +242,14 @@ class _ChannelLayer:
 
 
 class _Supply:
-    """The supply side of a run: the renewable trace and the storage charge
-    `soc_wh` (0.0 without storage), settled slot by slot."""
+    """The supply side of a run: the renewable trace, the slot clocks and
+    the storage charge `soc_wh` (0.0 without storage), settled slot by
+    slot."""
 
     def __init__(self, scenario: Scenario):
-        self.grid = scenario.grid
+        grid = scenario.grid
+        self.slot_hours = grid.slot_hours
+        self.clocks = [grid.clock_of(t) for t in range(grid.horizon)]
         self.trace = scenario.renewable_trace()
         self.storage = scenario.storage
         self.soc_wh = self.storage.soc_wh if self.storage is not None else 0.0
@@ -258,16 +262,12 @@ class _Supply:
         storage = self.storage
         discharge_max_w = charge_max_w = 0.0
         if storage is not None:
-            slot_h = self.grid.slot_hours
+            slot_h = self.slot_hours
             discharge_max_w = min(storage.p_discharge_max_w, self.soc_wh / slot_h)
             headroom = (storage.capacity_wh - self.soc_wh) / storage.efficiency
             charge_max_w = min(storage.p_charge_max_w, headroom / slot_h)
         return SupplyView(
-            renewable_w=self.trace[t],
-            discharge_max_w=discharge_max_w,
-            charge_max_w=charge_max_w,
-            import_allowed=self.import_allowed,
-            feeder_capacity_w=self.feeder_capacity_w,
+            self.trace[t], discharge_max_w, charge_max_w, self.import_allowed, self.feeder_capacity_w
         )
 
     def settle(
@@ -281,25 +281,18 @@ class _Supply:
         """Serve slot t's consumption from its supply view, move the storage
         charge by the dispatched flow, and record the slot. The flow is
         within the view's limits, so the charge stays in [0, capacity]."""
-        grid = self.grid
         plan = dispatch_supply(math.fsum(consumed_w.values()), supply)
-        flow, slot_h, storage = plan.storage_flow_w, grid.slot_hours, self.storage
+        flow = plan.storage_flow_w
         if flow > 0.0:
-            self.soc_wh = min(storage.capacity_wh, self.soc_wh + flow * slot_h * storage.efficiency)
+            storage = self.storage
+            self.soc_wh = min(
+                storage.capacity_wh, self.soc_wh + flow * self.slot_hours * storage.efficiency
+            )
         elif flow < 0.0:  # discharging: soc - (-flow) * slot_h, written as a sum
-            self.soc_wh = max(0.0, self.soc_wh + flow * slot_h)
+            self.soc_wh = max(0.0, self.soc_wh + flow * self.slot_hours)
         return SlotRecord(
-            slot=t,
-            clock=grid.clock_of(t),
-            granted_w=granted_w,
-            consumed_w=consumed_w,
-            renewable_available_w=supply.renewable_w,
-            renewable_used_w=plan.renewable_used_w,
-            storage_soc_wh=self.soc_wh,
-            storage_flow_w=plan.storage_flow_w,
-            imported_w=plan.imported_w,
-            curtailed_w=plan.curtailed_w,
-            emergency=emergency,
+            t, self.clocks[t], granted_w, consumed_w, supply.renewable_w, plan.renewable_used_w,
+            self.soc_wh, flow, plan.imported_w, plan.curtailed_w, emergency,
         )
 
 
@@ -478,15 +471,10 @@ class _BatteryJob(_HouseholdJob):
         return remaining > self.cfg.p_max_w * window_h * (1 + 1e-9)
 
     def build_request(self, now: int) -> LoadRequest:
+        cfg = self.cfg
         return FlexibleTotalRequest(
-            device_id=self.device_id,
-            energy_needed_wh=self.cfg.capacity_wh - self.soc_wh,
-            p_max_w=self.cfg.p_max_w,
-            available_from=max(now, self.cfg.arrival),
-            deadline=self.cfg.deadline,
-            packet_w=self.cfg.packet_w,
-            priority=self.priority,
-            issued_at=now,
+            self.device_id, cfg.capacity_wh - self.soc_wh, cfg.p_max_w, max(now, cfg.arrival),
+            cfg.deadline, cfg.packet_w, self.priority, now,
         )
 
     def slot_need(self, now: int) -> SlotNeed | None:
@@ -553,6 +541,10 @@ class _ThermalJob(_HouseholdJob):
         self.step_from = min(cfg.preheat_from, cfg.service_start - 1)
         self.temp_at_service_start: float | None = None
         self.service_min_c: float | None = None
+        # _euler_temp's heat gain at 0 W and its loss rate, for fill_trace
+        dt_h = self.slot_min / 60.0
+        self.idle_gain = dt_h * cfg.efficiency * 0.0 / cfg.capacitance_wh_per_c
+        self.loss_rate = dt_h * cfg.loss_w_per_c / cfg.capacitance_wh_per_c
         # the only two needs the job states: thermal_forced_need forces 0 W
         # or rated_w
         self.forced_need = SlotNeed(self.device_id, self.priority, forced_w=cfg.rated_w)
@@ -578,10 +570,13 @@ class _ThermalJob(_HouseholdJob):
     def fill_trace(self, upto: int) -> None:
         """Step the node unheated through the idle slots before slot `upto`
         that the trace lacks, as apply takes a slot at 0 W, and record each
-        temperature."""
-        cfg, slot_min, temp_c, trace = self.cfg, self.slot_min, self.temp_c, self.trace
+        temperature. The step is devices._euler_temp's at 0 W, inlined with
+        its gain and loss rate computed once: the same grouping, so the same
+        temperatures bit for bit."""
+        temp_c, trace = self.temp_c, self.trace
+        gain, loss_rate, ambient = self.idle_gain, self.loss_rate, self.cfg.ambient_c
         for _ in range(upto - len(trace)):
-            temp_c = _euler_temp(cfg, temp_c, 0.0, slot_min)
+            temp_c += gain - loss_rate * (temp_c - ambient)
             trace.append(temp_c)
         self.temp_c = temp_c
 
@@ -630,7 +625,8 @@ class _ThermalJob(_HouseholdJob):
 
 class _CycleJob(_HouseholdJob):
     """A fixed profile that, once started at `started_at`, advances one slot
-    per slot; `progress` counts the profile slots run."""
+    per slot; `progress` counts the profile slots run. Its needs are built
+    at construction: profile slot i's forced need, and the start need."""
 
     kind_name = "cycle"
 
@@ -640,6 +636,9 @@ class _CycleJob(_HouseholdJob):
         self.started_at: int | None = None
         self.progress = 0
         self.next_emit = cfg.earliest_start
+        self.run_needs = [SlotNeed(cfg.device_id, cfg.priority, w) for w in cfg.profile_w]
+        first_w = cfg.profile_w[0]
+        self.start_need = SlotNeed(cfg.device_id, cfg.priority, 0.0, first_w, first_w, True)
 
     def deadline_slot(self) -> int:
         return self.cfg.deadline
@@ -651,21 +650,15 @@ class _CycleJob(_HouseholdJob):
         return _cycle_request(self.cfg, now)
 
     def slot_need(self, now: int) -> SlotNeed | None:
-        profile_w = self.cfg.profile_w
         if self.started_at is not None:  # running, as a finished cycle is done
-            return SlotNeed(self.device_id, self.priority, forced_w=profile_w[self.progress])
-        if now > self.cfg.latest_start:
+            return self.run_needs[self.progress]
+        latest_start = self.cfg.latest_start
+        if now > latest_start:
             return None
-        if now == self.cfg.latest_start:
-            return SlotNeed(self.device_id, self.priority, forced_w=profile_w[0])
+        if now == latest_start:
+            return self.run_needs[0]
         if now >= self.cfg.earliest_start:
-            return SlotNeed(
-                self.device_id,
-                self.priority,
-                willing_w=profile_w[0],
-                packet_w=profile_w[0],
-                cycle_start=True,
-            )
+            return self.start_need
         return None
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:

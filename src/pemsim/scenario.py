@@ -287,32 +287,16 @@ def _check_device(device: ThermalConfig | BatteryConfig | CycleConfig, grid: Tim
 def _thermal_request(cfg: ThermalConfig, issued_at: int, temp_c: float) -> ThermalTargetRequest:
     """The request a thermal node at `temp_c` sends at slot `issued_at`."""
     return ThermalTargetRequest(
-        device_id=cfg.device_id,
-        target_c=cfg.target_c,
-        service_start=cfg.service_start,
-        service_end=cfg.service_end,
-        preheat_from=cfg.preheat_from,
-        force_check_at=cfg.force_check_at,
-        rated_w=cfg.rated_w,
-        priority=cfg.priority,
-        issued_at=issued_at,
-        temp_c=temp_c,
-        ambient_c=cfg.ambient_c,
-        capacitance_wh_per_c=cfg.capacitance_wh_per_c,
-        loss_w_per_c=cfg.loss_w_per_c,
-        efficiency=cfg.efficiency,
+        cfg.device_id, cfg.target_c, cfg.service_start, cfg.service_end, cfg.preheat_from,
+        cfg.force_check_at, cfg.rated_w, cfg.priority, issued_at, temp_c, cfg.ambient_c,
+        cfg.capacitance_wh_per_c, cfg.loss_w_per_c, cfg.efficiency,
     )
 
 
 def _cycle_request(cfg: CycleConfig, issued_at: int) -> FixedProfileRequest:
     """The request a cycle sends at slot `issued_at`."""
     return FixedProfileRequest(
-        device_id=cfg.device_id,
-        profile_w=cfg.profile_w,
-        earliest_start=cfg.earliest_start,
-        latest_start=cfg.latest_start,
-        priority=cfg.priority,
-        issued_at=issued_at,
+        cfg.device_id, cfg.profile_w, cfg.earliest_start, cfg.latest_start, cfg.priority, issued_at
     )
 
 

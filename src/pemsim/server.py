@@ -224,7 +224,7 @@ class CommitmentLedger:
                 return Reject(RejectReason.CAPACITY_EXCEEDED, at_slot=t)
         for t, watts in enumerate(profile, start):
             committed[t] += watts
-        decision = Accept(forced_start=start)
+        decision = Accept(start)
         self.jobs[request.device_id] = JobCommitment(request, decision, start, profile)
         return decision
 
@@ -299,6 +299,9 @@ class SupplyView:
     feeder_capacity_w: float
 
 
+_PRIORITY = attrgetter("priority")
+
+
 def allocate_slot(
     ledger: CommitmentLedger,
     needs: Sequence[SlotNeed],
@@ -339,7 +342,7 @@ def allocate_slot(
     willing = [n for n in needs if n.willing_w > 0 and n.forced_w <= 0]
     if len(willing) > 1:  # shuffling fewer draws nothing from rng
         rng.shuffle(willing)
-        willing.sort(key=attrgetter("priority"))  # stable: keeps the shuffle within ties
+        willing.sort(key=_PRIORITY)  # stable: keeps the shuffle within ties
     for need in willing:
         if spare < need.packet_w:
             continue
@@ -405,12 +408,7 @@ def dispatch_supply(total_granted_w: float, supply: SupplyView) -> DispatchPlan:
     if surplus > 0 and discharge == 0:
         charge = min(surplus, supply.charge_max_w)
     curtailed = surplus - charge
-    return DispatchPlan(
-        renewable_used_w=renewable_used,
-        storage_flow_w=charge - discharge,
-        imported_w=imported,
-        curtailed_w=curtailed,
-    )
+    return DispatchPlan(renewable_used, charge - discharge, imported, curtailed)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,21 @@ from pathlib import Path
 import pytest
 
 from scenario_gen import null_channels, random_household_scenario, without_channels
-from test_reference_household import reference_battery_need
+from test_reference_household import reference_battery_need, reference_cycle_need
 from test_thermal_planning import node_of, reference_step_storage, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
 from pemsim.core import COMPLETION_TOL_WH, TimeGrid, substream
 from pemsim.cli import run_batch
 from pemsim.comms import MessageKind
-from pemsim.devices import _absorb, _euler_temp
+from pemsim.devices import StorageAsset, _absorb, _euler_temp
 from pemsim import engine
 from pemsim.engine import (
     RequestOutcome,
     _BatteryJob,
+    _CycleJob,
     _HouseholdJob,
+    _Supply,
     _ThermalJob,
     audit_conservation,
     run_scenario,
@@ -38,7 +40,7 @@ from pemsim.scenario import (
     scenario_from_dict,
     three_household_scenario,
 )
-from pemsim.server import CommitmentLedger
+from pemsim.server import CommitmentLedger, SupplyView, dispatch_supply
 
 # the benchmark's generated feeders
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -300,6 +302,36 @@ class TestIdleThermalNodes:
                         after_done += 1
         assert before > 0 and after_done > 0 and after_failed > 0
 
+    def test_fill_trace_iterates_the_unheated_euler_step(self):
+        """fill_trace inlines _euler_temp at 0 W with its gain and loss rate
+        computed once; over k idle slots it must give the k iterations of
+        _euler_temp(cfg, t, 0.0, slot_min), bit for bit, from nodes above,
+        below and at ambient, with tiny and large loss rates."""
+        rng = random.Random(25)
+        for case in range(300):
+            ambient_c = rng.uniform(-10.0, 40.0)
+            initial_c = [ambient_c + rng.uniform(0.1, 70.0), ambient_c - rng.uniform(0.1, 30.0),
+                         ambient_c][case % 3]
+            cfg = ThermalConfig(
+                "node", rated_w=rng.uniform(500.0, 9000.0), target_c=60.0,
+                service_start=40, service_end=48, preheat_from=20, force_check_at=30,
+                capacitance_wh_per_c=rng.uniform(5.0, 500.0),
+                loss_w_per_c=rng.choice([rng.uniform(1e-9, 1e-6), rng.uniform(0.5, 50.0)]),
+                ambient_c=ambient_c, initial_c=initial_c, efficiency=rng.uniform(0.5, 1.0),
+            )
+            slot_min = rng.choice([1, 5, 10, 15, 30])
+            grid = TimeGrid(epoch_start_min=0, slot_min=slot_min, horizon=48)
+            job = _ThermalJob(cfg, grid, seed=1, backoff_max=3)
+            first, upto = rng.randrange(0, 20), rng.randrange(20, 48)
+            job.fill_trace(first)  # filled in two calls, as idle gaps are
+            job.fill_trace(upto)
+            temp, want = initial_c, []
+            for _ in range(upto):
+                temp = _euler_temp(cfg, temp, 0.0, slot_min)
+                want.append(temp)
+            assert [v.hex() for v in job.trace] == [v.hex() for v in want], case
+            assert job.temp_c.hex() == want[-1].hex(), case
+
 
 class TestFullBattery:
     @pytest.mark.parametrize("below_capacity_wh", [0.0, 0.5])
@@ -416,6 +448,50 @@ class TestBatteryNeedPlan:
         assert job.slot_need(cfg.arrival) is None
 
 
+def _generated_cycles():
+    """(config, grid) for every cycle of generated scenarios 1..60 and of
+    the benchmark's generated feeders 1..5."""
+    scenarios = [random_household_scenario(s) for s in range(1, 61)]
+    scenarios += [scenario_from_dict(mixed_feeder_doc(n)) for n in range(1, 6)]
+    return [
+        (cfg, scenario.grid)
+        for scenario in scenarios for cfg in scenario.devices if isinstance(cfg, CycleConfig)
+    ]
+
+
+class TestCycleNeedPlan:
+    def test_slot_need_matches_a_fresh_need_at_every_slot(self):
+        """A cycle builds its needs once; at every slot from its earliest
+        start to its deadline, started at each slot of its window or never,
+        the need it hands out must equal the one built afresh from its
+        progress, field by field, and repeat one of a few objects: one per
+        profile slot plus the start need."""
+        waiting = at_latest = running = 0
+        for cfg, grid in _generated_cycles():
+            for start in [*range(cfg.earliest_start, cfg.latest_start + 1), None]:
+                job = _CycleJob(cfg, grid, seed=7, backoff_max=3)
+                job.outcome = RequestOutcome(cfg.device_id, "cycle", cfg.earliest_start)
+                ledger = CommitmentLedger(grid, 1e9)
+                handed_out = {}  # id -> need, kept alive
+                for now in range(cfg.earliest_start, cfg.deadline + 1):
+                    if job.done:  # a done job steps no more
+                        break
+                    need = job.slot_need(now)
+                    want = reference_cycle_need(cfg, job.started_at, job.progress, now)
+                    assert repr(need) == repr(want), (cfg.device_id, start, now)
+                    if need is not None:
+                        assert job.slot_need(now) is need
+                        handed_out[id(need)] = need
+                        waiting += need.cycle_start
+                        at_latest += job.started_at is None and now == cfg.latest_start
+                        running += job.started_at is not None
+                    started = start is not None and now >= start
+                    job.apply(cfg.profile_w[job.progress] if started else 0.0, now, ledger)
+                assert len(handed_out) <= len(cfg.profile_w) + 1
+                assert job.done == (start is not None)
+        assert waiting > 1000 and at_latest > 100 and running > 1000
+
+
 class TestAllocateSlotReadsNeeds:
     def test_allocate_slot_writes_no_need(self, monkeypatch):
         """The engine hands a job's cached needs to allocate_slot slot after
@@ -489,6 +565,68 @@ class TestConservation:
         victim = next(r for r in result.slots if math.fsum(r.consumed_w.values()) > 0)
         victim.imported_w -= 1.0 / result.grid.slot_hours  # one watt-hour
         assert audit_conservation(result) == victim.slot
+
+
+class TestSupplySettle:
+    def test_records_name_every_field(self):
+        """_Supply.view, dispatch_supply and _Supply.settle build their
+        records positionally; each field is checked by name, on slots that
+        charge, discharge, import, curtail and run in emergency mode, with
+        values that tell every field apart."""
+        grid = TimeGrid(epoch_start_min=1080, slot_min=15, horizon=8)
+        storage = StorageAsset(soc_wh=2000.0, capacity_wh=10_000.0,
+                               p_charge_max_w=1500.0, p_discharge_max_w=400.0, efficiency=0.5)
+        renewable = (3000.0, 500.0, 0.0, 3000.0, 1000.0, 0.0, 0.0, 0.0)
+        scenario = Scenario(
+            grid=grid, feeder_capacity_w=9000.0, devices=(), storage=storage,
+            renewable=RenewableConfig(kind="trace", values_w=renewable), seed=3,
+        )
+        supply_side = _Supply(scenario)
+        view = supply_side.view(0)
+        assert view.renewable_w == 3000.0 and view.feeder_capacity_w == 9000.0
+        assert view.discharge_max_w == 400.0 and view.charge_max_w == 1500.0
+        assert view.import_allowed is True
+        # (view, consumed, emergency) -> (renewable used, flow, imported,
+        # curtailed, charge after); slot_h is 0.25 and every value exact
+        slots = [
+            # charges 1500 W at half efficiency, curtails the rest
+            (SupplyView(3000.0, 400.0, 1500.0, True, 9000.0), 1000.0, False,
+             (1000.0, 1500.0, 0.0, 500.0, 2187.5)),
+            # discharges, then imports the rest
+            (SupplyView(500.0, 400.0, 1500.0, True, 9000.0), 1200.0, False,
+             (500.0, -400.0, 300.0, 0.0, 2087.5)),
+            # imports all of it
+            (SupplyView(0.0, 0.0, 0.0, True, 9000.0), 2000.0, False,
+             (0.0, 0.0, 2000.0, 0.0, 2087.5)),
+            # curtails all the surplus, storage full for the slot
+            (SupplyView(3000.0, 400.0, 0.0, True, 9000.0), 1000.0, False,
+             (1000.0, 0.0, 0.0, 2000.0, 2087.5)),
+            # islanded emergency slot served by renewables and discharge
+            (SupplyView(1000.0, 400.0, 1500.0, False, 9000.0), 1400.0, True,
+             (1000.0, -400.0, 0.0, 0.0, 1987.5)),
+        ]
+        for t, (view, consumed_w, emergency, want) in enumerate(slots):
+            renewable_used_w, flow_w, imported_w, curtailed_w, soc_wh = want
+            plan = dispatch_supply(consumed_w, view)
+            assert plan.renewable_used_w == renewable_used_w, t
+            assert plan.storage_flow_w == flow_w, t
+            assert plan.imported_w == imported_w, t
+            assert plan.curtailed_w == curtailed_w, t
+            granted = {"a": consumed_w + 7.0}
+            consumed = {"a": consumed_w}
+            record = supply_side.settle(view, t, granted, consumed, emergency)
+            assert record.slot == t
+            assert record.clock == grid.clock_of(t)
+            assert record.granted_w is granted
+            assert record.consumed_w is consumed
+            assert record.renewable_available_w == view.renewable_w, t
+            assert record.renewable_used_w == renewable_used_w, t
+            assert record.storage_soc_wh == soc_wh, t
+            assert record.storage_flow_w == flow_w, t
+            assert record.imported_w == imported_w, t
+            assert record.curtailed_w == curtailed_w, t
+            assert record.emergency is emergency, t
+        assert supply_side.soc_wh == 1987.5
 
 
 class TestNullChannelEquivalence:

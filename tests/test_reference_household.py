@@ -5,11 +5,12 @@ channel layer, shedding and trip traffic through the seven phases of the
 engine module docstring, the plain way: every slot it scans all jobs in
 device order, emits where `next_emit` is due, lets every accepted, live job
 state a need (a battery's recomputed from its charge by
-`reference_battery_need`), steps every job for which `steps_at` holds, and
+`reference_battery_need`, a cycle's from its progress by
+`reference_cycle_need`), steps every job for which `steps_at` holds, and
 records every other job's idle slot at once. Its ledger scans the whole
 horizon on each admission. `run_scenario` must give the same bundle bytes
 and the same `repr(RunResult)`: the engine's wake index, cached roles,
-cached battery needs, lazily filled idle slots and admission from the
+cached battery and cycle needs, lazily filled idle slots and admission from the
 forced start change no output.
 """
 
@@ -31,6 +32,7 @@ from pemsim.engine import (
     RunResult,
     _BatteryJob,
     _ChannelLayer,
+    _CycleJob,
     _emit_trip_traffic,
     _make_job,
     _shed_grants,
@@ -64,9 +66,32 @@ def reference_battery_need(cfg, soc_wh, now, slot_hours):
     return SlotNeed(cfg.device_id, cfg.priority, willing_w=want_w, packet_w=cfg.packet_w)
 
 
+def reference_cycle_need(cfg, started_at, progress, now):
+    """A cycle's need at slot `now`, built afresh: a running cycle's current
+    profile slot forced; before it starts, none after its latest start, the
+    first profile slot forced at the latest start, and before that, from its
+    earliest start, the first profile slot willing as one all-or-nothing
+    packet that starts the cycle."""
+    profile_w = cfg.profile_w
+    if started_at is not None:
+        return SlotNeed(cfg.device_id, cfg.priority, forced_w=profile_w[progress])
+    if now > cfg.latest_start:
+        return None
+    if now == cfg.latest_start:
+        return SlotNeed(cfg.device_id, cfg.priority, forced_w=profile_w[0])
+    if now >= cfg.earliest_start:
+        return SlotNeed(
+            cfg.device_id, cfg.priority,
+            willing_w=profile_w[0], packet_w=profile_w[0], cycle_start=True,
+        )
+    return None
+
+
 def _reference_need(job, now):
     if isinstance(job, _BatteryJob):
         return reference_battery_need(job.cfg, job.soc_wh, now, job.slot_hours)
+    if isinstance(job, _CycleJob):
+        return reference_cycle_need(job.cfg, job.started_at, job.progress, now)
     return job.slot_need(now)
 
 
