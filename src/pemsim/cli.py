@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .comms import ChannelClass, MessageKind
-from .core import MalformedRequest, WindowInfeasible
+from .core import MalformedRequest, WindowInfeasible, slot_clocks
 from .engine import (
     ContiguityViolation,
     RunResult,
@@ -119,7 +119,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_bundle(out)
-    grid = result.grid
+    clocks = slot_clocks(result.grid)  # slot clocks for requests.csv and fleet.csv
     device_ids = sorted(result.slots[0].granted_w) if result.slots else []
 
     with open(out / "slots.csv", "x", newline="\n") as fh:
@@ -184,7 +184,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 "service_failed",
             ]
         )
-        clock = lambda s: "" if s is None else grid.clock_of(s)  # noqa: E731
+        clock = lambda s: "" if s is None else clocks[s]  # noqa: E731
         for o in result.requests:
             outcome = "pending"
             if o.accepted:
@@ -256,7 +256,7 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 row
                 % (
                     rec.epoch,
-                    grid.clock_of(rec.epoch),
+                    clocks[rec.epoch],
                     rec.reference_w,
                     rec.aggregate_w,
                     rec.requests,

@@ -16,7 +16,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .core import MalformedRequest
+from .core import MalformedRequest, check_finite
 
 
 # Both enums hash by identity instead of through Enum.__hash__ (a Python-level
@@ -51,6 +51,7 @@ class ChannelProfile:
     max_attempts: int
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.offset_ms < 0:
             raise MalformedRequest("delay offset must be non-negative")
         if self.mean_ms < self.offset_ms:

@@ -12,10 +12,11 @@ concurrent scenario runs.
 from __future__ import annotations
 
 import _random
+import functools
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
 
@@ -40,6 +41,42 @@ CAP_TOL_W = 1e-6
 
 class MalformedRequest(ValueError):
     """A request field is structurally invalid (negative power, empty profile, ...)."""
+
+
+# The annotations check_finite reads, as the text that `from __future__
+# import annotations` (in every module here) leaves them, and whether each
+# holds a tuple. Reading the text costs no evaluation of annotations, which
+# typing.get_type_hints would repeat on each fresh import.
+_FLOAT_ANNOTATIONS = {
+    "float": False,
+    "float | None": False,
+    "tuple[float, ...]": True,
+    "tuple[float, ...] | None": True,
+}
+
+
+@functools.cache
+def _float_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(field, holds a tuple) for each field of dataclass `cls` annotated as
+    a float or a tuple of floats, either perhaps None."""
+    return tuple(
+        (f.name, _FLOAT_ANNOTATIONS[f.type]) for f in fields(cls) if f.type in _FLOAT_ANNOTATIONS
+    )
+
+
+def check_finite(config, *path: str) -> None:
+    """Raise MalformedRequest naming the first float field of dataclass
+    `config`, after `path`, that holds a NaN or an infinity, or the first
+    such item of a tuple field. A range check such as `x <= 0` lets NaN
+    through, so a config runs this before its range checks."""
+    for name, many in _float_fields(type(config)):
+        value = getattr(config, name)
+        if value is None or (all(map(math.isfinite, value)) if many else math.isfinite(value)):
+            continue
+        if many:
+            index = next(i for i, item in enumerate(value) if not math.isfinite(item))
+            name, value = f"{name}[{index}]", value[index]
+        raise MalformedRequest(f"{'.'.join((*path, name))} must be finite, got {value!r}")
 
 
 def check_thermal_node(node) -> None:
@@ -138,6 +175,14 @@ class TimeGrid:
 
     def clock_of(self, slot: int) -> str:
         return format_hhmm(self.epoch_start_min + slot * self.slot_min)
+
+
+@functools.lru_cache(maxsize=4)
+def slot_clocks(grid: TimeGrid) -> tuple[str, ...]:
+    """`grid.clock_of(t)` for t in 0..horizon, both ends included: a
+    deadline or a completion can fall on slot `horizon`. Cached by the frozen
+    grid, so the runs of a batch on one grid build the table once."""
+    return tuple(map(grid.clock_of, range(grid.horizon + 1)))
 
 
 # Priority levels are small ordinals; ties between equal levels are broken

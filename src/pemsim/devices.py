@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import MalformedRequest, check_thermal_node
+from .core import MalformedRequest, check_finite, check_thermal_node
 
 
 def _euler_temp(node, temp_c: float, power_w: float, dt_min: float) -> float:
@@ -124,6 +124,7 @@ class WaterHeaterParams:
     draw_max_c: float = 0.45
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.t_low_c >= self.t_high_c:
             raise MalformedRequest("deadband must have t_low < t_high")
         if not 0 < self.mu_max <= 1:
@@ -142,12 +143,18 @@ def random_walk_trace(
 ) -> tuple[float, ...]:
     """Clipped random walk in [0, 2*mean] starting at the mean, one value per
     slot. Equal seeds give bit-identical traces. The parameters are checked
-    by RenewableConfig.validate."""
+    by RenewableConfig.validate. The clamp is min(max(level, 0.0), ceiling)
+    written as two tests, which keep a -0.0 level as that form does."""
     ceiling = 2.0 * mean_w
+    gauss = rng.gauss
     values = []
     level = mean_w
     for _ in range(n_slots):
-        level = min(max(level + rng.gauss(0.0, volatility_w), 0.0), ceiling)
+        level += gauss(0.0, volatility_w)
+        if level < 0.0:
+            level = 0.0
+        elif level > ceiling:
+            level = ceiling
         values.append(level)
     return tuple(values)
 
@@ -167,6 +174,7 @@ class StorageAsset:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self, "storage")
         if not 0 <= self.soc_wh <= self.capacity_wh:
             raise MalformedRequest("storage soc out of [0, capacity]")
         if self.p_charge_max_w < 0 or self.p_discharge_max_w < 0:

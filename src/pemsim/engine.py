@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .comms import (
     AggregatedReport,
@@ -76,6 +77,7 @@ from .core import (
     MalformedRequest,
     RejectReason,
     TimeGrid,
+    slot_clocks,
     substream,
 )
 from .devices import _absorb, _euler_temp
@@ -244,12 +246,13 @@ class _ChannelLayer:
 class _Supply:
     """The supply side of a run: the renewable trace, the slot clocks and
     the storage charge `soc_wh` (0.0 without storage), settled slot by
-    slot."""
+    slot. The clocks are core.slot_clocks' table, which every run on the
+    same grid shares."""
 
     def __init__(self, scenario: Scenario):
         grid = scenario.grid
         self.slot_hours = grid.slot_hours
-        self.clocks = [grid.clock_of(t) for t in range(grid.horizon)]
+        self.clocks = slot_clocks(grid)
         self.trace = scenario.renewable_trace()
         self.storage = scenario.storage
         self.soc_wh = self.storage.soc_wh if self.storage is not None else 0.0
@@ -1073,22 +1076,24 @@ def audit_conservation(result: RunResult) -> int | None:
     slot_h = result.grid.slot_hours
     consumed_terms = []
     supplied_terms = []
+    # each test is written to pass only a number within bounds, so a NaN
+    # anywhere in a slot fails it
     for record in result.slots:
         consumed_wh = math.fsum(record.consumed_w.values()) * slot_h
-        discharge_w = max(0.0, -record.storage_flow_w)
+        discharge_w = -min(record.storage_flow_w, 0.0)
         supplied_wh = (
             record.renewable_used_w + discharge_w + record.imported_w
         ) * slot_h
         scale = max(1.0, abs(consumed_wh))
-        if abs(consumed_wh - supplied_wh) > AUDIT_REL_TOL * scale:
+        if not abs(consumed_wh - supplied_wh) <= AUDIT_REL_TOL * scale:
             return record.slot
-        if record.curtailed_w < -CAP_TOL_W:
+        if not record.curtailed_w >= -CAP_TOL_W:
             return record.slot
         consumed_terms.append(consumed_wh)
         supplied_terms.append(supplied_wh)
     total_consumed = math.fsum(consumed_terms)
     total_supplied = math.fsum(supplied_terms)
-    if abs(total_consumed - total_supplied) > AUDIT_REL_TOL * max(1.0, abs(total_consumed)):
+    if not abs(total_consumed - total_supplied) <= AUDIT_REL_TOL * max(1.0, abs(total_consumed)):
         return result.slots[-1].slot if result.slots else 0
     return None
 
@@ -1097,16 +1102,18 @@ def summarize_run(result: RunResult) -> dict:
     """Roll a run up into the summary the CLI writes: accounting integrals,
     request outcomes, channel audit."""
     slot_h = result.grid.slot_hours
+    slots = result.slots
     consumed_wh = math.fsum(
-        math.fsum(r.consumed_w.values()) for r in result.slots
+        map(math.fsum, map(dict.values, map(attrgetter("consumed_w"), slots)))
     ) * slot_h
-    renewable_wh = math.fsum(r.renewable_used_w for r in result.slots) * slot_h
-    imported_wh = math.fsum(r.imported_w for r in result.slots) * slot_h
-    curtailed_wh = math.fsum(r.curtailed_w for r in result.slots) * slot_h
-    discharge_wh = math.fsum(
-        max(0.0, -r.storage_flow_w) for r in result.slots
-    ) * slot_h
-    charge_wh = math.fsum(max(0.0, r.storage_flow_w) for r in result.slots) * slot_h
+    renewable_wh = math.fsum(map(attrgetter("renewable_used_w"), slots)) * slot_h
+    imported_wh = math.fsum(map(attrgetter("imported_w"), slots)) * slot_h
+    curtailed_wh = math.fsum(map(attrgetter("curtailed_w"), slots)) * slot_h
+    # the sums of max(0.0, -flow) and max(0.0, flow): fsum is exact, so the
+    # zero terms, dropped here, add nothing
+    flows = list(map(attrgetter("storage_flow_w"), slots))
+    discharge_wh = math.fsum([-flow for flow in flows if flow < 0.0]) * slot_h
+    charge_wh = math.fsum([flow for flow in flows if flow > 0.0]) * slot_h
 
     accepted = sum(1 for o in result.requests if o.accepted)
     rejected = sum(1 for o in result.requests if o.accepted is False and o.service_failed)
@@ -1117,7 +1124,7 @@ def summarize_run(result: RunResult) -> dict:
 
     summary = {
         "seed": result.seed,
-        "slots": len(result.slots),
+        "slots": len(slots),
         "accepted": accepted,
         "rejected_final": rejected,
         "service_failed": failed,
@@ -1129,7 +1136,7 @@ def summarize_run(result: RunResult) -> dict:
         "curtailed_wh": curtailed_wh,
         "storage_discharge_wh": discharge_wh,
         "storage_charge_wh": charge_wh,
-        "emergency_slots": sum(1 for r in result.slots if r.emergency),
+        "emergency_slots": sum(map(attrgetter("emergency"), slots)),
         "shed_events": len(result.shed_events),
         "messages_sent": len(result.channel),
         "messages_dropped": sum(1 for m in result.channel if m.delivered_at_ms is None),

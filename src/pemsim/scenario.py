@@ -27,6 +27,7 @@ from .core import (
     ThermalTargetRequest,
     TimeGrid,
     WindowInfeasible,
+    check_finite,
     parse_hhmm,
     substream,
     validate_request,
@@ -165,6 +166,14 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
+        # NaN and infinities first, as the range checks below let NaN
+        # through. A scenario built in Python skips the file codec, which
+        # refuses them too; storage, channel profiles, heater params and the
+        # reference refuse them as they are built
+        check_finite(self)
+        check_finite(self.renewable, "renewable")
+        for device in self.devices:
+            check_finite(device, device.device_id)
         if self.feeder_capacity_w <= 0:
             raise MalformedRequest("feeder capacity must be positive")
         ids = [d.device_id for d in self.devices]

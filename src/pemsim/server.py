@@ -43,6 +43,7 @@ from .core import (
     ThermalTargetRequest,
     TimeGrid,
     WindowInfeasible,
+    check_finite,
     validate_request,
 )
 from .devices import decay_temp, min_heating_slots
@@ -93,6 +94,14 @@ def compute_forced_start(
     return start
 
 
+def _thermal_start_feasible(request: ThermalTargetRequest, t: int, slot_min: int) -> bool:
+    """Whether rated heating from slot `t` lifts the job, cooled unheated
+    from its snapshot to `t`, to its target by the service start."""
+    cold = decay_temp(request, request.temp_c, max(0, t - request.issued_at), slot_min)
+    left = request.service_start - t
+    return min_heating_slots(request, cold, request.target_c, slot_min, left) is not None
+
+
 def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> int:
     """First slot of the guaranteed heating window for a thermal job.
 
@@ -101,14 +110,20 @@ def plan_thermal_forced_start(request: ThermalTargetRequest, grid: TimeGrid) -> 
     at the configured force-check slot or at the latest still-feasible start
     under that worst case, whichever comes first.
 
-    The scan runs from the service start backwards and stops at the first
-    feasible start, which is the latest; each probe searches only as many
-    heating slots as are left before the service start.
+    The force-check slot is probed first, and when it is a feasible start
+    it is the answer. That needs no monotonicity of feasibility in t:
+    validate_request keeps force_check_at within [preheat_from,
+    service_start], the range of the scan below, so the scan's latest
+    feasible start t* is at or after it and min(force_check_at, t*) is
+    force_check_at. Otherwise the scan runs from the service start
+    backwards and stops at the first feasible start, which is the latest;
+    each probe searches only as many heating slots as are left before the
+    service start.
     """
+    if _thermal_start_feasible(request, request.force_check_at, grid.slot_min):
+        return request.force_check_at
     for t in range(request.service_start, request.preheat_from - 1, -1):
-        cold = decay_temp(request, request.temp_c, max(0, t - request.issued_at), grid.slot_min)
-        left = request.service_start - t
-        if min_heating_slots(request, cold, request.target_c, grid.slot_min, left) is not None:
+        if _thermal_start_feasible(request, t, grid.slot_min):
             return min(request.force_check_at, t)
     raise WindowInfeasible(
         f"target {request.target_c:.1f} C unreachable by slot {request.service_start}"
@@ -300,6 +315,7 @@ class SupplyView:
 
 
 _PRIORITY = attrgetter("priority")
+_FORCED_W = attrgetter("forced_w")
 
 
 def allocate_slot(
@@ -324,22 +340,33 @@ def allocate_slot(
     A grant's packet count is rounded up when within 1e-9 of a whole packet,
     so the opportunistic total can pass either limit by at most 1e-9 of a
     packet (within CAP_TOL_W for packets up to 1 kW).
+
+    The forced total stays the builtin sum of the needs' forced watts in
+    needs order: from Python 3.12 that sum is compensated, so a running
+    `+=` would differ. One loop over the needs then takes the forced grants
+    and the willing needs, in needs order.
     """
     if not needs:  # nothing to grant, and no shuffle to draw
         return {}
     cap = supply.feeder_capacity_w
-    forced_total = sum(n.forced_w for n in needs)
+    forced_total = sum(map(_FORCED_W, needs))
     if forced_total > cap + CAP_TOL_W:
         raise CapacityViolation(
             f"forced needs {forced_total:.1f} W exceed capacity {cap:.1f} W at slot {now}"
         )
-    grants = {n.job_id: n.forced_w for n in needs if n.forced_w > 0}
+    grants = {}
+    willing = []
+    for need in needs:
+        forced_w = need.forced_w
+        if forced_w > 0:
+            grants[need.job_id] = forced_w
+        elif need.willing_w > 0 and forced_w <= 0:  # a NaN forced_w is neither
+            willing.append(need)
     spare = cap - forced_total
     if not supply.import_allowed:
         spare = min(spare, supply.renewable_w + supply.discharge_max_w - forced_total)
     if renewable_first:
         spare = min(spare, max(0.0, supply.renewable_w - forced_total))
-    willing = [n for n in needs if n.willing_w > 0 and n.forced_w <= 0]
     if len(willing) > 1:  # shuffling fewer draws nothing from rng
         rng.shuffle(willing)
         willing.sort(key=_PRIORITY)  # stable: keeps the shuffle within ties
@@ -420,8 +447,9 @@ class ReferenceSignal:
     def __post_init__(self) -> None:
         if not self.values_w:
             raise MalformedRequest("reference signal must be non-empty")
-        if not all(math.isfinite(v) and v >= 0 for v in self.values_w):
-            raise MalformedRequest("reference power must be finite and non-negative")
+        check_finite(self, "reference")
+        if not all(v >= 0 for v in self.values_w):
+            raise MalformedRequest("reference power must be non-negative")
 
     def at(self, epoch: int) -> float:
         return self.values_w[min(epoch, len(self.values_w) - 1)]

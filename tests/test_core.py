@@ -17,6 +17,7 @@ from pemsim.core import (
     WindowInfeasible,
     format_hhmm,
     parse_hhmm,
+    slot_clocks,
     substream,
     validate_request,
 )
@@ -49,6 +50,22 @@ class TestClock:
         assert GRID.slot_of("22:10") == 37
         assert GRID.slot_of("24:00") == 48
         assert GRID.clock_of(37) == "22:10"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GRID,  # starts at 16:00
+            TimeGrid(epoch_start_min=20 * 60, slot_min=15, horizon=40),  # runs to 06:00, "30:00"
+            TimeGrid(epoch_start_min=0, slot_min=10, horizon=1),
+            TimeGrid(epoch_start_min=0, slot_min=10, horizon=144),
+        ],
+    )
+    def test_slot_clocks_are_clock_of(self, grid):
+        """The table holds clock_of of every slot boundary, slot `horizon`
+        included, and equal grids share one table."""
+        clocks = slot_clocks(grid)
+        assert clocks == tuple(grid.clock_of(t) for t in range(grid.horizon + 1))
+        assert slot_clocks(replace(grid)) is clocks
 
     def test_off_grid_time_rejected(self):
         with pytest.raises(MalformedRequest):

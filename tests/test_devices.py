@@ -250,6 +250,24 @@ class TestRenewableTrace:
         b = random_walk_trace(200, 3000.0, 800.0, substream(9, "renewable"))
         assert a == b and len(a) == 200
 
+    @pytest.mark.parametrize(
+        "mean_w, volatility_w",
+        [(0.0, 0.0), (0.0, 300.0), (-0.0, 5.0), (3000.0, 1e-300), (3000.0, 600.0), (1000.0, 1e6)],
+    )
+    def test_clamp_is_min_of_max(self, mean_w, volatility_w):
+        """The walk clamps with two tests; they give min(max(level, 0.0),
+        ceiling) bit for bit, the sign of a zero included."""
+        def reference(n_slots, rng):
+            ceiling, level, values = 2.0 * mean_w, mean_w, []
+            for _ in range(n_slots):
+                level = min(max(level + rng.gauss(0.0, volatility_w), 0.0), ceiling)
+                values.append(level)
+            return values
+
+        got = random_walk_trace(300, mean_w, volatility_w, random.Random(7))
+        want = reference(300, random.Random(7))
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
     def test_nonnegative_and_clipped(self):
         trace = random_walk_trace(500, 1000.0, 2000.0, random.Random(4))
         assert all(0.0 <= v <= 2000.0 for v in trace)

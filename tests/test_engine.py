@@ -5,7 +5,7 @@ scenarios."""
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from test_reference_household import reference_battery_need, reference_cycle_nee
 from test_thermal_planning import node_of, reference_step_storage, reference_step_thermal
 
 from pemsim.comms import ChannelClass, ChannelProfile
-from pemsim.core import COMPLETION_TOL_WH, TimeGrid, substream
+from pemsim.core import COMPLETION_TOL_WH, MalformedRequest, TimeGrid, substream
 from pemsim.cli import run_batch
 from pemsim.comms import MessageKind
 from pemsim.devices import StorageAsset, _absorb, _euler_temp
@@ -37,6 +37,7 @@ from pemsim.scenario import (
     RenewableConfig,
     Scenario,
     ThermalConfig,
+    fleet_scenario,
     scenario_from_dict,
     three_household_scenario,
 )
@@ -565,6 +566,89 @@ class TestConservation:
         victim = next(r for r in result.slots if math.fsum(r.consumed_w.values()) > 0)
         victim.imported_w -= 1.0 / result.grid.slot_hours  # one watt-hour
         assert audit_conservation(result) == victim.slot
+
+    @pytest.mark.parametrize("field, slot", [("imported_w", 5), ("curtailed_w", 7)])
+    def test_nan_in_a_slot_detected(self, field, slot):
+        """Every audit test passes only a number within bounds, so a NaN
+        fails it where `abs(x) > tol` would read False and pass it."""
+        result = run_scenario(three_household_scenario(seed=2))
+        setattr(result.slots[slot], field, math.nan)
+        assert audit_conservation(result) == slot
+
+    def test_nan_storage_flow_detected(self):
+        """A NaN flow counts as a NaN discharge, not as none."""
+        scenario = scenario_from_dict(mixed_feeder_doc(2))
+        assert scenario.storage is not None
+        result = run_scenario(scenario)
+        result.slots[3].storage_flow_w = math.nan
+        assert audit_conservation(result) == 3
+
+
+def _float_paths(node, path=()):
+    """Paths to every float of a scenario's configs: a field, or the first
+    item of a tuple of floats, through nested configs, device tuples and
+    the channel dict."""
+    if isinstance(node, float):
+        yield path
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _float_paths(getattr(node, f.name), path + (f.name,))
+    elif isinstance(node, tuple) and node:
+        if isinstance(node[0], float):
+            yield path + (0,)
+        else:
+            for i, item in enumerate(node):
+                yield from _float_paths(item, path + (i,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _float_paths(value, path + (key,))
+
+
+def _with(node, path, value):
+    """`node` with the value at `path` replaced; each config on the way is
+    built anew, so its own checks run."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if is_dataclass(node):
+        return replace(node, **{key: _with(getattr(node, key), rest, value)})
+    if isinstance(node, tuple):
+        return node[:key] + (_with(node[key], rest, value),) + node[key + 1:]
+    return {**node, key: _with(node[key], rest, value)}
+
+
+class TestNonFiniteInput:
+    """The file codec refuses NaN and infinities; a scenario built in Python
+    is refused as well, by its config's checks or by validate, with an error
+    naming the field, before a run starts."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            three_household_scenario(seed=1),
+            scenario_from_dict(mixed_feeder_doc(3)),  # islanded, with storage
+            fleet_scenario(count=10, hours=1.0),
+        ],
+        ids=["reference", "mixed_feeder", "fleet"],
+    )
+    def test_every_float_field_refuses_nan_and_infinities(self, scenario):
+        scenario.validate()
+        paths = list(_float_paths(scenario))
+        assert len(paths) > 10
+        for path in paths:
+            name = next(key for key in reversed(path) if isinstance(key, str))
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(MalformedRequest, match=f"{name}(\\[0\\])? must be finite"):
+                    _with(scenario, path, bad).validate()
+
+    @pytest.mark.parametrize("device_id, field", [("sauna", "packet_w"), ("ev", "initial_soc_wh")])
+    def test_optional_float_fields(self, device_id, field):
+        scenario = three_household_scenario(seed=1)
+        index = next(i for i, d in enumerate(scenario.devices) if d.device_id == device_id)
+        assert getattr(scenario.devices[index], field) is None
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(MalformedRequest, match=f"{device_id}.{field} must be finite"):
+                _with(scenario, ("devices", index, field), bad).validate()
 
 
 class TestSupplySettle:

@@ -2,7 +2,9 @@
 superposition oracle, per-slot allocation fairness, supply dispatch, fleet
 reference tracking, and retry backoff."""
 
+import math
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -378,6 +380,111 @@ def _supply(cap=10_000.0, renewable=None, storage=None, import_allowed=True):
         discharge_max_w=discharge_max_w, charge_max_w=charge_max_w,
         import_allowed=import_allowed, feeder_capacity_w=cap,
     )
+
+
+def reference_allocate_slot(ledger, needs, supply, rng, now=0, renewable_first=True):
+    """allocate_slot in three passes over the needs: the forced total, the
+    forced grants and the willing needs each take one."""
+    if not needs:
+        return {}
+    cap = supply.feeder_capacity_w
+    forced_total = sum(n.forced_w for n in needs)
+    if forced_total > cap + CAP_TOL_W:
+        raise CapacityViolation(
+            f"forced needs {forced_total:.1f} W exceed capacity {cap:.1f} W at slot {now}"
+        )
+    grants = {n.job_id: n.forced_w for n in needs if n.forced_w > 0}
+    spare = cap - forced_total
+    if not supply.import_allowed:
+        spare = min(spare, supply.renewable_w + supply.discharge_max_w - forced_total)
+    if renewable_first:
+        spare = min(spare, max(0.0, supply.renewable_w - forced_total))
+    willing = [n for n in needs if n.willing_w > 0 and n.forced_w <= 0]
+    if len(willing) > 1:
+        rng.shuffle(willing)
+        willing.sort(key=attrgetter("priority"))
+    for need in willing:
+        if spare < need.packet_w:
+            continue
+        if need.cycle_start:
+            if not ledger.reanchor_cycle(need.job_id, now):
+                continue
+            grants[need.job_id] = grants.get(need.job_id, 0.0) + need.packet_w
+            spare -= need.packet_w
+            continue
+        packets = math.floor(min(need.willing_w, spare) / need.packet_w + 1e-9)
+        if packets <= 0:
+            continue
+        amount = packets * need.packet_w
+        grants[need.job_id] = grants.get(need.job_id, 0.0) + amount
+        spare -= amount
+    total = sum(grants.values())
+    if total > cap + CAP_TOL_W:
+        raise CapacityViolation(f"granted {total:.1f} W over capacity {cap:.1f} W")
+    return grants
+
+
+def _random_slot(rng):
+    """(capacity, needs, supply, cycle requests, now) of one random slot:
+    forced, willing and cycle-start needs at a few priorities, at times
+    with more forced power than the feeder holds."""
+    cap = rng.choice([3000.0, 6000.0, 10_000.0])
+    now = rng.randint(0, 5)
+    needs, cycles = [], []
+    for i in range(rng.randint(0, 8)):
+        kind = rng.choice(["forced", "willing", "willing", "cycle", "idle"])
+        priority = rng.randint(0, 3)
+        if kind == "forced":
+            needs.append(SlotNeed(f"j{i}", priority, forced_w=rng.choice([0.1, 700.0, 2500.0])))
+        elif kind == "willing":
+            needs.append(SlotNeed(
+                f"j{i}", priority, willing_w=rng.uniform(0.0, 4000.0),
+                packet_w=rng.choice([250.0, 1000.0, 3000.0]),
+            ))
+        elif kind == "cycle":
+            watts = rng.choice([500.0, 2000.0])
+            cycles.append(FixedProfileRequest(f"j{i}", (watts,) * 3, 0, 8, priority, 0))
+            needs.append(SlotNeed(f"j{i}", priority, 0.0, watts, watts, True))
+        else:
+            needs.append(SlotNeed(f"j{i}", priority))
+    supply = SupplyView(
+        renewable_w=rng.choice([0.0, rng.uniform(0.0, cap)]),
+        discharge_max_w=rng.choice([0.0, 1500.0]), charge_max_w=0.0,
+        import_allowed=rng.random() < 0.7, feeder_capacity_w=cap,
+    )
+    return cap, needs, supply, cycles, now
+
+
+class TestAllocateSlotEquivalence:
+    def test_matches_the_three_pass_reference(self):
+        """The one-pass allocate_slot gives the reference's grants in the
+        reference's order, leaves the rng and the ledger as it does, and
+        raises its CapacityViolation."""
+        rng = random.Random("allocate_slot one pass")
+        outcomes = set()
+        for trial in range(3000):
+            cap, needs, supply, cycles, now = _random_slot(rng)
+            renewable_first = rng.random() < 0.5
+            runs = []
+            for allocate in (allocate_slot, reference_allocate_slot):
+                ledger = CommitmentLedger(GRID, cap)
+                for request in cycles:
+                    ledger.admit(request)
+                draws = random.Random(trial)
+                try:
+                    got = list(allocate(ledger, needs, supply, draws, now, renewable_first).items())
+                except CapacityViolation as exc:
+                    got = ("violation", str(exc))
+                runs.append((got, draws.getstate(), ledger.committed_w))
+            assert runs[0] == runs[1]
+            got = runs[0][0]
+            if isinstance(got, tuple):
+                outcomes.add(got[1].split()[0])  # "forced" or "granted"
+            elif any(job_id == c.device_id for job_id, _ in got for c in cycles):
+                outcomes.add("cycle started")
+            elif len(got) > 1:
+                outcomes.add("several grants")
+        assert outcomes == {"forced", "cycle started", "several grants"}
 
 
 class TestAllocateSlot:

@@ -5,9 +5,9 @@ step and every planning probe builds a new `Node` (a node's five constants
 plus its temperature) with `dataclasses.replace`, `min_heating_slots` walks
 nodes, and `plan_thermal_forced_start` scans every start from
 `preheat_from` up with an unbounded search. The library steps floats
-through one Euler expression, scans backwards from the service start and
-bounds each search by the slots left; it must give bit-identical results on
-every state and request below. `reference_step_storage` is the storage
+through one Euler expression, probes the force-check slot first, then scans
+backwards from the service start and bounds each search by the slots left;
+it must give bit-identical results on every state and request below. `reference_step_storage` is the storage
 asset's step in the same straightforward form, the oracle of the engine's
 storage charge in test_engine.py.
 """
@@ -276,3 +276,64 @@ class TestPlanning:
             else:
                 idle += 1
         assert forced > 50 and idle > 50
+
+
+def _evening_request(**changes):
+    """A sauna-like request on a 10-minute grid: from 20 C it needs about
+    four rated slots to reach 70 C by its service start, slot 18."""
+    request = ThermalTargetRequest(
+        device_id="sauna", target_c=70.0, service_start=18, service_end=24,
+        preheat_from=0, force_check_at=12, rated_w=6000.0, priority=2, issued_at=0,
+        temp_c=20.0, ambient_c=20.0, capacitance_wh_per_c=60.0, loss_w_per_c=10.0,
+    )
+    return replace(request, **changes)
+
+
+class TestForceCheckProbe:
+    """plan_thermal_forced_start probes force_check_at before it scans; each
+    case below is checked against the plain scan of the reference."""
+
+    GRID = TimeGrid(epoch_start_min=16 * 60, slot_min=10, horizon=24)
+
+    def _plan(self, request):
+        got = _planned(plan_thermal_forced_start, request, self.GRID)
+        assert got == _planned(reference_plan_thermal_forced_start, request, self.GRID)
+        return got
+
+    def test_feasible_probe_is_the_answer(self):
+        assert self._plan(_evening_request()) == 12
+
+    def test_failed_probe_falls_back_to_the_scan(self):
+        """At the service start no heating slot is left, so the probe fails
+        and the scan finds the latest feasible start, before the check."""
+        start = self._plan(_evening_request(force_check_at=18))
+        assert start < 18
+        assert start == self._plan(_evening_request(force_check_at=17))
+
+    def test_check_at_preheat_from(self):
+        assert self._plan(_evening_request(preheat_from=4, force_check_at=4)) == 4
+
+    def test_check_at_service_start_of_a_warm_node(self):
+        """A node already at its target is feasible with no slot left."""
+        assert self._plan(_evening_request(force_check_at=18, temp_c=90.0, issued_at=18)) == 18
+
+    def test_check_before_issue(self):
+        """Before its issue slot the node has not cooled from its snapshot."""
+        assert self._plan(_evening_request(force_check_at=6, issued_at=10)) == 6
+        cold = _evening_request(force_check_at=17, issued_at=17, temp_c=25.0)
+        assert self._plan(cold) < 17
+
+    def test_unreachable_target_raises_as_the_scan(self):
+        got = self._plan(_evening_request(target_c=700.0))
+        assert got[0] == "infeasible"
+
+    def test_random_requests_take_both_branches(self):
+        rng = random.Random("force-check probe")
+        branches = set()
+        for _ in range(400):
+            grid, request = random_request(rng)
+            got = _planned(plan_thermal_forced_start, request, grid)
+            assert got == _planned(reference_plan_thermal_forced_start, request, grid)
+            if not isinstance(got, tuple):
+                branches.add("probe" if got == request.force_check_at else "scan")
+        assert branches == {"probe", "scan"}
