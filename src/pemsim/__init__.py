@@ -20,7 +20,6 @@ from .core import (
 )
 from .engine import (
     RunResult,
-    SlotRecord,
     audit_conservation,
     run_scenario,
     summarize_run,
@@ -65,7 +64,6 @@ __all__ = [
     "ReferenceSignal",
     "RunResult",
     "Scenario",
-    "SlotRecord",
     "SupplyView",
     "ThermalConfig",
     "ThermalTargetRequest",

@@ -14,9 +14,9 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import replace
-from operator import itemgetter
 from pathlib import Path
 
 from .comms import ChannelClass, MessageKind
@@ -67,6 +67,19 @@ def _remove_bundle(out: Path) -> None:
         (out / name).unlink(missing_ok=True)
 
 
+# The SlotTable columns that slots.csv writes after the device columns,
+# under their own names.
+_SLOT_COLUMNS = (
+    "renewable_available_w",
+    "renewable_used_w",
+    "storage_soc_wh",
+    "storage_flow_w",
+    "imported_w",
+    "curtailed_w",
+    "emergency",
+)
+
+
 class _DeviceCells(dict):
     """slots.csv device cells by value, each formatted once, comma included."""
 
@@ -75,17 +88,12 @@ class _DeviceCells(dict):
         return cell
 
 
-class _DeviceRows(dict):
-    """A slots.csv row's device cells by its tuple of values, joined once
-    from the cells of `cells`."""
-
-    def __init__(self, cells: _DeviceCells):
-        super().__init__()
-        self.cell = cells.__getitem__
-
-    def __missing__(self, values: tuple[float, ...]) -> str:
-        text = self[values] = "".join(map(self.cell, values))
-        return text
+def _joined_cells(columns: dict[str, list[float]], ids: list[str], cell, horizon: int):
+    """Each slot's `cell` texts of `columns` in `ids` order, joined. Zipping
+    no column would yield no slot, so no ids give `horizon` empty texts."""
+    if not ids:
+        return [""] * horizon
+    return map("".join, zip(*[map(cell, columns[i]) for i in ids]))
 
 
 def _header(fh, names: list[str]) -> None:
@@ -99,10 +107,10 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     slots.csv, channel.csv and fleet.csv write each row through one `%`
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
-    `emergency` as 1 or 0. The slots.csv device columns, mostly 0.0, print
-    through two per-bundle tables: one formats each distinct value once as
-    %.6f, the other joins each distinct row of device values once. Values
-    (and rows) that compare equal share a text, so a device-column zero
+    `emergency` as 1 or 0. slots.csv's rows zip the run's SlotTable columns,
+    device columns in device-id order. Its device cells, mostly 0.0, print
+    through a per-bundle table that formats each distinct value once as
+    %.6f. Values that compare equal share a text, so a device-column zero
     prints as 0.000000 whatever its sign. The engine records no -0.0 there.
 
     Every name in BUNDLE_FILES is unlinked first, so the directory ends up
@@ -119,8 +127,10 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_bundle(out)
-    clocks = slot_clocks(result.grid)  # slot clocks for requests.csv and fleet.csv
-    device_ids = sorted(result.slots[0].granted_w) if result.slots else []
+    clocks = slot_clocks(result.grid)
+    table = result.slots
+    device_ids = sorted(table.granted_w)
+    horizon = len(table.emergency)
 
     with open(out / "slots.csv", "x", newline="\n") as fh:
         _header(
@@ -128,41 +138,17 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
             ["slot", "clock"]
             + [f"granted_{i}_w" for i in device_ids]
             + [f"consumed_{i}_w" for i in device_ids]
-            + [
-                "renewable_available_w",
-                "renewable_used_w",
-                "storage_soc_wh",
-                "storage_flow_w",
-                "imported_w",
-                "curtailed_w",
-                "emergency",
-            ],
+            + list(_SLOT_COLUMNS),
         )
         row = "%d,%s,%s%s" + "%.6f," * 6 + "%d\n"
-        # -0.0 finds 0.0's entry, and a row holding -0.0 that of the same row with 0.0
-        text = _DeviceRows(_DeviceCells({0.0: "0.000000,"}))
-        # itemgetter of one key returns the value itself, and of none is an error
-        values = (
-            itemgetter(*device_ids) if len(device_ids) > 1
-            else lambda watts: tuple(map(watts.__getitem__, device_ids))
-        )
-        fh.writelines(
-            row
-            % (
-                rec.slot,
-                rec.clock,
-                text[values(rec.granted_w)],
-                text[values(rec.consumed_w)],
-                rec.renewable_available_w,
-                rec.renewable_used_w,
-                rec.storage_soc_wh,
-                rec.storage_flow_w,
-                rec.imported_w,
-                rec.curtailed_w,
-                rec.emergency,
-            )
-            for rec in result.slots
-        )
+        cell = _DeviceCells({0.0: "0.000000,"}).__getitem__  # -0.0 finds 0.0's entry
+        fh.writelines(map(row.__mod__, zip(
+            range(horizon),
+            clocks,
+            _joined_cells(table.granted_w, device_ids, cell, horizon),
+            _joined_cells(table.consumed_w, device_ids, cell, horizon),
+            *[getattr(table, name) for name in _SLOT_COLUMNS],
+        )))
 
     with open(out / "requests.csv", "x", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -335,7 +321,7 @@ def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None
 
 
 def run_batch(
-    scenario: Scenario, seeds: list[int], out_dir: str | Path
+    scenario: Scenario, seeds: Sequence[int], out_dir: str | Path
 ) -> tuple[int, list[dict]]:
     """Independent runs of one scenario across seeds, each as `run` does it,
     into out_dir/seed_<n>, indexed by out_dir/batch.json. A failed seed does
@@ -357,11 +343,12 @@ def run_batch(
     return worst, entries
 
 
-def _seed_range(text: str) -> list[int]:
-    """The argparse type of `--seeds`: A..B (both included) or one seed."""
+def _seed_range(text: str) -> range:
+    """The argparse type of `--seeds`: A..B (both included) or one seed, as
+    a range, so a long one costs nothing before its first run."""
     lo, sep, hi = text.partition("..")
     try:
-        seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+        seeds = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B or one seed, got {text!r}") from None
     if not seeds:

@@ -282,8 +282,12 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
     """Structural validation: field invariants plus horizon containment.
 
     Raises MalformedRequest or WindowInfeasible. Capacity feasibility is the
-    server's job, not validation's.
+    server's job, not validation's. NaN and infinities go first: range
+    checks let NaN through.
     """
+    if not isinstance(request, LoadRequest):
+        raise MalformedRequest(f"unknown request type {type(request).__name__}")
+    check_finite(request)
     if isinstance(request, FixedProfileRequest):
         if not request.profile_w:
             raise MalformedRequest("profile must be non-empty")
@@ -308,10 +312,8 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
                 f"{request.energy_needed_wh:.1f} Wh cannot fit in "
                 f"{window_h:.2f} h at {request.p_max_w:.0f} W"
             )
-    elif isinstance(request, ThermalTargetRequest):
+    else:  # a ThermalTargetRequest
         check_thermal_node(request)
-        if not math.isfinite(request.temp_c) or not math.isfinite(request.target_c):
-            raise MalformedRequest("temperatures must be finite")
         if not (
             request.preheat_from
             <= request.force_check_at
@@ -321,8 +323,6 @@ def validate_request(request: LoadRequest, grid: TimeGrid) -> None:
             raise WindowInfeasible("thermal schedule out of order")
         if request.preheat_from < 0 or request.service_end > grid.horizon:
             raise WindowInfeasible("service window leaves the horizon")
-    else:
-        raise MalformedRequest(f"unknown request type {type(request).__name__}")
     if request.priority < 0:
         raise MalformedRequest("priority level must be non-negative")
 

@@ -49,14 +49,18 @@ builds its two needs (rated forced, rated willing in packets) once, and a
 cycle its forced need per profile slot and its start need. The SlotNeeds
 are handed to allocate_slot again slot after slot, which is sound because
 allocate_slot writes none of them.
+
+A run records its slots once, in the SlotTable its _Supply owns: phase (6)
+writes each stepping job's grant and consumption into the job's columns in
+place, and phase (7) appends the slot's supply to the scalar columns. The
+audit, the summary and slots.csv read those columns.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
 
 from .comms import (
     AggregatedReport,
@@ -77,7 +81,6 @@ from .core import (
     MalformedRequest,
     RejectReason,
     TimeGrid,
-    slot_clocks,
     substream,
 )
 from .devices import _absorb, _euler_temp
@@ -115,18 +118,23 @@ class ContiguityViolation(RuntimeError):
 
 
 @dataclass(slots=True)
-class SlotRecord:
-    slot: int
-    clock: str
-    granted_w: dict[str, float]
-    consumed_w: dict[str, float]
-    renewable_available_w: float
-    renewable_used_w: float
-    storage_soc_wh: float
-    storage_flow_w: float
-    imported_w: float
-    curtailed_w: float
-    emergency: bool = False
+class SlotTable:
+    """A run's slots as columns indexed by slot: one granted and one
+    consumed column per device id, preallocated at 0.0 (a fleet's aggregate
+    column is both), the renewable trace, and the columns that each settled
+    slot appends to. `consumed_total_w` is the fsum of the slot's device
+    consumption, which dispatch served."""
+
+    granted_w: dict[str, list[float]]
+    consumed_w: dict[str, list[float]]
+    renewable_available_w: tuple[float, ...]
+    renewable_used_w: list[float] = field(default_factory=list)
+    storage_soc_wh: list[float] = field(default_factory=list)
+    storage_flow_w: list[float] = field(default_factory=list)
+    imported_w: list[float] = field(default_factory=list)
+    curtailed_w: list[float] = field(default_factory=list)
+    consumed_total_w: list[float] = field(default_factory=list)
+    emergency: list[bool] = field(default_factory=list)
 
 
 @dataclass
@@ -180,7 +188,7 @@ class FleetEpochRecord:
 class RunResult:
     seed: int
     grid: TimeGrid
-    slots: list[SlotRecord]
+    slots: SlotTable
     requests: list[RequestOutcome]
     channel: list[MessageRecord]
     aggregated: list[AggregatedReport]
@@ -244,20 +252,22 @@ class _ChannelLayer:
 
 
 class _Supply:
-    """The supply side of a run: the renewable trace, the slot clocks and
-    the storage charge `soc_wh` (0.0 without storage), settled slot by
-    slot. The clocks are core.slot_clocks' table, which every run on the
-    same grid shares."""
+    """The supply side of a run: the renewable trace and the storage charge
+    `soc_wh` (0.0 without storage), settled slot by slot into the run's
+    SlotTable, `table`, whose device columns the run writes itself."""
 
     def __init__(self, scenario: Scenario):
         grid = scenario.grid
         self.slot_hours = grid.slot_hours
-        self.clocks = slot_clocks(grid)
         self.trace = scenario.renewable_trace()
         self.storage = scenario.storage
         self.soc_wh = self.storage.soc_wh if self.storage is not None else 0.0
         self.import_allowed = scenario.import_allowed
         self.feeder_capacity_w = scenario.feeder_capacity_w
+        ids = [device.device_id for device in scenario.devices]
+        granted = {i: [0.0] * grid.horizon for i in ids}
+        consumed = granted if scenario.is_fleet else {i: [0.0] * grid.horizon for i in ids}
+        self.table = SlotTable(granted, consumed, self.trace)
 
     def view(self, t: int) -> SupplyView:
         """Slot t's supply, with the storage power that the charge and the
@@ -273,18 +283,12 @@ class _Supply:
             self.trace[t], discharge_max_w, charge_max_w, self.import_allowed, self.feeder_capacity_w
         )
 
-    def settle(
-        self,
-        supply: SupplyView,
-        t: int,
-        granted_w: dict[str, float],
-        consumed_w: dict[str, float],
-        emergency: bool = False,
-    ) -> SlotRecord:
-        """Serve slot t's consumption from its supply view, move the storage
-        charge by the dispatched flow, and record the slot. The flow is
-        within the view's limits, so the charge stays in [0, capacity]."""
-        plan = dispatch_supply(math.fsum(consumed_w.values()), supply)
+    def settle(self, supply: SupplyView, consumed_w: float, emergency: bool = False) -> None:
+        """Serve the next slot's `consumed_w` watts from its supply view,
+        move the storage charge by the dispatched flow, and append the slot
+        to the table's scalar columns. The flow is within the view's limits,
+        so the charge stays in [0, capacity]."""
+        plan = dispatch_supply(consumed_w, supply)
         flow = plan.storage_flow_w
         if flow > 0.0:
             storage = self.storage
@@ -293,10 +297,14 @@ class _Supply:
             )
         elif flow < 0.0:  # discharging: soc - (-flow) * slot_h, written as a sum
             self.soc_wh = max(0.0, self.soc_wh + flow * self.slot_hours)
-        return SlotRecord(
-            t, self.clocks[t], granted_w, consumed_w, supply.renewable_w, plan.renewable_used_w,
-            self.soc_wh, flow, plan.imported_w, plan.curtailed_w, emergency,
-        )
+        table = self.table
+        table.renewable_used_w.append(plan.renewable_used_w)
+        table.storage_soc_wh.append(self.soc_wh)
+        table.storage_flow_w.append(flow)
+        table.imported_w.append(plan.imported_w)
+        table.curtailed_w.append(plan.curtailed_w)
+        table.consumed_total_w.append(consumed_w)
+        table.emergency.append(emergency)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +370,6 @@ class _HouseholdJob:
         """The held state that fill_trace repeats for an idle battery or
         cycle; a thermal node fills its idle slots by stepping instead."""
         raise NotImplementedError
-
-    def final_state(self) -> dict:
-        return {}
 
     # protocol plumbing ------------------------------------------------------
     def maybe_emit(self, now: int) -> LoadRequest | None:
@@ -765,7 +770,8 @@ def _run_household(scenario: Scenario) -> RunResult:
         for cfg in scenario.devices
     ]
     jobs_by_id = {job.device_id: job for job in jobs}
-    no_grants = dict.fromkeys(jobs_by_id, 0.0)
+    table = supply_side.table
+    granted_of, consumed_of = table.granted_w, table.consumed_w
     thermal_entries = {job.step_from for job in jobs if isinstance(job, _ThermalJob)}
     position = {job: i for i, job in enumerate(jobs)}
     # slot -> the jobs filed under it as their next_emit; an entry goes stale
@@ -782,7 +788,6 @@ def _run_household(scenario: Scenario) -> RunResult:
     request_inbox: dict[int, list[tuple[_HouseholdJob, LoadRequest]]] = {}
     decision_outbox: dict[int, list[tuple[_HouseholdJob, GrantDecision]]] = {}
     delivered_meters: list[tuple[float, float]] = []
-    slots: list[SlotRecord] = []
     shed_events: list[ShedEvent] = []
 
     # the jobs' roles, rebuilt only when one changes: a delivered decision
@@ -865,21 +870,27 @@ def _run_household(scenario: Scenario) -> RunResult:
                 )
 
         # (6) device physics, in device order, since finishing jobs release
-        # their commitments; each step appends the state after it to the trace
-        granted = {**no_grants, **grants}
-        consumed = no_grants.copy()
+        # their commitments; each step appends the state after it to the
+        # trace. Only stepping jobs hold grants (allocate_slot grants needs
+        # alone), and an idle job's columns keep their 0.0
+        served = []
         for job in stepping:
-            consumed[job.device_id] = job.apply(granted[job.device_id], t, ledger)
+            device_id = job.device_id
+            granted_w = grants.get(device_id, 0.0)
+            consumed_w = job.apply(granted_w, t, ledger)
+            granted_of[device_id][t] = granted_w
+            consumed_of[device_id][t] = consumed_w
+            served.append(consumed_w)
             changed = changed or job.done
 
         # (7) supply dispatch, storage and metrics
-        slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
+        supply_side.settle(supply, math.fsum(served), emergency)
         if channels.enabled:
             meter_ms = (t + 1) * slot_ms
             for job in jobs:
                 delivered = channels.send_at(MessageKind.METER_REPORT, meter_ms)
                 if delivered is not None:
-                    delivered_meters.append((delivered, consumed[job.device_id]))
+                    delivered_meters.append((delivered, consumed_of[job.device_id][t]))
 
     if channels.enabled and scenario.trip_rate_per_hour > 0:
         _emit_trip_traffic(channels, scenario.trip_rate_per_hour, grid, scenario.seed)
@@ -899,7 +910,7 @@ def _run_household(scenario: Scenario) -> RunResult:
     return RunResult(
         seed=scenario.seed,
         grid=grid,
-        slots=slots,
+        slots=table,
         requests=outcomes,
         channel=channels.records,
         aggregated=aggregate_reports(delivered_meters, slot_ms),
@@ -944,7 +955,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     rated_w = params.rated_w
     gain = [0.0] * n  # heat_gain for a heater that heats in the coming epoch
 
-    slots: list[SlotRecord] = []
+    power = supply_side.table.granted_w[cfg.device_id]  # also the consumed column
     epochs: list[FleetEpochRecord] = []
 
     # Before each epoch a heater is classified against the comfort band (see
@@ -1014,8 +1025,8 @@ def _run_fleet(scenario: Scenario) -> RunResult:
                 if request_random() < (mu_max if temp < t_low else mu_max * ((t_high - temp) / span)):
                     requesters.append(i)
 
-        power = {cfg.device_id: aggregate_w}
-        slots.append(supply_side.settle(supply_side.view(e), e, power, power))
+        power[e] = aggregate_w
+        supply_side.settle(supply_side.view(e), aggregate_w)
         epochs.append(
             FleetEpochRecord(
                 epoch=e,
@@ -1042,12 +1053,12 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     return RunResult(
         seed=scenario.seed,
         grid=grid,
-        slots=slots,
+        slots=supply_side.table,
         requests=[],
         channel=[],
         aggregated=[],
         shed_events=[],
-        device_traces={cfg.device_id: tuple(record.aggregate_w for record in epochs)},
+        device_traces={cfg.device_id: tuple(power)},
         final_states=final_states,
         fleet=epochs,
     )
@@ -1069,32 +1080,34 @@ def run_scenario(scenario: Scenario) -> RunResult:
 def audit_conservation(result: RunResult) -> int | None:
     """Verify the per-slot supply identity and the whole-run integral.
 
-    renewable_used + storage discharge + imported must equal total consumed
-    in every slot (relative 1e-6), and the same must hold for the compensated
-    whole-run sums. Returns None when clean, else the first violating slot.
+    renewable_used + storage discharge + imported must equal the slot's
+    `consumed_total_w` in every slot (relative 1e-6), and the same must hold
+    for the compensated whole-run sums. Returns None when clean, else the
+    first violating slot.
     """
     slot_h = result.grid.slot_hours
+    table = result.slots
     consumed_terms = []
     supplied_terms = []
     # each test is written to pass only a number within bounds, so a NaN
     # anywhere in a slot fails it
-    for record in result.slots:
-        consumed_wh = math.fsum(record.consumed_w.values()) * slot_h
-        discharge_w = -min(record.storage_flow_w, 0.0)
-        supplied_wh = (
-            record.renewable_used_w + discharge_w + record.imported_w
-        ) * slot_h
+    for t, (consumed_w, used_w, flow_w, imported_w, curtailed_w) in enumerate(zip(
+        table.consumed_total_w, table.renewable_used_w, table.storage_flow_w,
+        table.imported_w, table.curtailed_w,
+    )):
+        consumed_wh = consumed_w * slot_h
+        supplied_wh = (used_w - min(flow_w, 0.0) + imported_w) * slot_h
         scale = max(1.0, abs(consumed_wh))
         if not abs(consumed_wh - supplied_wh) <= AUDIT_REL_TOL * scale:
-            return record.slot
-        if not record.curtailed_w >= -CAP_TOL_W:
-            return record.slot
+            return t
+        if not curtailed_w >= -CAP_TOL_W:
+            return t
         consumed_terms.append(consumed_wh)
         supplied_terms.append(supplied_wh)
     total_consumed = math.fsum(consumed_terms)
     total_supplied = math.fsum(supplied_terms)
     if not abs(total_consumed - total_supplied) <= AUDIT_REL_TOL * max(1.0, abs(total_consumed)):
-        return result.slots[-1].slot if result.slots else 0
+        return len(consumed_terms) - 1  # the last slot; a run without slots passes
     return None
 
 
@@ -1102,16 +1115,14 @@ def summarize_run(result: RunResult) -> dict:
     """Roll a run up into the summary the CLI writes: accounting integrals,
     request outcomes, channel audit."""
     slot_h = result.grid.slot_hours
-    slots = result.slots
-    consumed_wh = math.fsum(
-        map(math.fsum, map(dict.values, map(attrgetter("consumed_w"), slots)))
-    ) * slot_h
-    renewable_wh = math.fsum(map(attrgetter("renewable_used_w"), slots)) * slot_h
-    imported_wh = math.fsum(map(attrgetter("imported_w"), slots)) * slot_h
-    curtailed_wh = math.fsum(map(attrgetter("curtailed_w"), slots)) * slot_h
+    table = result.slots
+    consumed_wh = math.fsum(table.consumed_total_w) * slot_h
+    renewable_wh = math.fsum(table.renewable_used_w) * slot_h
+    imported_wh = math.fsum(table.imported_w) * slot_h
+    curtailed_wh = math.fsum(table.curtailed_w) * slot_h
     # the sums of max(0.0, -flow) and max(0.0, flow): fsum is exact, so the
     # zero terms, dropped here, add nothing
-    flows = list(map(attrgetter("storage_flow_w"), slots))
+    flows = table.storage_flow_w
     discharge_wh = math.fsum([-flow for flow in flows if flow < 0.0]) * slot_h
     charge_wh = math.fsum([flow for flow in flows if flow > 0.0]) * slot_h
 
@@ -1124,7 +1135,7 @@ def summarize_run(result: RunResult) -> dict:
 
     summary = {
         "seed": result.seed,
-        "slots": len(slots),
+        "slots": len(table.emergency),
         "accepted": accepted,
         "rejected_final": rejected,
         "service_failed": failed,
@@ -1136,7 +1147,7 @@ def summarize_run(result: RunResult) -> dict:
         "curtailed_wh": curtailed_wh,
         "storage_discharge_wh": discharge_wh,
         "storage_charge_wh": charge_wh,
-        "emergency_slots": sum(map(attrgetter("emergency"), slots)),
+        "emergency_slots": sum(table.emergency),
         "shed_events": len(result.shed_events),
         "messages_sent": len(result.channel),
         "messages_dropped": sum(1 for m in result.channel if m.delivered_at_ms is None),

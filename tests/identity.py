@@ -18,8 +18,10 @@ The manifest has two sections:
 
 A change meant to keep outputs byte-identical passes --check unchanged; one
 that changes outputs on purpose runs --write and says which categories and
-cases moved and why. The whole check runs in about a minute; pytest does
-not collect this file.
+cases moved and why. The last line of a failing --check counts apart the
+categories whose bundles moved and those where only `full` moved (a change
+to RunResult that writes the same bundles). The whole check runs in about
+a minute; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,6 +220,7 @@ def main(argv=None) -> int:
         return 0
     want = json.loads(MANIFEST.read_text())
     differ = []
+    kinds = Counter()  # moved categories by what moved: their bundles, or only `full`
     for section, noun in (("categories", "category"), ("cases", "case")):
         pinned = want.get(section, {})
         for name in sorted(got[section].keys() | pinned.keys()):
@@ -224,8 +228,14 @@ def main(argv=None) -> int:
             print(f"{noun} {name}: {'differs in ' + ', '.join(keys) if keys else 'identical'}")
             if keys:
                 differ.append(f"{noun} {name}")
+                if section == "categories":
+                    kinds["full" if keys == ["full"] else "bundle"] += 1
     if differ:
-        print(f"{len(differ)} differ: {', '.join(differ)}")
+        print(
+            f"{len(differ)} differ ({kinds['bundle']} categories in bundle, "
+            f"{kinds['full']} in full only, {len(differ) - kinds.total()} cases): "
+            + ", ".join(differ)
+        )
         return 1
     print(f"all {len(CATEGORIES)} categories ({runs} runs) and {len(CASES)} cases identical")
     return 0

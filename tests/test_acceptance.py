@@ -162,9 +162,9 @@ def test_criterion_5_conservation_suite():
             failures.append(f"seed {seed}: violation at slot {bad}")
     # the auditor must catch a one watt-hour corruption
     result = run_scenario(three_household_scenario(seed=1))
-    victim = next(r for r in result.slots if math.fsum(r.consumed_w.values()) > 0)
-    victim.imported_w -= 1.0 / result.grid.slot_hours
-    if audit_conservation(result) != victim.slot:
+    victim = next(t for t, w in enumerate(result.slots.consumed_total_w) if w > 0)
+    result.slots.imported_w[victim] -= 1.0 / result.grid.slot_hours
+    if audit_conservation(result) != victim:
         failures.append("fault injection went undetected")
     _report(5, "energy identities hold on 100 random scenarios; 1 Wh fault detected", failures)
 

@@ -52,7 +52,8 @@ def reference_write_bundle(result, out: Path) -> None:
     """slots.csv, channel.csv and fleet.csv, one csv.writer row per record
     and one reference_fmt call per float cell."""
     grid = result.grid
-    device_ids = sorted(result.slots[0].granted_w) if result.slots else []
+    table = result.slots
+    device_ids = sorted(table.granted_w)
     with open(out / "slots.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -64,16 +65,17 @@ def reference_write_bundle(result, out: Path) -> None:
                 "storage_flow_w", "imported_w", "curtailed_w", "emergency",
             ]
         )
-        for rec in result.slots:
+        for t in range(grid.horizon):
             writer.writerow(
-                [rec.slot, rec.clock]
-                + [reference_fmt(rec.granted_w.get(i, 0.0)) for i in device_ids]
-                + [reference_fmt(rec.consumed_w.get(i, 0.0)) for i in device_ids]
+                [t, grid.clock_of(t)]
+                + [reference_fmt(table.granted_w[i][t]) for i in device_ids]
+                + [reference_fmt(table.consumed_w[i][t]) for i in device_ids]
                 + [
-                    reference_fmt(v)
-                    for v in (
-                        rec.renewable_available_w, rec.renewable_used_w, rec.storage_soc_wh,
-                        rec.storage_flow_w, rec.imported_w, rec.curtailed_w, rec.emergency,
+                    reference_fmt(column[t])
+                    for column in (
+                        table.renewable_available_w, table.renewable_used_w,
+                        table.storage_soc_wh, table.storage_flow_w, table.imported_w,
+                        table.curtailed_w, table.emergency,
                     )
                 ]
             )
@@ -159,7 +161,7 @@ def test_int_watts_print_six_decimals(tmp_path):
         renewable=RenewableConfig(kind="trace", values_w=(0.0,) * 6),
     )
     result = run_scenario(scenario)
-    assert 2000 in [rec.granted_w["washer"] for rec in result.slots]
+    assert 2000 in result.slots.granted_w["washer"]
     write_bundle(result, tmp_path)
     rows = list(csv.DictReader((tmp_path / "slots.csv").read_text().splitlines()))
     assert [row["granted_washer_w"] for row in rows[:2]] == ["2000.000000"] * 2
@@ -209,47 +211,44 @@ def test_symlink_at_bundle_path_is_replaced_and_target_kept(tmp_path):
 
 
 def test_granted_and_consumed_fill_their_own_columns(tmp_path):
-    """No run seen draws other than its grant, so the two dicts are made to
-    differ here: each must land in its own column group."""
+    """No run seen draws other than its grant, so the two column groups
+    are made to differ here: each must land in its own columns."""
     result = run_scenario(three_household_scenario(1))
-    ids = sorted(result.slots[0].granted_w)
-    slots = [
-        replace(
-            rec,
-            granted_w={i: 1000.0 * k + 1.25 + rec.slot for k, i in enumerate(ids)},
-            consumed_w={i: -7.5 - k - rec.slot for k, i in enumerate(ids)},
-        )
-        for rec in result.slots
-    ]
+    ids = sorted(result.slots.granted_w)
+    horizon = result.grid.horizon
+    granted = {i: [1000.0 * k + 1.25 + t for t in range(horizon)] for k, i in enumerate(ids)}
+    consumed = {i: [-7.5 - k - t for t in range(horizon)] for k, i in enumerate(ids)}
+    slots = replace(result.slots, granted_w=granted, consumed_w=consumed)
     write_bundle(replace(result, slots=slots), tmp_path)
     rows = list(csv.DictReader((tmp_path / "slots.csv").read_text().splitlines()))
-    assert len(rows) == len(slots)
-    for row, rec in zip(rows, slots):
-        for i in rec.granted_w:
-            assert row[f"granted_{i}_w"] == f"{rec.granted_w[i]:.6f}"
-            assert row[f"consumed_{i}_w"] == f"{rec.consumed_w[i]:.6f}"
+    assert len(rows) == horizon
+    for t, row in enumerate(rows):
+        for i in ids:
+            assert row[f"granted_{i}_w"] == f"{granted[i][t]:.6f}"
+            assert row[f"consumed_{i}_w"] == f"{consumed[i][t]:.6f}"
 
 
 def template_slots_rows(result) -> str:
     """The rows of slots.csv, below its header, one `%` template per row."""
-    device_ids = sorted(result.slots[0].granted_w) if result.slots else []
+    table = result.slots
+    device_ids = sorted(table.granted_w)
     row = "%d,%s," + "%.6f," * (2 * len(device_ids) + 6) + "%d\n"
     return "".join(
         row
         % (
-            rec.slot,
-            rec.clock,
-            *(rec.granted_w[i] for i in device_ids),
-            *(rec.consumed_w[i] for i in device_ids),
-            rec.renewable_available_w,
-            rec.renewable_used_w,
-            rec.storage_soc_wh,
-            rec.storage_flow_w,
-            rec.imported_w,
-            rec.curtailed_w,
-            rec.emergency,
+            t,
+            result.grid.clock_of(t),
+            *(table.granted_w[i][t] for i in device_ids),
+            *(table.consumed_w[i][t] for i in device_ids),
+            table.renewable_available_w[t],
+            table.renewable_used_w[t],
+            table.storage_soc_wh[t],
+            table.storage_flow_w[t],
+            table.imported_w[t],
+            table.curtailed_w[t],
+            table.emergency[t],
         )
-        for rec in result.slots
+        for t in range(result.grid.horizon)
     )
 
 
@@ -286,10 +285,9 @@ def test_device_zero_prints_unsigned(tmp_path):
     0.000000, as 0.0 does, whichever of the two the bundle meets first. The
     engine records no -0.0 in these columns; this run is built by hand."""
     result = run_scenario(three_household_scenario(1))
-    ids = sorted(result.slots[0].granted_w)
-    first, *rest = result.slots
-    signed = replace(first, granted_w=dict.fromkeys(ids, -0.0), consumed_w=dict.fromkeys(ids, -0.0))
-    result = replace(result, slots=[signed, *rest])
+    ids = sorted(result.slots.granted_w)
+    for i in ids:
+        result.slots.granted_w[i][0] = result.slots.consumed_w[i][0] = -0.0
     assert "-0.000000" in template_slots_rows(result)
     rows = list(csv.reader(_slots_rows(result, tmp_path).splitlines()))
     cells = [cell for row in rows for cell in row[2 : 2 + 2 * len(ids)]]

@@ -18,7 +18,7 @@ from workloads import mixed_feeder_doc
 
 import pemsim
 from pemsim import engine
-from pemsim.cli import BUNDLE_FILES, main, write_bundle
+from pemsim.cli import BUNDLE_FILES, _seed_range, main, write_bundle
 from pemsim.core import MalformedRequest
 from pemsim.engine import run_scenario
 from pemsim.scenario import (
@@ -453,6 +453,13 @@ class TestBatch:
         assert captured.err.startswith("usage: pemsim batch")
         assert "--seeds" in captured.err and repr(seeds) in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_seed_range_holds_no_list(self):
+        """`--seeds` parses to a range, which holds none of its seeds, so a
+        long range costs nothing before the first run."""
+        seeds = _seed_range("1..1000000000000")
+        assert len(seeds) == 10**12 and seeds[0] == 1 and seeds[-1] == 10**12
+        assert _seed_range("7") == range(7, 8)
 
     def test_invariant_error_exits_two_from_run_and_batch(self, tmp_path, capsys):
         # islanded, no shedding: seeds 1 and 2 run short of supply

@@ -186,8 +186,9 @@ def _supply(storage, renewable_w=0.0, slot_min=10, horizon=1):
 
 
 def _settle(supply, t, load_w):
-    """Serve `load_w` at slot t; returns the slot's record."""
-    return supply.settle(supply.view(t), t, {"load": load_w}, {"load": load_w})
+    """Serve `load_w` at slot t; returns the slot table, which now holds t."""
+    supply.settle(supply.view(t), load_w)
+    return supply.table
 
 
 class TestStorage:
@@ -195,17 +196,17 @@ class TestStorage:
         supply = _supply(StorageAsset(soc_wh=0.0, capacity_wh=5000.0,
                                       p_charge_max_w=2000.0, p_discharge_max_w=2000.0))
         assert supply.view(0).discharge_max_w == 0.0
-        record = _settle(supply, 0, 1500.0)
-        assert record.storage_flow_w == 0.0 and record.imported_w == 1500.0
+        table = _settle(supply, 0, 1500.0)
+        assert table.storage_flow_w[0] == 0.0 and table.imported_w[0] == 1500.0
         assert supply.soc_wh == 0.0
 
     def test_charge_efficiency_applied_on_the_way_in(self):
         supply = _supply(StorageAsset(soc_wh=0.0, capacity_wh=5000.0, p_charge_max_w=2000.0,
                                       p_discharge_max_w=2000.0, efficiency=0.9),
                          renewable_w=1000.0, slot_min=60)
-        record = _settle(supply, 0, 0.0)
-        assert record.storage_flow_w == pytest.approx(1000.0)
-        assert supply.soc_wh == pytest.approx(900.0) == record.storage_soc_wh
+        table = _settle(supply, 0, 0.0)
+        assert table.storage_flow_w[0] == pytest.approx(1000.0)
+        assert supply.soc_wh == pytest.approx(900.0) == table.storage_soc_wh[0]
 
     def test_charge_fills_the_headroom_through_the_efficiency(self):
         # 90 Wh of headroom at 0.9 efficiency takes 100 Wh from the grid side
@@ -213,9 +214,9 @@ class TestStorage:
                                       p_discharge_max_w=2000.0, efficiency=0.9),
                          renewable_w=1000.0, slot_min=60)
         assert supply.view(0).charge_max_w == pytest.approx(100.0)
-        record = _settle(supply, 0, 0.0)
-        assert record.storage_flow_w == pytest.approx(100.0)
-        assert record.curtailed_w == pytest.approx(900.0)
+        table = _settle(supply, 0, 0.0)
+        assert table.storage_flow_w[0] == pytest.approx(100.0)
+        assert table.curtailed_w[0] == pytest.approx(900.0)
         assert supply.soc_wh == pytest.approx(5000.0) and supply.soc_wh <= 5000.0
 
     def test_full_cannot_charge(self):
@@ -223,8 +224,8 @@ class TestStorage:
                                       p_charge_max_w=2000.0, p_discharge_max_w=2000.0),
                          renewable_w=1500.0)
         assert supply.view(0).charge_max_w == 0.0
-        record = _settle(supply, 0, 0.0)
-        assert record.storage_flow_w == 0.0 and record.curtailed_w == 1500.0
+        table = _settle(supply, 0, 0.0)
+        assert table.storage_flow_w[0] == 0.0 and table.curtailed_w[0] == 1500.0
         assert supply.soc_wh == 5000.0
 
     def test_soc_bounds_random_commands(self):
@@ -237,10 +238,10 @@ class TestStorage:
         supply.trace = tuple(rng.uniform(0.0, 4000.0) for _ in range(10_000))
         flows = []
         for t in range(10_000):
-            record = _settle(supply, t, rng.uniform(0.0, 4000.0))
+            table = _settle(supply, t, rng.uniform(0.0, 4000.0))
             assert 0.0 <= supply.soc_wh <= 5000.0
-            assert abs(record.storage_flow_w) <= 2000.0 + 1e-9
-            flows.append(record.storage_flow_w)
+            assert abs(table.storage_flow_w[t]) <= 2000.0 + 1e-9
+            flows.append(table.storage_flow_w[t])
         assert min(flows) < -1000.0 and max(flows) > 1000.0
 
 

@@ -48,10 +48,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import mixed_feeder_doc  # noqa: E402
 
 
-def _slot_consumed_wh(result):
-    return [math.fsum(r.consumed_w.values()) * result.grid.slot_hours for r in result.slots]
-
-
 def _full_ev(seed, below_capacity_wh, with_channels=False):
     """The reference evening with the EV arriving at slot 4 already charged
     to `below_capacity_wh` under its capacity, within COMPLETION_TOL_WH."""
@@ -86,8 +82,7 @@ def _assert_traces_iterate_the_public_steps(scenario, result):
         else:
             node = node_of(cfg, cfg.initial_c)
         expected = []
-        for record in result.slots:
-            granted = record.granted_w[cfg.device_id]
+        for granted in result.slots.granted_w[cfg.device_id]:
             if isinstance(cfg, BatteryConfig):
                 soc_wh, _ = _absorb(soc_wh, cfg.capacity_wh, cfg.p_max_w, granted, slot_min)
                 expected.append(soc_wh)
@@ -105,28 +100,32 @@ def _assert_storage_iterates_the_reference_step(scenario, result):
     charge."""
     soc_wh = scenario.storage.soc_wh
     expected = []
-    for record in result.slots:
-        if record.storage_flow_w != 0.0:
+    for t, flow_w in enumerate(result.slots.storage_flow_w):
+        if flow_w != 0.0:
             soc_wh, flow = reference_step_storage(
-                scenario.storage, soc_wh, record.storage_flow_w, scenario.grid.slot_min
+                scenario.storage, soc_wh, flow_w, scenario.grid.slot_min
             )
-            assert flow == record.storage_flow_w, (scenario.seed, record.slot)
+            assert flow == flow_w, (scenario.seed, t)
         expected.append(soc_wh)
-    assert [repr(r.storage_soc_wh) for r in result.slots] == [repr(v) for v in expected], scenario.seed
+    assert list(map(repr, result.slots.storage_soc_wh)) == list(map(repr, expected)), scenario.seed
+
+
+def _no_devices():
+    """A 24-slot feeder without devices, under a flat 1 kW renewable trace."""
+    return Scenario(
+        grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=24),
+        feeder_capacity_w=5000.0,
+        devices=(),
+        renewable=RenewableConfig(kind="trace", values_w=(1000.0,) * 24),
+        seed=4,
+    )
 
 
 class TestBasics:
     def test_zero_devices_zero_flows(self):
-        scenario = Scenario(
-            grid=TimeGrid(epoch_start_min=0, slot_min=10, horizon=24),
-            feeder_capacity_w=5000.0,
-            devices=(),
-            renewable=RenewableConfig(kind="trace", values_w=(1000.0,) * 24),
-            seed=4,
-        )
-        result = run_scenario(scenario)
-        assert all(math.fsum(r.consumed_w.values()) == 0.0 for r in result.slots)
-        assert all(r.imported_w == 0.0 for r in result.slots)
+        result = run_scenario(_no_devices())
+        assert result.slots.consumed_total_w == [0.0] * 24
+        assert result.slots.imported_w == [0.0] * 24
         assert audit_conservation(result) is None
 
     def test_reference_scenario_outcomes(self):
@@ -152,8 +151,8 @@ class TestBasics:
         for seed in range(20):
             scenario = random_household_scenario(seed)
             result = run_scenario(scenario)
-            for rec in result.slots:
-                assert math.fsum(rec.granted_w.values()) <= scenario.feeder_capacity_w + 1e-6
+            for granted in zip(*result.slots.granted_w.values()):
+                assert math.fsum(granted) <= scenario.feeder_capacity_w + 1e-6
 
 
 class TestStepEquivalence:
@@ -215,7 +214,7 @@ class TestStepEquivalence:
                 continue
             result = run_scenario(scenario)
             _assert_storage_iterates_the_reference_step(scenario, result)
-            moved += sum(r.storage_flow_w != 0.0 for r in result.slots)
+            moved += sum(flow != 0.0 for flow in result.slots.storage_flow_w)
         assert moved >= 100
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["imports_allowed", "islanded"])
@@ -228,8 +227,8 @@ class TestStepEquivalence:
             assert scenario.import_allowed is (parity == 0)
             result = run_scenario(scenario)
             _assert_storage_iterates_the_reference_step(scenario, result)
-            charged += sum(r.storage_flow_w > 0.0 for r in result.slots)
-            discharged += sum(r.storage_flow_w < 0.0 for r in result.slots)
+            charged += sum(flow > 0.0 for flow in result.slots.storage_flow_w)
+            discharged += sum(flow < 0.0 for flow in result.slots.storage_flow_w)
         assert charged > 0 and discharged > 0
 
 
@@ -346,7 +345,7 @@ class TestFullBattery:
         ev = next(o for o in result.requests if o.device_id == "ev")
         assert ev.accepted and ev.decided_slot == 4
         assert ev.completion_slot == 4 and ev.deadline_met is True
-        assert all(r.consumed_w["ev"] == 0.0 for r in result.slots)
+        assert all(w == 0.0 for w in result.slots.consumed_w["ev"])
 
     def test_full_battery_completes_when_a_delayed_accept_arrives(self):
         result = run_scenario(_full_ev(3, 0.0, with_channels=True))
@@ -563,24 +562,40 @@ class TestConservation:
     def test_fault_injection_detected(self):
         result = run_scenario(three_household_scenario(seed=2))
         assert audit_conservation(result) is None
-        victim = next(r for r in result.slots if math.fsum(r.consumed_w.values()) > 0)
-        victim.imported_w -= 1.0 / result.grid.slot_hours  # one watt-hour
-        assert audit_conservation(result) == victim.slot
+        victim = next(t for t, w in enumerate(result.slots.consumed_total_w) if w > 0)
+        result.slots.imported_w[victim] -= 1.0 / result.grid.slot_hours  # one watt-hour
+        assert audit_conservation(result) == victim
 
     @pytest.mark.parametrize("field, slot", [("imported_w", 5), ("curtailed_w", 7)])
     def test_nan_in_a_slot_detected(self, field, slot):
         """Every audit test passes only a number within bounds, so a NaN
         fails it where `abs(x) > tol` would read False and pass it."""
         result = run_scenario(three_household_scenario(seed=2))
-        setattr(result.slots[slot], field, math.nan)
+        getattr(result.slots, field)[slot] = math.nan
         assert audit_conservation(result) == slot
+
+    def test_nan_on_a_feeder_without_devices_detected(self):
+        """The audit reads the scalar columns, which hold every slot even
+        where there is no device column to zip."""
+        result = run_scenario(_no_devices())
+        table = result.slots
+        assert table.granted_w == table.consumed_w == {}
+        scalars = (
+            table.renewable_available_w, table.renewable_used_w, table.storage_soc_wh,
+            table.storage_flow_w, table.imported_w, table.curtailed_w,
+            table.consumed_total_w, table.emergency,
+        )
+        assert [len(column) for column in scalars] == [24] * len(scalars)
+        assert audit_conservation(result) is None
+        table.curtailed_w[9] = math.nan
+        assert audit_conservation(result) == 9
 
     def test_nan_storage_flow_detected(self):
         """A NaN flow counts as a NaN discharge, not as none."""
         scenario = scenario_from_dict(mixed_feeder_doc(2))
         assert scenario.storage is not None
         result = run_scenario(scenario)
-        result.slots[3].storage_flow_w = math.nan
+        result.slots.storage_flow_w[3] = math.nan
         assert audit_conservation(result) == 3
 
 
@@ -653,8 +668,9 @@ class TestNonFiniteInput:
 
 class TestSupplySettle:
     def test_records_name_every_field(self):
-        """_Supply.view, dispatch_supply and _Supply.settle build their
-        records positionally; each field is checked by name, on slots that
+        """_Supply.view and dispatch_supply build their records
+        positionally, and _Supply.settle appends to the slot table's
+        columns; each field and column is checked by name, on slots that
         charge, discharge, import, curtail and run in emergency mode, with
         values that tell every field apart."""
         grid = TimeGrid(epoch_start_min=1080, slot_min=15, horizon=8)
@@ -696,21 +712,19 @@ class TestSupplySettle:
             assert plan.storage_flow_w == flow_w, t
             assert plan.imported_w == imported_w, t
             assert plan.curtailed_w == curtailed_w, t
-            granted = {"a": consumed_w + 7.0}
-            consumed = {"a": consumed_w}
-            record = supply_side.settle(view, t, granted, consumed, emergency)
-            assert record.slot == t
-            assert record.clock == grid.clock_of(t)
-            assert record.granted_w is granted
-            assert record.consumed_w is consumed
-            assert record.renewable_available_w == view.renewable_w, t
-            assert record.renewable_used_w == renewable_used_w, t
-            assert record.storage_soc_wh == soc_wh, t
-            assert record.storage_flow_w == flow_w, t
-            assert record.imported_w == imported_w, t
-            assert record.curtailed_w == curtailed_w, t
-            assert record.emergency is emergency, t
+            supply_side.settle(view, consumed_w, emergency)
+            table = supply_side.table
+            assert table.renewable_available_w[t] == view.renewable_w, t
+            assert table.renewable_used_w[t] == renewable_used_w, t
+            assert table.storage_soc_wh[t] == soc_wh, t
+            assert table.storage_flow_w[t] == flow_w, t
+            assert table.imported_w[t] == imported_w, t
+            assert table.curtailed_w[t] == curtailed_w, t
+            assert table.consumed_total_w[t] == consumed_w, t
+            assert table.emergency[t] is emergency, t
+            assert len(table.emergency) == t + 1
         assert supply_side.soc_wh == 1987.5
+        assert table.granted_w == table.consumed_w == {}
 
 
 class TestNullChannelEquivalence:
@@ -755,8 +769,7 @@ class TestCausality:
         assert outcome.accepted
         assert outcome.decided_slot == 4
         assert outcome.first_service_slot == 4
-        for rec in result.slots[:4]:
-            assert rec.consumed_w["ev"] == 0.0
+        assert result.slots.consumed_w["ev"][:4] == [0.0] * 4
 
 
 class TestRenewableMonotonicity:
@@ -778,8 +791,8 @@ class TestRenewableMonotonicity:
                 )
             lo = run_scenario(build(base_values))
             hi = run_scenario(build(tuple(v + 1000.0 for v in base_values)))
-            imported_lo = math.fsum(r.imported_w for r in lo.slots)
-            imported_hi = math.fsum(r.imported_w for r in hi.slots)
+            imported_lo = math.fsum(lo.slots.imported_w)
+            imported_hi = math.fsum(hi.slots.imported_w)
             assert imported_hi <= imported_lo + 1e-6
 
 
@@ -806,9 +819,9 @@ class TestEmergencyMode:
 
     def test_shedding_keeps_books_clean(self):
         result = run_scenario(self._island())
-        assert any(r.emergency for r in result.slots)
+        assert any(result.slots.emergency)
         assert result.shed_events
-        assert all(r.imported_w == 0.0 for r in result.slots)
+        assert all(w == 0.0 for w in result.slots.imported_w)
         assert audit_conservation(result) is None
         # sheds drop the least important job first
         assert result.shed_events[0].device_id == "b"
@@ -819,13 +832,13 @@ class TestEmergencyMode:
         forced window is an emergency, and every shed cuts a job inside its
         forced window."""
         result = run_scenario(self._island(renewable_first=False))
-        emergencies = [t for t, r in enumerate(result.slots) if r.emergency]
+        emergencies = [t for t, emergency in enumerate(result.slots.emergency) if emergency]
         # 8 kWh at 4 kW takes 12 slots of 10 min before the deadline at 24
         assert emergencies and emergencies[0] == 12
         forced_start = {o.device_id: o.forced_start for o in result.requests}
         assert result.shed_events
         assert all(e.slot >= forced_start[e.device_id] for e in result.shed_events)
-        assert all(r.imported_w == 0.0 for r in result.slots)
+        assert all(w == 0.0 for w in result.slots.imported_w)
         assert audit_conservation(result) is None
 
     def test_undersupply_raises_without_shedding(self):
@@ -1032,9 +1045,8 @@ class TestDeadlineGuarantee:
                     assert outcome.deadline_met, (
                         f"seed {seed}: {outcome.device_id} missed its deadline"
                     )
-            for rec in result.slots:
-                total = math.fsum(rec.granted_w.values())
-                assert total <= scenario.feeder_capacity_w + 1e-6
+            for granted in zip(*result.slots.granted_w.values()):
+                assert math.fsum(granted) <= scenario.feeder_capacity_w + 1e-6
         assert checked_accepted > 800  # the sweep must actually exercise admissions
 
     # seeds of 1..3000 whose drawn charge made the saturating slot round one

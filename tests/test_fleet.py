@@ -46,7 +46,7 @@ def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float
 
 
 def reference_fleet(scenario, branches=None):
-    """(epoch records, slot records, final state, aggregate trace) of a
+    """(epoch records, slot table, final state, aggregate trace) of a
     fleet scenario, computed heater by heater.
 
     A `branches` Counter, if given, counts the heater-epochs that reach the
@@ -75,7 +75,7 @@ def reference_fleet(scenario, branches=None):
     heat_gain = dt_h * params.efficiency * params.rated_w / params.capacitance_wh_per_c
     loss_rate = dt_h * params.loss_w_per_c / params.capacitance_wh_per_c
 
-    slots, epochs, aggregate_trace = [], [], []
+    epochs, aggregate_trace = [], []
     ran_out = set()
     for e in range(grid.horizon):
         force_on = []
@@ -119,8 +119,9 @@ def reference_fleet(scenario, branches=None):
             if packets_left[i] > 0:
                 packets_left[i] -= 1
 
-        power = {cfg.device_id: aggregate_w}
-        slots.append(supply_side.settle(supply_side.view(e), e, power, power))
+        supply_side.table.granted_w[cfg.device_id][e] = aggregate_w
+        supply_side.table.consumed_w[cfg.device_id][e] = aggregate_w
+        supply_side.settle(supply_side.view(e), aggregate_w)
         epochs.append(
             FleetEpochRecord(
                 epoch=e,
@@ -144,7 +145,7 @@ def reference_fleet(scenario, branches=None):
             "temp_mean_c": math.fsum(temps) / n,
         }
     }
-    return epochs, slots, final, {cfg.device_id: tuple(aggregate_trace)}
+    return epochs, supply_side.table, final, {cfg.device_id: tuple(aggregate_trace)}
 
 
 def stepped_fleet(count, seed, params=WaterHeaterParams(), packet_epochs=8, hours=4.0,
@@ -191,7 +192,7 @@ def test_engine_matches_reference_loop(variant, seed):
     epochs, slots, final, traces = reference_fleet(scenario)
     result = run_scenario(scenario)
     assert result.fleet == epochs
-    assert result.slots == slots
+    assert repr(result.slots) == repr(slots)
     assert result.final_states == final
     assert result.device_traces == traces
 

@@ -52,10 +52,11 @@ def test_cases_hold_what_they_claim():
         # every node is unheated in slot 0 and accepted, one is unheated
         # before its first request, and one is heated
         result = run_scenario(scenario)
-        assert all(result.slots[0].consumed_w[d.device_id] == 0.0 for d in nodes)
+        consumed = result.slots.consumed_w
+        assert all(consumed[d.device_id][0] == 0.0 for d in nodes)
         assert all(o.accepted for o in result.requests if o.kind == "thermal")
         assert any(d.preheat_from > 1 for d in nodes)
-        assert any(r.consumed_w[d.device_id] > 0 for r in result.slots for d in nodes)
+        assert any(w > 0 for d in nodes for w in consumed[d.device_id])
     for name, preheat_from in (("warm_feeder_71", 5), ("hot_feeder_8", 10)):
         scenario = CASES[name]()
         (node,) = [d for d in scenario.devices if isinstance(d, ThermalConfig)]

@@ -7,11 +7,13 @@ device order, emits where `next_emit` is due, lets every accepted, live job
 state a need (a battery's recomputed from its charge by
 `reference_battery_need`, a cycle's from its progress by
 `reference_cycle_need`), steps every job for which `steps_at` holds, and
-records every other job's idle slot at once. Its ledger scans the whole
-horizon on each admission. `run_scenario` must give the same bundle bytes
-and the same `repr(RunResult)`: the engine's wake index, cached roles,
-cached battery and cycle needs, lazily filled idle slots and admission from the
-forced start change no output.
+records every other job's idle slot at once. It writes every job's granted
+and consumed watts into the slot table and settles each slot on the fsum of
+every job's consumption. Its ledger scans the whole horizon on each
+admission. `run_scenario` must give the same bundle bytes and the same
+`repr(RunResult)`: the engine's wake index, cached roles, cached battery and
+cycle needs, lazily filled idle slots, sum over stepping jobs alone and
+admission from the forced start change no output.
 """
 
 import math
@@ -120,8 +122,9 @@ def reference_household(scenario):
     server_rng = substream(scenario.seed, "server")
     jobs = [_make_job(cfg, grid, scenario.seed, policy.backoff_max) for cfg in scenario.devices]
     jobs_by_id = {job.device_id: job for job in jobs}
+    table = supply_side.table
     requests_at, decisions_at = {}, {}
-    meters, slots, shed_events = [], [], []
+    meters, shed_events = [], []
     for t in range(grid.horizon):
         # (1) deliver the decisions due at this boundary
         for job, decision in decisions_at.pop(t, ()):
@@ -174,8 +177,11 @@ def reference_household(scenario):
                 consumed[job.device_id] = job.apply(granted[job.device_id], t, ledger)
             else:
                 job.fill_trace(t + 1)
-        # (7) supply, storage and meter reports
-        slots.append(supply_side.settle(supply, t, granted, consumed, emergency))
+        # (7) the slot's row, supply, storage and meter reports
+        for device_id in jobs_by_id:
+            table.granted_w[device_id][t] = granted[device_id]
+            table.consumed_w[device_id][t] = consumed[device_id]
+        supply_side.settle(supply, math.fsum(consumed.values()), emergency)
         if channels.enabled:
             for job in jobs:
                 delivered = channels.send_at(MessageKind.METER_REPORT, (t + 1) * grid.slot_ms)
@@ -193,7 +199,7 @@ def reference_household(scenario):
     return RunResult(
         seed=scenario.seed,
         grid=grid,
-        slots=slots,
+        slots=table,
         requests=outcomes,
         channel=channels.records,
         aggregated=aggregate_reports(meters, grid.slot_ms),

@@ -4,6 +4,7 @@ reference tracking, and retry backoff."""
 
 import math
 import random
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
@@ -244,6 +245,29 @@ class TestAdmission:
         # worst superposed forced power is EV + dishwasher late in the evening
         assert max(ledger.committed_w) <= 10_000.0
         assert ledger.committed_w[GRID.slot_of("23:00")] == pytest.approx(7000.0)
+
+    @pytest.mark.parametrize("kind, field, bad", [
+        ("flexible", "energy_needed_wh", math.nan),
+        ("flexible", "p_max_w", math.inf),
+        ("thermal", "ambient_c", math.nan),
+        ("thermal", "loss_w_per_c", math.nan),
+        ("thermal", "capacitance_wh_per_c", math.inf),
+        ("thermal", "rated_w", math.inf),
+    ])
+    def test_non_finite_field_is_malformed(self, kind, field, bad):
+        """A NaN or an infinity passes range checks such as `x <= 0`:
+        unless refused first, each of these raises ValueError, is refused for
+        its window or its capacity, or (p_max_w) is accepted with an empty
+        forced run."""
+        sauna = ThermalTargetRequest(
+            device_id="sauna", target_c=70.0, service_start=18, service_end=24,
+            preheat_from=3, force_check_at=14, rated_w=3600.0, priority=2, issued_at=3,
+            temp_c=20.0, ambient_c=20.0, capacitance_wh_per_c=60.0, loss_w_per_c=10.0,
+        )
+        request = flexible("ev", 20_000.0, 5000.0, 0, 48) if kind == "flexible" else sauna
+        assert isinstance(CommitmentLedger(GRID, 10_000.0).admit(request), Accept)
+        decision = CommitmentLedger(GRID, 10_000.0).admit(replace(request, **{field: bad}))
+        assert decision == Reject(RejectReason.MALFORMED_REQUEST)
 
     def test_readmission_is_idempotent(self):
         ledger = CommitmentLedger(GRID, 8000.0)
