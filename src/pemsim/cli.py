@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -61,10 +63,42 @@ _ENUM_VALUES = {member: member.value for enum in (MessageKind, ChannelClass) for
 # the ones its run has, and a run that raises removes them all.
 BUNDLE_FILES = ("slots.csv", "requests.csv", "channel.csv", "fleet.csv", "summary.json")
 
+# os.open flags of a new file: mode "x" without the text layer (O_BINARY,
+# where the platform has it, keeps "\n" untranslated)
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
-def _remove_bundle(out: Path) -> None:
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _remove_bundle(prefix: str) -> None:
+    """Remove every bundle file under `prefix`, the directory's path with a
+    trailing separator."""
     for name in BUNDLE_FILES:
-        (out / name).unlink(missing_ok=True)
+        _unlink(prefix + name)
+
+
+def _create(path: str, text: str) -> None:
+    """Create `path`, which must not exist, holding `text` as UTF-8: one
+    os.open and as many os.write calls as the system needs."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, _CREATE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _csv_text(rows) -> str:
+    """`rows` as csv.writer writes them: a device id may need quoting."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 # The SlotTable columns that slots.csv writes after the device columns,
@@ -88,17 +122,20 @@ class _DeviceCells(dict):
         return cell
 
 
-def _joined_cells(columns: dict[str, list[float]], ids: list[str], cell, horizon: int):
-    """Each slot's `cell` texts of `columns` in `ids` order, joined. Zipping
-    no column would yield no slot, so no ids give `horizon` empty texts."""
-    if not ids:
-        return [""] * horizon
-    return map("".join, zip(*[map(cell, columns[i]) for i in ids]))
+class _DeviceBlocks(dict):
+    """slots.csv device blocks by the tuple of a slot's device values: the
+    tuple's cells, joined once per distinct tuple. The cells come from one
+    _DeviceCells table per bundle, so values that compare equal share a
+    text, and so do tuples that compare equal."""
 
+    def __init__(self):
+        super().__init__()
+        # -0.0 finds 0.0's entry
+        self.cell = _DeviceCells({0.0: "0.000000,"}).__getitem__
 
-def _header(fh, names: list[str]) -> None:
-    """Header rows go through csv.writer: a device id may need quoting."""
-    csv.writer(fh, lineterminator="\n").writerow(names)
+    def __missing__(self, values: tuple[float, ...]) -> str:
+        block = self[values] = "".join(map(self.cell, values))
+        return block
 
 
 def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
@@ -108,102 +145,111 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
     `emergency` as 1 or 0. slots.csv's rows zip the run's SlotTable columns,
-    device columns in device-id order. Its device cells, mostly 0.0, print
-    through a per-bundle table that formats each distinct value once as
-    %.6f. Values that compare equal share a text, so a device-column zero
-    prints as 0.000000 whatever its sign. The engine records no -0.0 there.
+    device columns in device-id order, granted then consumed. A row's device
+    cells, mostly 0.0, print as one block per distinct tuple of the slot's
+    device values, through a per-bundle table that formats each distinct
+    value once as %.6f. Values that compare equal share a text, so a
+    device-column zero prints as 0.000000 whatever its sign. The engine
+    records no -0.0 there.
 
-    Every name in BUNDLE_FILES is unlinked first, so the directory ends up
-    holding exactly this run's bundle, and each file is created anew (mode
-    "x") instead of truncated by open(path, "w"). On ext4 with auto_da_alloc
-    (its default), closing a file that was truncated and rewritten forces
-    its block allocation at once, which made rewriting a bundle in place
-    about twice as slow as writing into a fresh directory; a rename over the
-    old file does the same, so there is no temporary file either. That
-    forced allocation was also ext4's guard for this pattern: without it, a
-    crash or power loss shortly after a rewrite can leave the old bundle
-    gone and the new files empty. Re-running the seed rebuilds the bundle.
-    A symlink at a bundle path is removed, its target left untouched."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _remove_bundle(out)
+    Every file is text encoded as UTF-8, whatever the locale. Every name in
+    BUNDLE_FILES is unlinked first, so the directory ends up holding exactly
+    this run's bundle. Each file is then created anew, by a plain string
+    path, with one os.open(O_WRONLY | O_CREAT | O_EXCL), which is what mode
+    "x" of open() asks for, and its whole text written by os.write. A file
+    is never truncated and rewritten: on ext4 with auto_da_alloc (its
+    default), closing a file that was truncated and rewritten forces its
+    block allocation at once, which made rewriting a bundle in place about
+    twice as slow as writing into a fresh directory; a rename over the old
+    file does the same, so there is no temporary file either. That forced
+    allocation was also ext4's guard for this pattern: without it, a crash
+    or power loss shortly after a rewrite can leave the old bundle gone and
+    the new files empty. Re-running the seed rebuilds the bundle. A symlink
+    at a bundle path is removed, its target left untouched, and O_EXCL
+    creates no file through a symlink that appears there meanwhile."""
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+    prefix = os.path.join(out_dir, "")
+    _remove_bundle(prefix)
     clocks = slot_clocks(result.grid)
     table = result.slots
     device_ids = sorted(table.granted_w)
     horizon = len(table.emergency)
 
-    with open(out / "slots.csv", "x", newline="\n") as fh:
-        _header(
-            fh,
+    if device_ids:
+        device_blocks = map(_DeviceBlocks().__getitem__, zip(
+            *[table.granted_w[i] for i in device_ids],
+            *[table.consumed_w[i] for i in device_ids],
+        ))
+    else:  # zipping no column would yield no slot
+        device_blocks = [""] * horizon
+    row = "%d,%s,%s" + "%.6f," * 6 + "%d\n"
+    _create(prefix + "slots.csv", "".join([
+        _csv_text([
             ["slot", "clock"]
             + [f"granted_{i}_w" for i in device_ids]
             + [f"consumed_{i}_w" for i in device_ids]
-            + list(_SLOT_COLUMNS),
-        )
-        row = "%d,%s,%s%s" + "%.6f," * 6 + "%d\n"
-        cell = _DeviceCells({0.0: "0.000000,"}).__getitem__  # -0.0 finds 0.0's entry
-        fh.writelines(map(row.__mod__, zip(
+            + list(_SLOT_COLUMNS)
+        ]),
+        *map(row.__mod__, zip(
             range(horizon),
             clocks,
-            _joined_cells(table.granted_w, device_ids, cell, horizon),
-            _joined_cells(table.consumed_w, device_ids, cell, horizon),
+            device_blocks,
             *[getattr(table, name) for name in _SLOT_COLUMNS],
-        )))
+        )),
+    ]))
 
-    with open(out / "requests.csv", "x", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+    clock = lambda s: "" if s is None else clocks[s]  # noqa: E731
+    requests = [
+        [
+            "device_id",
+            "kind",
+            "issued_clock",
+            "decided_clock",
+            "outcome",
+            "reason",
+            "retries",
+            "forced_start_clock",
+            "first_service_clock",
+            "completion_clock",
+            "waiting_slots",
+            "deadline_clock",
+            "deadline_met",
+            "service_failed",
+        ]
+    ]
+    for o in result.requests:
+        outcome = "pending"
+        if o.accepted:
+            outcome = "accepted"
+        elif o.accepted is False:
+            outcome = "rejected"
+        requests.append(
             [
-                "device_id",
-                "kind",
-                "issued_clock",
-                "decided_clock",
-                "outcome",
-                "reason",
-                "retries",
-                "forced_start_clock",
-                "first_service_clock",
-                "completion_clock",
-                "waiting_slots",
-                "deadline_clock",
-                "deadline_met",
-                "service_failed",
+                o.device_id,
+                o.kind,
+                clock(o.issued_slot),
+                clock(o.decided_slot),
+                outcome,
+                o.reject_reason or "",
+                o.retries,
+                clock(o.forced_start),
+                clock(o.first_service_slot),
+                clock(o.completion_slot),
+                _fmt(o.waiting_slots),
+                clock(o.deadline_slot),
+                _fmt(o.deadline_met),
+                _fmt(o.service_failed),
             ]
         )
-        clock = lambda s: "" if s is None else clocks[s]  # noqa: E731
-        for o in result.requests:
-            outcome = "pending"
-            if o.accepted:
-                outcome = "accepted"
-            elif o.accepted is False:
-                outcome = "rejected"
-            writer.writerow(
-                [
-                    o.device_id,
-                    o.kind,
-                    clock(o.issued_slot),
-                    clock(o.decided_slot),
-                    outcome,
-                    o.reject_reason or "",
-                    o.retries,
-                    clock(o.forced_start),
-                    clock(o.first_service_slot),
-                    clock(o.completion_slot),
-                    _fmt(o.waiting_slots),
-                    clock(o.deadline_slot),
-                    _fmt(o.deadline_met),
-                    _fmt(o.service_failed),
-                ]
-            )
+    _create(prefix + "requests.csv", _csv_text(requests))
 
-    with open(out / "channel.csv", "x", newline="\n") as fh:
-        _header(
-            fh, ["msg_id", "kind", "class", "sent_ms", "delivered_ms", "attempts", "e2e_ms", "status"]
-        )
-        delivered = "%d,%s,%s,%.6f,%.6f,%d,%.6f,delivered\n"
-        dropped = "%d,%s,%s,%.6f,,%d,,dropped\n"
-        value = _ENUM_VALUES
-        fh.writelines(
+    delivered = "%d,%s,%s,%.6f,%.6f,%d,%.6f,delivered\n"
+    dropped = "%d,%s,%s,%.6f,,%d,,dropped\n"
+    value = _ENUM_VALUES
+    _create(prefix + "channel.csv", "".join([
+        "msg_id,kind,class,sent_ms,delivered_ms,attempts,e2e_ms,status\n",
+        *(
             dropped % (m.msg_id, value[m.kind], value[m.cls], m.sent_at_ms, m.attempts)
             if m.delivered_at_ms is None
             else delivered
@@ -217,28 +263,15 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                 m.delivered_at_ms - m.sent_at_ms,  # the e2e_ms column
             )
             for m in result.channel
-        )
+        ),
+    ]))
 
     if result.fleet is not None:
-        with open(out / "fleet.csv", "x", newline="\n") as fh:
-            _header(
-                fh,
-                [
-                    "epoch",
-                    "clock",
-                    "reference_w",
-                    "aggregate_w",
-                    "requests",
-                    "accepted",
-                    "force_on",
-                    "force_off",
-                    "temp_min_c",
-                    "temp_max_c",
-                    "temp_mean_c",
-                ],
-            )
-            row = "%d,%s,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f\n"
-            fh.writelines(
+        row = "%d,%s,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f\n"
+        _create(prefix + "fleet.csv", "".join([
+            "epoch,clock,reference_w,aggregate_w,requests,accepted,force_on,force_off,"
+            "temp_min_c,temp_max_c,temp_mean_c\n",
+            *(
                 row
                 % (
                     rec.epoch,
@@ -254,11 +287,14 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
                     rec.temp_mean_c,
                 )
                 for rec in result.fleet
-            )
+            ),
+        ]))
 
     summary = summarize_run(result)
-    with open(out / "summary.json", "x", newline="\n") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _create(
+        prefix + "summary.json",
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    )
     return summary
 
 
@@ -310,7 +346,7 @@ def _run_seed(scenario: Scenario, out_dir: str | Path) -> tuple[int, dict | None
     try:
         result = run_scenario(scenario)
     except _HANDLED as exc:
-        _remove_bundle(Path(out_dir))
+        _remove_bundle(os.path.join(out_dir, ""))
         code, error = _failure(exc)
         return code, None, error
     bad_slot = audit_conservation(result)
@@ -336,10 +372,9 @@ def run_batch(
         worst = max(worst, code)
         entries.append({"seed": seed, "summary": summary, "error": error})
     out.mkdir(parents=True, exist_ok=True)
-    (out / "batch.json").unlink(missing_ok=True)  # replaced, as write_bundle says
-    with open(out / "batch.json", "x", newline="\n") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    index = os.path.join(out, "batch.json")
+    _unlink(index)  # replaced, as write_bundle says
+    _create(index, json.dumps(entries, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return worst, entries
 
 
@@ -359,7 +394,7 @@ def _seed_range(text: str) -> range:
 def _load_reference(path: str) -> ReferenceSignal:
     with _doing(f"read reference file {path}"):
         values = []
-        for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -97,11 +97,20 @@ def transmit(
 
     Delivery time is the send time plus one timeout per lost attempt plus the
     final propagation delay.
+
+    A first attempt that is not lost returns after its one loss draw; only
+    a loss enters the retry loop. The draws, their order and the sums are
+    the loop's: the delivery time of the first attempt still adds the
+    elapsed 0.0, which turns a -0.0 send time into 0.0.
     """
-    elapsed = 0.0
-    for attempt in range(1, profile.max_attempts + 1):
-        if rng.random() < profile.loss_prob:
-            elapsed += profile.retransmit_timeout_ms
+    loss_prob = profile.loss_prob
+    if not rng.random() < loss_prob:
+        return Delivered(sent_at_ms + 0.0 + sample_delay(profile, rng), 1)
+    timeout_ms = profile.retransmit_timeout_ms
+    elapsed = 0.0 + timeout_ms
+    for attempt in range(2, profile.max_attempts + 1):
+        if rng.random() < loss_prob:
+            elapsed += timeout_ms
             continue
         return Delivered(sent_at_ms + elapsed + sample_delay(profile, rng), attempt)
     return Dropped(profile.max_attempts)
@@ -175,37 +184,36 @@ class AggregatedReport:
     max_value: float
 
 
-def _summarize(batch: Sequence[tuple[float, float]]) -> AggregatedReport:
-    values = [v for _, v in batch]
-    return AggregatedReport(
-        start_ms=batch[0][0],
-        end_ms=batch[-1][0],
-        count=len(batch),
-        sum_value=math.fsum(values),
-        min_value=min(values),
-        max_value=max(values),
-    )
-
-
 def aggregate_reports(
     reports: Sequence[tuple[float, float]], window_ms: float
 ) -> list[AggregatedReport]:
     """Collapse (timestamp_ms, value) reports into one aggregate envelope
-    per non-empty periodic window of `window_ms`."""
+    per non-empty periodic window of `window_ms`.
+
+    One pass over the reports in time order builds each window's report: the
+    values for its fsum, and its least and greatest value by the comparisons
+    that min() and max() make over the window in that order, so a NaN or a
+    signed zero lands as theirs would."""
     if not window_ms > 0:
         raise MalformedRequest("aggregation window must be positive")
     if not reports:
         return []
-    ordered = sorted(reports, key=itemgetter(0))
+    ordered = iter(sorted(reports, key=itemgetter(0)))
+    start, low = next(ordered)
+    batch_index = int(start // window_ms)
+    end, values, high = start, [low], low
     out: list[AggregatedReport] = []
-    batch: list[tuple[float, float]] = []
-    batch_index: int | None = None
     for t, v in ordered:
         index = int(t // window_ms)
-        if batch and index != batch_index:
-            out.append(_summarize(batch))
-            batch = []
-        batch_index = index
-        batch.append((t, v))
-    out.append(_summarize(batch))
+        if index != batch_index:
+            out.append(AggregatedReport(start, end, len(values), math.fsum(values), low, high))
+            batch_index, start, values, low, high = index, t, [v], v, v
+        else:
+            values.append(v)
+            if v < low:
+                low = v
+            if v > high:
+                high = v
+        end = t
+    out.append(AggregatedReport(start, end, len(values), math.fsum(values), low, high))
     return out

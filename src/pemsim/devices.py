@@ -84,11 +84,21 @@ def _absorb(
     new charge leaves [0, capacity].
 
     A saturating slot adds `capacity - soc`, which can round one ulp above
-    capacity; the new charge is clamped to capacity."""
-    power = min(max(applied_w, 0.0), p_max_w)
+    capacity; the new charge is clamped to capacity.
+
+    Each min(a, b) is written `b if b < a else a` and each max(a, b)
+    `b if b > a else a`, which return the operand the builtin returns, a
+    NaN or a signed zero included, without its call
+    (tests/test_comparison_forms.py checks them against the builtin form)."""
+    power = 0.0 if 0.0 > applied_w else applied_w  # max(applied_w, 0.0)
+    if p_max_w < power:  # min(power, p_max_w)
+        power = p_max_w
     offered = power * dt_min / 60.0
-    absorbed = min(offered, capacity_wh - soc_wh)
-    soc_wh = min(soc_wh + absorbed, capacity_wh)
+    headroom = capacity_wh - soc_wh
+    absorbed = headroom if headroom < offered else offered
+    soc_wh += absorbed
+    if capacity_wh < soc_wh:
+        soc_wh = capacity_wh
     if not 0 <= soc_wh <= capacity_wh:
         raise MalformedRequest("state of charge out of [0, capacity]")
     return soc_wh, absorbed

@@ -50,6 +50,12 @@ cycle its forced need per profile slot and its start need. The SlotNeeds
 are handed to allocate_slot again slot after slot, which is sound because
 allocate_slot writes none of them.
 
+Each min(a, b) and max(a, b) on the per-slot path is written as the
+comparison that the builtin makes, `b if b < a else a` and `b if b > a
+else a`, which returns the builtin's operand, a NaN or a signed zero
+included, without the call (tests/test_comparison_forms.py checks each
+against the builtin form).
+
 A run records its slots once, in the SlotTable its _Supply owns: phase (6)
 writes each stepping job's grant and consumption into the job's columns in
 place, and phase (7) appends the slot's supply to the scalar columns. The
@@ -276,9 +282,16 @@ class _Supply:
         discharge_max_w = charge_max_w = 0.0
         if storage is not None:
             slot_h = self.slot_hours
-            discharge_max_w = min(storage.p_discharge_max_w, self.soc_wh / slot_h)
-            headroom = (storage.capacity_wh - self.soc_wh) / storage.efficiency
-            charge_max_w = min(storage.p_charge_max_w, headroom / slot_h)
+            # min(p_discharge_max_w, soc / slot_h) and
+            # min(p_charge_max_w, headroom / slot_h)
+            discharge_max_w = storage.p_discharge_max_w
+            energy_w = self.soc_wh / slot_h
+            if energy_w < discharge_max_w:
+                discharge_max_w = energy_w
+            charge_max_w = storage.p_charge_max_w
+            headroom_w = (storage.capacity_wh - self.soc_wh) / storage.efficiency / slot_h
+            if headroom_w < charge_max_w:
+                charge_max_w = headroom_w
         return SupplyView(
             self.trace[t], discharge_max_w, charge_max_w, self.import_allowed, self.feeder_capacity_w
         )
@@ -290,13 +303,14 @@ class _Supply:
         so the charge stays in [0, capacity]."""
         plan = dispatch_supply(consumed_w, supply)
         flow = plan.storage_flow_w
-        if flow > 0.0:
-            storage = self.storage
-            self.soc_wh = min(
-                storage.capacity_wh, self.soc_wh + flow * self.slot_hours * storage.efficiency
-            )
-        elif flow < 0.0:  # discharging: soc - (-flow) * slot_h, written as a sum
-            self.soc_wh = max(0.0, self.soc_wh + flow * self.slot_hours)
+        if flow > 0.0:  # min(capacity, charged)
+            capacity_wh = self.storage.capacity_wh
+            charged = self.soc_wh + flow * self.slot_hours * self.storage.efficiency
+            self.soc_wh = charged if charged < capacity_wh else capacity_wh
+        elif flow < 0.0:  # discharging: max(0.0, soc - (-flow) * slot_h), the
+            # difference written as a sum
+            left = self.soc_wh + flow * self.slot_hours
+            self.soc_wh = left if left > 0.0 else 0.0
         table = self.table
         table.renewable_used_w.append(plan.renewable_used_w)
         table.storage_soc_wh.append(self.soc_wh)
@@ -463,7 +477,8 @@ class _BatteryJob(_HouseholdJob):
             self.want_w = 0.0
             self.need_until = 0
             return
-        self.want_w = min(cfg.p_max_w, remaining / self.slot_hours)
+        want_w = remaining / self.slot_hours  # min(p_max_w, want_w)
+        self.want_w = want_w if want_w < cfg.p_max_w else cfg.p_max_w
         self.need_until = cfg.deadline
         self.forced_from = cfg.deadline - needed_full_slots(remaining, cfg.p_max_w, self.slot_hours)
         self._forced_need = self._willing_need = None
@@ -602,7 +617,10 @@ class _ThermalJob(_HouseholdJob):
 
     def apply(self, granted_w: float, now: int, ledger: CommitmentLedger) -> float:
         cfg = self.cfg
-        consumed_w = min(max(granted_w, 0.0), cfg.rated_w)
+        # min(max(granted_w, 0.0), rated_w)
+        consumed_w = 0.0 if 0.0 > granted_w else granted_w
+        if cfg.rated_w < consumed_w:
+            consumed_w = cfg.rated_w
         temp_c = self.temp_c = _euler_temp(cfg, self.temp_c, consumed_w, self.slot_min)
         self.trace.append(temp_c)
         self._mark_service(now, consumed_w)
@@ -789,6 +807,9 @@ def _run_household(scenario: Scenario) -> RunResult:
     decision_outbox: dict[int, list[tuple[_HouseholdJob, GrantDecision]]] = {}
     delivered_meters: list[tuple[float, float]] = []
     shed_events: list[ShedEvent] = []
+    # phase (7)'s meter reports: one per job and slot, in device order
+    send_at, meter = channels.send_at, MessageKind.METER_REPORT
+    meter_columns = [consumed_of[job.device_id] for job in jobs]
 
     # the jobs' roles, rebuilt only when one changes: a delivered decision
     # accepts or fails a job, a job finishes, a shed cycle fails, or a
@@ -887,10 +908,10 @@ def _run_household(scenario: Scenario) -> RunResult:
         supply_side.settle(supply, math.fsum(served), emergency)
         if channels.enabled:
             meter_ms = (t + 1) * slot_ms
-            for job in jobs:
-                delivered = channels.send_at(MessageKind.METER_REPORT, meter_ms)
+            for column in meter_columns:
+                delivered = send_at(meter, meter_ms)
                 if delivered is not None:
-                    delivered_meters.append((delivered, consumed_of[job.device_id][t]))
+                    delivered_meters.append((delivered, column[t]))
 
     if channels.enabled and scenario.trip_rate_per_hour > 0:
         _emit_trip_traffic(channels, scenario.trip_rate_per_hour, grid, scenario.seed)
@@ -1096,8 +1117,12 @@ def audit_conservation(result: RunResult) -> int | None:
         table.imported_w, table.curtailed_w,
     )):
         consumed_wh = consumed_w * slot_h
-        supplied_wh = (used_w - min(flow_w, 0.0) + imported_w) * slot_h
-        scale = max(1.0, abs(consumed_wh))
+        # min(flow_w, 0.0) and max(1.0, abs(consumed_wh))
+        outflow_w = 0.0 if 0.0 < flow_w else flow_w
+        supplied_wh = (used_w - outflow_w + imported_w) * slot_h
+        scale = abs(consumed_wh)
+        if not scale > 1.0:
+            scale = 1.0
         if not abs(consumed_wh - supplied_wh) <= AUDIT_REL_TOL * scale:
             return t
         if not curtailed_w >= -CAP_TOL_W:

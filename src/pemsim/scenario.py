@@ -591,12 +591,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:

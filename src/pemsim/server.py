@@ -67,7 +67,9 @@ def needed_full_slots(remaining_wh: float, p_max_w: float, slot_hours: float) ->
     short of it by at most COMPLETION_TOL_WH."""
     if remaining_wh <= COMPLETION_TOL_WH:
         return 0
-    slack_wh = min(remaining_wh * ENERGY_REL_TOL, COMPLETION_TOL_WH)
+    slack_wh = remaining_wh * ENERGY_REL_TOL  # min(slack_wh, COMPLETION_TOL_WH)
+    if COMPLETION_TOL_WH < slack_wh:
+        slack_wh = COMPLETION_TOL_WH
     return math.ceil((remaining_wh - slack_wh) / (p_max_w * slot_hours))
 
 
@@ -345,6 +347,15 @@ def allocate_slot(
     needs order: from Python 3.12 that sum is compensated, so a running
     `+=` would differ. One loop over the needs then takes the forced grants
     and the willing needs, in needs order.
+
+    Each min(a, b) is written `b if b < a else a` and each max(a, b)
+    `b if b > a else a`: the operand the builtin returns, a NaN or a signed
+    zero included, without its call. The willing needs are shuffled inline
+    with exactly random.shuffle's draws: Fisher-Yates from the end, each
+    index drawn as random's _randbelow_with_getrandbits draws it, k bits at
+    a time for a bound of bit length k until one falls below the bound.
+    tests/test_comparison_forms.py checks the comparisons against min and
+    max, and tests/test_server.py the shuffle against random.shuffle.
     """
     if not needs:  # nothing to grant, and no shuffle to draw
         return {}
@@ -363,12 +374,26 @@ def allocate_slot(
         elif need.willing_w > 0 and forced_w <= 0:  # a NaN forced_w is neither
             willing.append(need)
     spare = cap - forced_total
-    if not supply.import_allowed:
-        spare = min(spare, supply.renewable_w + supply.discharge_max_w - forced_total)
-    if renewable_first:
-        spare = min(spare, max(0.0, supply.renewable_w - forced_total))
-    if len(willing) > 1:  # shuffling fewer draws nothing from rng
-        rng.shuffle(willing)
+    if not supply.import_allowed:  # min(spare, local supply left)
+        local_w = supply.renewable_w + supply.discharge_max_w - forced_total
+        if local_w < spare:
+            spare = local_w
+    if renewable_first:  # min(spare, max(0.0, renewable surplus))
+        surplus_w = supply.renewable_w - forced_total
+        if not surplus_w > 0.0:
+            surplus_w = 0.0
+        if surplus_w < spare:
+            spare = surplus_w
+    count = len(willing)
+    if count > 1:  # shuffling fewer draws nothing from rng
+        getrandbits = rng.getrandbits
+        for i in range(count - 1, 0, -1):
+            bound = i + 1
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            willing[i], willing[j] = willing[j], willing[i]
         willing.sort(key=_PRIORITY)  # stable: keeps the shuffle within ties
     for need in willing:
         if spare < need.packet_w:
@@ -379,7 +404,8 @@ def allocate_slot(
             grants[need.job_id] = grants.get(need.job_id, 0.0) + need.packet_w
             spare -= need.packet_w
             continue
-        packets = math.floor(min(need.willing_w, spare) / need.packet_w + 1e-9)
+        offer_w = spare if spare < need.willing_w else need.willing_w
+        packets = math.floor(offer_w / need.packet_w + 1e-9)
         if packets <= 0:
             continue
         amount = packets * need.packet_w
@@ -416,11 +442,15 @@ def dispatch_supply(total_granted_w: float, supply: SupplyView) -> DispatchPlan:
     """
     if total_granted_w > supply.feeder_capacity_w + CAP_TOL_W:
         raise CapacityViolation("dispatch asked to serve more than feeder capacity")
-    renewable_used = min(total_granted_w, supply.renewable_w)
+    # each min(a, b) below is `b if b < a else a`, the operand the builtin
+    # returns, a NaN or a signed zero included
+    renewable_w = supply.renewable_w
+    renewable_used = renewable_w if renewable_w < total_granted_w else total_granted_w
     deficit = total_granted_w - renewable_used
     discharge = 0.0
     if deficit > 0:
-        discharge = min(deficit, supply.discharge_max_w)
+        discharge_max_w = supply.discharge_max_w
+        discharge = discharge_max_w if discharge_max_w < deficit else deficit
     deficit -= discharge
     imported = 0.0
     if deficit > CAP_TOL_W:
@@ -430,10 +460,11 @@ def dispatch_supply(total_granted_w: float, supply: SupplyView) -> DispatchPlan:
     else:
         renewable_used += deficit  # absorb watt-level epsilon into renewables
         deficit = 0.0
-    surplus = supply.renewable_w - renewable_used
+    surplus = renewable_w - renewable_used
     charge = 0.0
     if surplus > 0 and discharge == 0:
-        charge = min(surplus, supply.charge_max_w)
+        charge_max_w = supply.charge_max_w
+        charge = charge_max_w if charge_max_w < surplus else surplus
     curtailed = surplus - charge
     return DispatchPlan(renewable_used, charge - discharge, imported, curtailed)
 

@@ -311,6 +311,38 @@ def test_out_that_is_or_is_under_a_file_exits_one(tmp_path, command, where):
     assert blocker.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command", ["run", "fleet"])
+def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path, command):
+    """Scenario, reference and bundle files are UTF-8 whatever the locale.
+    Under the C locale with UTF-8 mode off, a scenario whose device id is
+    not ASCII, or a reference file with a comment that is not, gives the
+    bundle that a UTF-8 mode run writes, byte for byte."""
+    doc = scenario_to_dict(three_household_scenario(seed=1))
+    doc["devices"][0]["id"] = "sauna-\u00e9"
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    ref = tmp_path / "ref.txt"
+    ref.write_bytes("# r\u00e9f\u00e9rence\n20000\n25000\n".encode("utf-8"))
+    flags = {
+        "run": ["--scenario", str(scenario_file)],
+        "fleet": ["--count", "10", "--hours", "0.2", "--ref", str(ref)],
+    }[command]
+    bundles = []
+    for name, locale_env in [
+        ("c_locale", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+        ("utf8_mode", {"PYTHONUTF8": "1"}),
+    ]:
+        out = tmp_path / name
+        env = {**os.environ, "PYTHONPATH": str(Path(pemsim.__file__).parents[1]), **locale_env}
+        argv = [sys.executable, "-m", "pemsim.cli", command, *flags, "--out", str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        bundles.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert bundles[0] == bundles[1]
+    if command == "run":
+        assert "granted_sauna-\u00e9_w".encode("utf-8") in bundles[0]["slots.csv"]
+
+
 def _reference_text(edit) -> str:
     doc = scenario_to_dict(three_household_scenario(seed=1))
     edit(doc)

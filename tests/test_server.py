@@ -511,6 +511,26 @@ class TestAllocateSlotEquivalence:
         assert outcomes == {"forced", "cycle started", "several grants"}
 
 
+class TestInlineShuffle:
+    def test_matches_random_shuffle(self):
+        """allocate_slot's inline shuffle draws what random.shuffle draws:
+        equal-priority willing needs, each granted one packet, come out in
+        the order random.shuffle leaves their ids, and the rng ends in the
+        same state."""
+        supply = SupplyView(1e9, 0.0, 0.0, True, 1e9)
+        ledger = CommitmentLedger(GRID, 1e9)
+        for length in range(9):
+            ids = [f"j{i}" for i in range(length)]
+            needs = [SlotNeed(i, 1, willing_w=1.0, packet_w=1.0) for i in ids]
+            for seed in range(2000):
+                rng, shuffled = random.Random(seed), random.Random(seed)
+                order = list(ids)
+                shuffled.shuffle(order)
+                grants = allocate_slot(ledger, needs, supply, rng, renewable_first=False)
+                assert list(grants) == order, (length, seed)
+                assert rng.getstate() == shuffled.getstate(), (length, seed)
+
+
 class TestAllocateSlot:
     def _ledger(self, cap=10_000.0):
         return CommitmentLedger(GRID, cap)
