@@ -145,12 +145,13 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     template per file, so a column's format is fixed by the column: float
     columns print as %.6f (an int watt value too), int columns as %d, and
     `emergency` as 1 or 0. slots.csv's rows zip the run's SlotTable columns,
-    device columns in device-id order, granted then consumed. A row's device
-    cells, mostly 0.0, print as one block per distinct tuple of the slot's
-    device values, through a per-bundle table that formats each distinct
-    value once as %.6f. Values that compare equal share a text, so a
-    device-column zero prints as 0.000000 whatever its sign. The engine
-    records no -0.0 there.
+    device columns in device-id order, granted then consumed; fleet.csv's
+    zip the FleetTable columns and the aggregate, the fleet's one SlotTable
+    device column. A slots.csv row's device cells, mostly 0.0, print as one
+    block per distinct tuple of the slot's device values, through a
+    per-bundle table that formats each distinct value once as %.6f. Values
+    that compare equal share a text, so a device-column zero prints as
+    0.000000 whatever its sign. The engine records no -0.0 there.
 
     Every file is text encoded as UTF-8, whatever the locale. Every name in
     BUNDLE_FILES is unlinked first, so the directory ends up holding exactly
@@ -266,28 +267,18 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
         ),
     ]))
 
-    if result.fleet is not None:
+    fleet = result.fleet
+    if fleet is not None:
+        (aggregate_w,) = table.granted_w.values()
         row = "%d,%s,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f\n"
         _create(prefix + "fleet.csv", "".join([
             "epoch,clock,reference_w,aggregate_w,requests,accepted,force_on,force_off,"
             "temp_min_c,temp_max_c,temp_mean_c\n",
-            *(
-                row
-                % (
-                    rec.epoch,
-                    clocks[rec.epoch],
-                    rec.reference_w,
-                    rec.aggregate_w,
-                    rec.requests,
-                    rec.accepted,
-                    rec.force_on,
-                    rec.force_off,
-                    rec.temp_min_c,
-                    rec.temp_max_c,
-                    rec.temp_mean_c,
-                )
-                for rec in result.fleet
-            ),
+            *map(row.__mod__, zip(
+                range(horizon), clocks, fleet.reference_w, aggregate_w, fleet.requests,
+                fleet.accepted, fleet.force_on, fleet.force_off, fleet.temp_min_c,
+                fleet.temp_max_c, fleet.temp_mean_c,
+            )),
         ]))
 
     summary = summarize_run(result)

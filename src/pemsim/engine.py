@@ -59,7 +59,9 @@ against the builtin form).
 A run records its slots once, in the SlotTable its _Supply owns: phase (6)
 writes each stepping job's grant and consumption into the job's columns in
 place, and phase (7) appends the slot's supply to the scalar columns. The
-audit, the summary and slots.csv read those columns.
+audit, the summary and slots.csv read those columns. A fleet run writes its
+aggregate watts into the table's one device column and keeps the rest of
+each epoch as one row, transposed into its FleetTable at the end.
 """
 
 from __future__ import annotations
@@ -176,22 +178,32 @@ class ShedEvent:
     watts: float
 
 
-@dataclass
-class FleetEpochRecord:
-    epoch: int
-    reference_w: float
-    aggregate_w: float
-    requests: int
-    accepted: int
-    force_on: int
-    force_off: int
-    temp_min_c: float
-    temp_max_c: float
-    temp_mean_c: float
+@dataclass(slots=True)
+class FleetTable:
+    """A fleet run's epochs as columns indexed by epoch: the reference, the
+    request and acceptance counts, the override counts as classified at the
+    epoch's start, and the temperatures over all heaters after its step
+    (`temp_mean_c` is their fsum over the count). The aggregate watts are
+    the run's SlotTable fleet column."""
+
+    reference_w: list[float]
+    requests: list[int]
+    accepted: list[int]
+    force_on: list[int]
+    force_off: list[int]
+    temp_min_c: list[float]
+    temp_max_c: list[float]
+    temp_mean_c: list[float]
 
 
 @dataclass
 class RunResult:
+    """One run. A household run fills every field but `fleet`, and
+    `device_traces` and `final_states` hold one entry per household device.
+    A fleet run fills `slots`, whose one device column is the aggregate
+    watts, and `fleet`; its request, channel, meter and shed lists and its
+    two device dicts are empty."""
+
     seed: int
     grid: TimeGrid
     slots: SlotTable
@@ -201,7 +213,7 @@ class RunResult:
     shed_events: list[ShedEvent]
     device_traces: dict[str, tuple[float, ...]]
     final_states: dict[str, dict]
-    fleet: list[FleetEpochRecord] | None = None
+    fleet: FleetTable | None = None
 
 
 _KIND_KEY = {
@@ -977,7 +989,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
     gain = [0.0] * n  # heat_gain for a heater that heats in the coming epoch
 
     power = supply_side.table.granted_w[cfg.device_id]  # also the consumed column
-    epochs: list[FleetEpochRecord] = []
+    rows = []  # one FleetTable row per epoch
 
     # Before each epoch a heater is classified against the comfort band (see
     # WaterHeaterParams) and, if free and NORMAL, draws its request. The
@@ -1016,7 +1028,7 @@ def _run_fleet(scenario: Scenario) -> RunResult:
         # the hottest force-off heater (above t_high) is the hottest. Strict
         # comparisons in index order keep the element min() and max() return.
         # Only an epoch with no force-on (no force-off) heater leaves its bound
-        # unbeaten, and only then does the record scan temps with min() (max()).
+        # unbeaten, and only then does the row scan temps with min() (max()).
         coldest, hottest = force_on_below, t_high
         for i, temp in enumerate(temps):
             # devices._euler_temp's step, inlined for the n*epochs loop with
@@ -1048,29 +1060,12 @@ def _run_fleet(scenario: Scenario) -> RunResult:
 
         power[e] = aggregate_w
         supply_side.settle(supply_side.view(e), aggregate_w)
-        epochs.append(
-            FleetEpochRecord(
-                epoch=e,
-                reference_w=reference_w,
-                aggregate_w=aggregate_w,
-                requests=requests,
-                accepted=len(accepted),
-                force_on=forced_on,
-                force_off=forced_off,
-                temp_min_c=coldest if force_on else min(temps),
-                temp_max_c=hottest if force_off else max(temps),
-                temp_mean_c=math.fsum(temps) / n,
-            )
-        )
+        rows.append((
+            reference_w, requests, len(accepted), forced_on, forced_off,
+            coldest if force_on else min(temps), hottest if force_off else max(temps),
+            math.fsum(temps) / n,
+        ))
 
-    last = epochs[-1]  # a grid holds at least one slot; temps are its post-step state
-    final_states = {
-        cfg.device_id: {
-            "temp_min_c": last.temp_min_c,
-            "temp_max_c": last.temp_max_c,
-            "temp_mean_c": last.temp_mean_c,
-        }
-    }
     return RunResult(
         seed=scenario.seed,
         grid=grid,
@@ -1079,9 +1074,9 @@ def _run_fleet(scenario: Scenario) -> RunResult:
         channel=[],
         aggregated=[],
         shed_events=[],
-        device_traces={cfg.device_id: tuple(power)},
-        final_states=final_states,
-        fleet=epochs,
+        device_traces={},
+        final_states={},
+        fleet=FleetTable(*map(list, zip(*rows))),
     )
 
 
@@ -1178,12 +1173,14 @@ def summarize_run(result: RunResult) -> dict:
         "messages_dropped": sum(1 for m in result.channel if m.delivered_at_ms is None),
         "budget_violation_rates": {k.value: v for k, v in violation_rates.items()},
     }
-    if result.fleet is not None:
-        errors = [abs(r.aggregate_w - r.reference_w) for r in result.fleet]
+    fleet = result.fleet
+    if fleet is not None:
+        (aggregate_w,) = table.granted_w.values()
+        errors = [abs(a - r) for a, r in zip(aggregate_w, fleet.reference_w)]
         summary["fleet"] = {
-            "epochs": len(result.fleet),
-            "mean_abs_tracking_error_w": sum(errors) / len(errors) if errors else 0.0,
-            "force_on_epoch_count": sum(r.force_on for r in result.fleet),
+            "epochs": len(fleet.reference_w),
+            "mean_abs_tracking_error_w": sum(errors) / len(errors),  # a grid has a slot
+            "force_on_epoch_count": sum(fleet.force_on),
         }
     return summary
 

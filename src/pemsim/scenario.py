@@ -127,6 +127,8 @@ class RenewableConfig:
             if any(v < 0 for v in self.values_w):
                 raise MalformedRequest("renewable power must be non-negative")
         elif self.kind == "random_walk":
+            if self.values_w is not None:
+                raise MalformedRequest("renewable kind random_walk takes no values_w")
             if self.mean_w < 0 or self.volatility_w < 0:
                 raise MalformedRequest("renewable mean_w and volatility_w must be non-negative")
         else:
@@ -189,6 +191,8 @@ class Scenario:
             raise MalformedRequest("at most one heater fleet per scenario")
         if fleet and self.reference is None:
             raise MalformedRequest("fleet scenarios need a reference signal")
+        if not fleet and self.reference is not None:
+            raise MalformedRequest("household runs track no reference; set reference to null")
         # the fleet loop has no channel layer and no admission queue
         if fleet and self.channels is not None:
             raise MalformedRequest("fleet runs use no channels; set channels to null")

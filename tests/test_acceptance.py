@@ -125,8 +125,9 @@ def test_criterion_4_fleet_reference_tracking():
     quantum = params.rated_w
 
     warmup = scenario.grid.slot_of(30)  # 30 minutes of 3-minute epochs
-    post = result.fleet[warmup:]
-    mean_err = sum(abs(r.aggregate_w - r.reference_w) for r in post) / len(post)
+    aggregate = result.slots.granted_w[fleet_cfg.device_id][warmup:]
+    reference = result.fleet.reference_w[warmup:]
+    mean_err = sum(abs(a - r) for a, r in zip(aggregate, reference)) / len(reference)
     if mean_err > quantum:
         failures.append(f"time-averaged |aggregate - reference| {mean_err:.0f} W > {quantum} W")
 
@@ -136,8 +137,8 @@ def test_criterion_4_fleet_reference_tracking():
     worst_decay = dt_h * params.loss_w_per_c * (hottest - params.ambient_c) / params.capacitance_wh_per_c
     floor = params.t_low_c - params.override_margin_c - (params.draw_max_c + worst_decay)
     ceiling = params.t_high_c + rise
-    t_min = min(r.temp_min_c for r in result.fleet)
-    t_max = max(r.temp_max_c for r in result.fleet)
+    t_min = min(result.fleet.temp_min_c)
+    t_max = max(result.fleet.temp_max_c)
     if t_min < floor:
         failures.append(f"heater fell to {t_min:.2f} C below floor {floor:.2f} C")
     if t_max > ceiling:

@@ -49,8 +49,8 @@ def reference_fmt(value) -> str:
 
 
 def reference_write_bundle(result, out: Path) -> None:
-    """slots.csv, channel.csv and fleet.csv, one csv.writer row per record
-    and one reference_fmt call per float cell."""
+    """slots.csv, channel.csv and fleet.csv, one csv.writer row per slot,
+    message and epoch and one reference_fmt call per float cell."""
     grid = result.grid
     table = result.slots
     device_ids = sorted(table.granted_w)
@@ -103,13 +103,15 @@ def reference_write_bundle(result, out: Path) -> None:
                     "force_on", "force_off", "temp_min_c", "temp_max_c", "temp_mean_c",
                 ]
             )
-            for rec in result.fleet:
+            fleet = result.fleet
+            (aggregate_w,) = table.granted_w.values()
+            for e in range(grid.horizon):
                 writer.writerow(
                     [
-                        rec.epoch, grid.clock_of(rec.epoch), reference_fmt(rec.reference_w),
-                        reference_fmt(rec.aggregate_w), rec.requests, rec.accepted,
-                        rec.force_on, rec.force_off, reference_fmt(rec.temp_min_c),
-                        reference_fmt(rec.temp_max_c), reference_fmt(rec.temp_mean_c),
+                        e, grid.clock_of(e), reference_fmt(fleet.reference_w[e]),
+                        reference_fmt(aggregate_w[e]), fleet.requests[e], fleet.accepted[e],
+                        fleet.force_on[e], fleet.force_off[e], reference_fmt(fleet.temp_min_c[e]),
+                        reference_fmt(fleet.temp_max_c[e]), reference_fmt(fleet.temp_mean_c[e]),
                     ]
                 )
 

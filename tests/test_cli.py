@@ -420,7 +420,7 @@ class TestRun:
 
     def test_summary_is_strict_json(self, tmp_path):
         result = run_scenario(fleet_scenario(count=5, hours=0.1, seed=1))
-        result.fleet[0].reference_w = math.nan
+        result.fleet.reference_w[0] = math.nan
         with pytest.raises(ValueError):
             write_bundle(result, tmp_path / "o")
 

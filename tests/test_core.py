@@ -22,6 +22,7 @@ from pemsim.core import (
     validate_request,
 )
 from pemsim.engine import run_scenario
+from pemsim.server import ReferenceSignal
 from pemsim.scenario import (
     CycleConfig,
     ServerPolicy,
@@ -274,6 +275,39 @@ class TestFleetValidation:
         fleet = replace(scenario.devices[0], packet_epochs=packet_epochs)
         with pytest.raises(MalformedRequest, match="fleet.packet_epochs"):
             replace(scenario, devices=(fleet,)).validate()
+
+
+class TestIgnoredFieldsRejected:
+    """A household run tracks no reference, and a random-walk renewable
+    draws its own values, so a scenario that sets either is refused, from a
+    file or built in Python, rather than run with the field ignored."""
+
+    @pytest.mark.parametrize("devices", ["reference_evening", "no_devices"])
+    def test_household_reference_rejected(self, devices):
+        base = three_household_scenario(seed=1)
+        if devices == "no_devices":
+            base = replace(base, devices=())
+        base.validate()
+        doc = scenario_to_dict(base)
+        doc["reference"] = {"values_w": [1000.0] * 4}
+        with pytest.raises(MalformedRequest, match="reference"):
+            scenario_from_dict(doc)
+        with pytest.raises(MalformedRequest, match="reference"):
+            replace(base, reference=ReferenceSignal.constant(1000.0, 4)).validate()
+
+    @pytest.mark.parametrize("values_w", [(0.0,) * 10, (), (500.0,)])
+    def test_random_walk_values_rejected(self, values_w):
+        base = three_household_scenario(seed=1)
+        assert base.renewable.kind == "random_walk" and base.renewable.values_w is None
+        doc = scenario_to_dict(base)
+        doc["renewable"]["values_w"] = list(values_w)
+        with pytest.raises(MalformedRequest, match="values_w"):
+            scenario_from_dict(doc)
+        renewable = replace(base.renewable, values_w=values_w)
+        with pytest.raises(MalformedRequest, match="values_w"):
+            renewable.validate()
+        with pytest.raises(MalformedRequest, match="values_w"):
+            replace(base, renewable=renewable).validate()
 
 
 class TestSubstream:

@@ -20,7 +20,7 @@ from test_thermal_planning import node_of, reference_step_thermal
 
 from pemsim.core import substream
 from pemsim.devices import WaterHeaterParams
-from pemsim.engine import FleetEpochRecord, _Supply, run_scenario
+from pemsim.engine import FleetTable, _Supply, run_scenario, summarize_run
 from pemsim.scenario import HeaterFleetConfig, fleet_scenario
 from pemsim.server import ReferenceSignal, track_reference
 
@@ -46,8 +46,9 @@ def fleet_request_probability(temp_c: float, params: WaterHeaterParams) -> float
 
 
 def reference_fleet(scenario, branches=None):
-    """(epoch records, slot table, final state, aggregate trace) of a
-    fleet scenario, computed heater by heater.
+    """(fleet table, slot table) of a fleet scenario, computed heater by
+    heater: one FleetTable row per epoch, transposed at the end, and the
+    aggregate watts in the slot table's fleet column.
 
     A `branches` Counter, if given, counts the heater-epochs that reach the
     packet transitions the engine folds into its classification:
@@ -75,7 +76,7 @@ def reference_fleet(scenario, branches=None):
     heat_gain = dt_h * params.efficiency * params.rated_w / params.capacitance_wh_per_c
     loss_rate = dt_h * params.loss_w_per_c / params.capacitance_wh_per_c
 
-    epochs, aggregate_trace = [], []
+    rows = []
     ran_out = set()
     for e in range(grid.horizon):
         force_on = []
@@ -122,30 +123,12 @@ def reference_fleet(scenario, branches=None):
         supply_side.table.granted_w[cfg.device_id][e] = aggregate_w
         supply_side.table.consumed_w[cfg.device_id][e] = aggregate_w
         supply_side.settle(supply_side.view(e), aggregate_w)
-        epochs.append(
-            FleetEpochRecord(
-                epoch=e,
-                reference_w=reference.at(e),
-                aggregate_w=aggregate_w,
-                requests=len(requesters),
-                accepted=len(accepted),
-                force_on=len(force_on),
-                force_off=force_off,
-                temp_min_c=min(temps),
-                temp_max_c=max(temps),
-                temp_mean_c=math.fsum(temps) / n,
-            )
-        )
-        aggregate_trace.append(aggregate_w)
+        rows.append((
+            reference.at(e), len(requesters), len(accepted), len(force_on), force_off,
+            min(temps), max(temps), math.fsum(temps) / n,
+        ))
 
-    final = {
-        cfg.device_id: {
-            "temp_min_c": min(temps),
-            "temp_max_c": max(temps),
-            "temp_mean_c": math.fsum(temps) / n,
-        }
-    }
-    return epochs, supply_side.table, final, {cfg.device_id: tuple(aggregate_trace)}
+    return FleetTable(*map(list, zip(*rows))), supply_side.table
 
 
 def stepped_fleet(count, seed, params=WaterHeaterParams(), packet_epochs=8, hours=4.0,
@@ -189,27 +172,40 @@ SEEDS = [1, 2, 3, 42]
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_engine_matches_reference_loop(variant, seed):
     scenario = stepped_fleet(count=120, seed=seed, **VARIANTS[variant])
-    epochs, slots, final, traces = reference_fleet(scenario)
+    fleet, slots = reference_fleet(scenario)
     result = run_scenario(scenario)
-    assert result.fleet == epochs
+    assert repr(result.fleet) == repr(fleet)
     assert repr(result.slots) == repr(slots)
-    assert result.final_states == final
-    assert result.device_traces == traces
+    assert result.device_traces == result.final_states == {}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_summary_fleet_block_matches_reference_loop(variant):
+    """The summary's fleet block equals the values recomputed from the
+    reference loop's columns, exactly: the mean |aggregate - reference| in
+    epoch order and the sum of the force-on counts."""
+    scenario = stepped_fleet(count=120, seed=1, **VARIANTS[variant])
+    fleet, slots = reference_fleet(scenario)
+    errors = [abs(a - r) for a, r in zip(slots.granted_w["fleet"], fleet.reference_w)]
+    assert summarize_run(run_scenario(scenario))["fleet"] == {
+        "epochs": scenario.grid.horizon,
+        "mean_abs_tracking_error_w": sum(errors) / len(errors),
+        "force_on_epoch_count": sum(fleet.force_on),
+    }
 
 
 def test_cases_find_each_extreme_both_ways():
     """The engine takes an epoch's temp_min_c from its force-on heaters and
     its temp_max_c from its force-off heaters, and scans every heater only
     when there are none; the equivalence above covers both ways for each.
-    A record's counts classify the heaters after the previous epoch's step,
-    so the records from epoch 1 on tell which way each epoch went."""
+    An epoch's counts classify the heaters after the previous epoch's step,
+    so the counts from epoch 1 on tell which way each epoch went."""
     seen = set()
     for variant in VARIANTS:
         for seed in SEEDS:
             result = run_scenario(stepped_fleet(count=120, seed=seed, **VARIANTS[variant]))
-            for record in result.fleet[1:]:
-                seen.add(("force_on", record.force_on > 0))
-                seen.add(("force_off", record.force_off > 0))
+            for side in ("force_on", "force_off"):
+                seen.update((side, count > 0) for count in getattr(result.fleet, side)[1:])
     assert seen == {(side, forced) for side in ("force_on", "force_off") for forced in (False, True)}
 
 
@@ -219,9 +215,9 @@ def test_cases_find_each_extreme_both_ways():
 def test_variants_reach_both_overrides(variant):
     """The equivalence above covers both override branches: these parameter
     sets drive heaters below and above the band."""
-    epochs, _, _, _ = reference_fleet(stepped_fleet(count=120, seed=1, **VARIANTS[variant]))
-    assert sum(r.force_on for r in epochs) > 0
-    assert sum(r.force_off for r in epochs) > 0
+    fleet, _ = reference_fleet(stepped_fleet(count=120, seed=1, **VARIANTS[variant]))
+    assert sum(fleet.force_on) > 0
+    assert sum(fleet.force_off) > 0
 
 
 @pytest.mark.parametrize("variant, branch", [
@@ -269,8 +265,8 @@ def test_inline_euler_step_tracks_step_thermal(seed):
     result = run_scenario(scenario)
     start_c = substream(seed, "fleet", "init").uniform(params.t_low_c, params.t_high_c)
     state = node_of(params, start_c)
-    for record in result.fleet:
-        state = reference_step_thermal(state, record.aggregate_w, scenario.grid.slot_min)
-        assert record.temp_min_c == state.temp_c
-    powers = {record.aggregate_w for record in result.fleet}
-    assert powers == {0.0, params.rated_w}
+    powers = result.slots.granted_w["fleet"]
+    for watts, temp_c in zip(powers, result.fleet.temp_min_c, strict=True):
+        state = reference_step_thermal(state, watts, scenario.grid.slot_min)
+        assert temp_c == state.temp_c
+    assert set(powers) == {0.0, params.rated_w}

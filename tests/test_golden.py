@@ -63,11 +63,17 @@ def test_cases_hold_what_they_claim():
         assert node.preheat_from == preheat_from and node.service_end < scenario.grid.horizon
     stepped = CASES["stepped_fleet_1"]()
     rated_w = stepped.devices[0].params.rated_w
-    epochs = run_scenario(stepped).fleet
-    assert any(r.force_on for r in epochs) and any(r.force_off for r in epochs)
-    assert any(r.accepted < r.requests for r in epochs)
-    assert any(r.accepted == r.requests and r.reference_w - r.aggregate_w >= rated_w for r in epochs)
-    assert any(r.aggregate_w > r.reference_w for r in epochs)
+    result = run_scenario(stepped)
+    fleet, aggregate = result.fleet, result.slots.granted_w["fleet"]
+    assert any(fleet.force_on) and any(fleet.force_off)
+    assert any(a < r for a, r in zip(fleet.accepted, fleet.requests))
+    assert any(
+        accepted == requests and reference_w - aggregate_w >= rated_w
+        for accepted, requests, reference_w, aggregate_w in zip(
+            fleet.accepted, fleet.requests, fleet.reference_w, aggregate
+        )
+    )
+    assert any(a > r for a, r in zip(aggregate, fleet.reference_w))
 
 
 def test_late_reject_reaches_an_accepted_job(monkeypatch):

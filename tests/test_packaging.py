@@ -1,6 +1,6 @@
-"""The package stays standard-library only, its public names resolve, the
-reference evening ships as package data, and the README's library example
-runs."""
+"""The package stays standard-library only, its public names resolve, every
+name it defines has a caller, the reference evening ships as package data,
+and the README's library example runs."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,52 @@ def test_reference_evening_ships_as_package_data():
 
 def test_public_names_resolve():
     assert [name for name in pemsim.__all__ if not hasattr(pemsim, name)] == []
+
+
+def _loaded_names(node) -> Counter:
+    """How often each name is read under `node`, as a Name or as an
+    attribute: `x`, `obj.x` and `mod.x` all count for x."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_name_has_a_caller():
+    """Each module-level function, class and assigned name in src/pemsim,
+    and each method, is named in src/pemsim outside its own definition, or
+    is public in pemsim.__all__. An import alone is no use; a dunder is
+    called by Python itself. Names match by spelling only, so a method
+    passes when any attribute of that name is read."""
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "pemsim").glob("*.py"))
+    }
+    everywhere = sum(map(_loaded_names, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, node)]
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (f.name, f) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    ]
+            else:
+                continue
+            unused += [
+                f"{module}: {name}"
+                for name, definition in defined
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in pemsim.__all__
+                and everywhere[name] == _loaded_names(definition)[name]
+            ]
+    assert unused == []
 
 
 def test_readme_library_example_runs(tmp_path):
