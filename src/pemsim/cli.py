@@ -19,6 +19,7 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 from .comms import ChannelClass, MessageKind
@@ -115,27 +116,12 @@ _SLOT_COLUMNS = (
 
 
 class _DeviceCells(dict):
-    """slots.csv device cells by value, each formatted once, comma included."""
+    """slots.csv's nonzero device cells by value, each distinct value
+    formatted once per bundle as %.6f, comma included."""
 
     def __missing__(self, value: float) -> str:
         cell = self[value] = "%.6f," % value
         return cell
-
-
-class _DeviceBlocks(dict):
-    """slots.csv device blocks by the tuple of a slot's device values: the
-    tuple's cells, joined once per distinct tuple. The cells come from one
-    _DeviceCells table per bundle, so values that compare equal share a
-    text, and so do tuples that compare equal."""
-
-    def __init__(self):
-        super().__init__()
-        # -0.0 finds 0.0's entry
-        self.cell = _DeviceCells({0.0: "0.000000,"}).__getitem__
-
-    def __missing__(self, values: tuple[float, ...]) -> str:
-        block = self[values] = "".join(map(self.cell, values))
-        return block
 
 
 def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
@@ -147,11 +133,12 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     `emergency` as 1 or 0. slots.csv's rows zip the run's SlotTable columns,
     device columns in device-id order, granted then consumed; fleet.csv's
     zip the FleetTable columns and the aggregate, the fleet's one SlotTable
-    device column. A slots.csv row's device cells, mostly 0.0, print as one
-    block per distinct tuple of the slot's device values, through a
-    per-bundle table that formats each distinct value once as %.6f. Values
-    that compare equal share a text, so a device-column zero prints as
-    0.000000 whatever its sign. The engine records no -0.0 there.
+    device column. slots.csv's device cells, mostly 0.0, are built column by
+    column: a column starts as the zero cell in every slot, and only its
+    nonzero slots (NaN included) are formatted, through a per-bundle
+    _DeviceCells table. So a device-column zero prints as 0.000000 whatever
+    its sign; the engine records no -0.0 there (tests/test_bundle.py checks
+    both).
 
     Every file is text encoded as UTF-8, whatever the locale. Every name in
     BUNDLE_FILES is unlinked first, so the directory ends up holding exactly
@@ -177,13 +164,14 @@ def write_bundle(result: RunResult, out_dir: str | Path) -> dict:
     device_ids = sorted(table.granted_w)
     horizon = len(table.emergency)
 
-    if device_ids:
-        device_blocks = map(_DeviceBlocks().__getitem__, zip(
-            *[table.granted_w[i] for i in device_ids],
-            *[table.consumed_w[i] for i in device_ids],
-        ))
-    else:  # zipping no column would yield no slot
-        device_blocks = [""] * horizon
+    cell, slots, cells = _DeviceCells().__getitem__, range(horizon), []
+    for column in [*map(table.granted_w.get, device_ids), *map(table.consumed_w.get, device_ids)]:
+        column_cells = ["0.000000,"] * horizon
+        for t in compress(slots, column):
+            column_cells[t] = cell(column[t])
+        cells.append(column_cells)
+    # zipping no column would yield no slot
+    device_blocks = map("".join, zip(*cells)) if cells else [""] * horizon
     row = "%d,%s,%s" + "%.6f," * 6 + "%d\n"
     _create(prefix + "slots.csv", "".join([
         _csv_text([

@@ -16,15 +16,16 @@ which converges to T_ambient + eta*P/U and admits the closed-form solution
 used as the test oracle. `_euler_temp` is the one implementation of that
 step, evaluated left to right in exactly this grouping: the heat gain
 dt_h * eta * P / C, less the loss rate dt_h * U / C times T - T_ambient,
-added to T. min_heating_slots and the engine's household thermal job both
-call it, so a heating run that min_heating_slots plans is exactly the run
-the engine simulates at rated power. The heater fleet inlines it with the
-gain at rated power and the loss rate computed once per run, and the
-household thermal job's fill_trace inlines it for idle slots with the gain
-at 0 W and the loss rate computed once per job; the grouping is the same,
-so their temperatures are this step's bit for bit (tests/test_fleet.py and
-tests/test_engine.py check both). `_absorb` is
-likewise the one charging step of a battery.
+added to T. The engine's household thermal job calls it for the slots it
+is granted. min_heating_slots inlines it with the gain at rated power and
+the loss rate computed once per call, so a heating run that it plans is
+exactly the run the engine simulates at rated power. The heater fleet
+inlines it with the gain at rated power and the loss rate computed once per
+run, and the household thermal job's fill_trace inlines it for idle slots
+with the gain at 0 W and the loss rate computed once per job. The grouping
+is the same in each, so their temperatures are this step's bit for bit
+(tests/test_thermal_planning.py, tests/test_fleet.py and tests/test_engine.py
+check them). `_absorb` is likewise the one charging step of a battery.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ def min_heating_slots(
     node, temp_c: float, target_c: float, dt_min: float, max_steps: int = 10_000
 ) -> int | None:
     """Fewest consecutive rated-power slots that lift `node` from `temp_c`
-    to `target_c`, stepped by `_euler_temp` as the engine steps it.
+    to `target_c`, stepped as the engine steps it: `_euler_temp` at rated
+    power, inlined with its gain and loss rate computed once (the same
+    grouping, so the same temperatures bit for bit).
 
     None when the target is unreachable (steady state below target) or needs
     more than `max_steps` slots.
@@ -66,8 +69,12 @@ def min_heating_slots(
     temp = temp_c
     if temp >= target_c:
         return 0
+    dt_h = dt_min / 60.0
+    gain = dt_h * node.efficiency * node.rated_w / node.capacitance_wh_per_c
+    loss_rate = dt_h * node.loss_w_per_c / node.capacitance_wh_per_c
+    ambient = node.ambient_c
     for n in range(1, max_steps + 1):
-        nxt = _euler_temp(node, temp, node.rated_w, dt_min)
+        nxt = temp + (gain - loss_rate * (temp - ambient))
         if nxt <= temp:
             return None
         temp = nxt

@@ -126,6 +126,10 @@ class RenewableConfig:
                 raise MalformedRequest("fixed renewable trace needs values_w")
             if any(v < 0 for v in self.values_w):
                 raise MalformedRequest("renewable power must be non-negative")
+            # a trace ignores the walk's parameters: they stay at their defaults
+            walk = [f for f in fields(self) if f.name in ("mean_w", "volatility_w")]
+            if any(getattr(self, f.name) != f.default for f in walk):
+                raise MalformedRequest("renewable kind trace takes no mean_w or volatility_w")
         elif self.kind == "random_walk":
             if self.values_w is not None:
                 raise MalformedRequest("renewable kind random_walk takes no values_w")

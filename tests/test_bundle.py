@@ -6,11 +6,12 @@ template per file. On runs whose float columns hold floats, which is every
 run built from a scenario file, a generator or the fleet, the two must
 write the same bytes.
 
-`template_slots_rows` is the slots.csv writer as it was before device cells
-went through a per-bundle table of formatted values: one `%` template per
-row, %.6f in every device cell. The two must write the same rows on every
-engine run; they differ only on a -0.0 device cell, which the table prints
-as 0.000000.
+`template_slots_rows` is the dense slots.csv writer: one `%` template per
+row, %.6f in every device cell. The library formats only a device column's
+nonzero cells and prefills the rest with the zero cell. The two must write
+the same rows on every engine run and on hand-set NaN, infinite and tiny
+cells; they differ only on a -0.0 device cell, which the library prints as
+0.000000 and which no engine run records.
 
 A bundle written over an existing one must equal a fresh write: each file
 replaces whatever its name held, a symlink included, and a bundle file the
@@ -18,6 +19,7 @@ run does not write is removed.
 """
 
 import csv
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 
 from identity import lossy_meter, mixed  # puts src/ and bench/ on sys.path
 
+from pemsim import cli
 from pemsim.cli import BUNDLE_FILES, write_bundle
 from pemsim.core import TimeGrid
 from pemsim.engine import run_scenario
@@ -282,10 +285,55 @@ def test_device_cells_match_template_writer(tmp_path, scenarios):
         assert _slots_rows(result, tmp_path / str(k)) == template_slots_rows(result)
 
 
+def test_non_finite_and_tiny_device_cells(tmp_path, monkeypatch):
+    """Hand-set device cells that are nonzero, so formatted, though they
+    print like a zero or like no number: NaN, both infinities, the smallest
+    subnormal, -1e-9 (which prints as -0.000000) and one huge value, in a
+    feeder's columns and in the fleet's dense aggregate column. summary.json
+    refuses non-finite sums, so the summary is stubbed out here."""
+    monkeypatch.setattr(cli, "summarize_run", lambda result: {})
+    specials = [math.nan, math.inf, -math.inf, 5e-324, -1e-9, 1e20]
+    for k, scenario in enumerate([mixed(3), fleet_scenario(count=20, hours=0.5, seed=2)]):
+        result = run_scenario(scenario)
+        # a fleet's granted and consumed columns are one list
+        columns = {id(c): c for c in [*result.slots.granted_w.values(), *result.slots.consumed_w.values()]}
+        for n, column in enumerate(columns.values()):
+            for j, value in enumerate(specials):
+                column[(len(specials) * n + j) % len(column)] = value
+        rows = _slots_rows(result, tmp_path / str(k))
+        assert rows == template_slots_rows(result)
+        assert all(text in rows for text in ("nan", "inf", "-inf", "-0.000000"))
+
+
+@pytest.mark.parametrize(
+    "scenarios",
+    [
+        lambda: [mixed(n) for n in range(1, 51)],
+        lambda: [three_household_scenario(s) for s in range(1, 51)],
+    ],
+    ids=["feeders", "reference"],
+)
+def test_engine_records_no_negative_zero_device_cell(scenarios):
+    """write_bundle prefills a device column with the unsigned zero cell and
+    formats only the nonzero cells, so a -0.0 there would print as 0.000000
+    where %.6f prints -0.000000. No engine run records one: every granted
+    and consumed cell of these runs is a float whose zero is unsigned (or
+    an int)."""
+    zeros = 0
+    for scenario in scenarios():
+        table = run_scenario(scenario).slots
+        for column in [*table.granted_w.values(), *table.consumed_w.values()]:
+            for value in column:
+                if value == 0:
+                    assert math.copysign(1.0, value) == 1.0
+                    zeros += 1
+    assert zeros > 1000
+
+
 def test_device_zero_prints_unsigned(tmp_path):
-    """Device cells that compare equal share one text, so -0.0 prints as
-    0.000000, as 0.0 does, whichever of the two the bundle meets first. The
-    engine records no -0.0 in these columns; this run is built by hand."""
+    """Only nonzero device cells are formatted, so -0.0 prints as the
+    prefilled 0.000000, as 0.0 does. The engine records no -0.0 in these
+    columns (checked above); this run is built by hand."""
     result = run_scenario(three_household_scenario(1))
     ids = sorted(result.slots.granted_w)
     for i in ids:

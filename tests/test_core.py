@@ -309,6 +309,27 @@ class TestIgnoredFieldsRejected:
         with pytest.raises(MalformedRequest, match="values_w"):
             replace(base, renewable=renewable).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean_w", 9e6), ("volatility_w", 4e5), ("mean_w", 0.0), ("volatility_w", 600.5),
+    ])
+    def test_trace_walk_parameters_rejected(self, field, value):
+        """A trace draws nothing, so it refuses a walk parameter other than
+        its default. The codec writes the defaults for every block, so a
+        saved trace scenario still loads, and an explicit default passes."""
+        base = fleet_scenario(count=20, hours=1.0, seed=3)
+        assert base.renewable.kind == "trace"
+        doc = scenario_to_dict(base)
+        assert scenario_from_dict(doc) == base
+        replace(base.renewable, mean_w=3000, volatility_w=600.0).validate()
+        doc["renewable"][field] = value
+        with pytest.raises(MalformedRequest, match=field):
+            scenario_from_dict(doc)
+        renewable = replace(base.renewable, **{field: value})
+        with pytest.raises(MalformedRequest, match=field):
+            renewable.validate()
+        with pytest.raises(MalformedRequest, match=field):
+            replace(base, renewable=renewable).validate()
+
 
 class TestSubstream:
     def test_stable_and_independent(self):

@@ -12,6 +12,7 @@ asset's step in the same straightforward form, the oracle of the engine's
 storage charge in test_engine.py.
 """
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -237,6 +238,46 @@ class TestMinHeatingSlots:
             got = min_heating_slots(state, state.temp_c, target, dt_min, max_steps)
             assert got == reference_min_heating_slots(state, target, dt_min, max_steps)
             outcomes.add("none" if got is None else "zero" if got == 0 else "some")
+        assert outcomes == {"none", "zero", "some"}
+
+    GRID_NODES = [
+        Node(temp_c=start, ambient_c=ambient, capacitance_wh_per_c=cap,
+             loss_w_per_c=loss, rated_w=rated, efficiency=eta)
+        for cap in (10.0, 60.0, 300.0)
+        for loss in (0.0, 2.5, 10.0, 40.0)
+        for rated in (300.0, 3600.0)
+        for eta in (1.0, 0.73)
+        for ambient in (-5.0, 20.0)
+        for start in (ambient - 3.0, 55.5)
+    ]
+
+    @pytest.mark.parametrize("dt_min", [1, 10, 30])
+    def test_matches_euler_path_bit_for_bit(self, dt_min):
+        """min_heating_slots inlines _euler_temp's step; the reference walks
+        nodes through reference_step_thermal, which is _euler_temp bit for
+        bit (test_step_thermal_is_the_scalar_step). Both must give the same
+        count for every node of the grid. Each target is a temperature of
+        the _euler_temp path, bit for bit, or the next float above it, so a
+        step that rounds one ulp differently changes a count. Targets at or
+        above the rated steady state, and an infinite one, take a budget of
+        300 steps; they end in None, by a step that no longer rises or by
+        the budget, unless an overshooting step reaches them."""
+        outcomes = set()
+        for node in self.GRID_NODES:
+            path, temp = [], node.temp_c
+            while len(path) < 24:
+                temp = _euler_temp(node, temp, node.rated_w, dt_min)
+                path.append(temp)
+            targets = path + [math.nextafter(t, math.inf) for t in path]
+            far = [math.inf]
+            if node.loss_w_per_c > 0:
+                settle = node.ambient_c + node.efficiency * node.rated_w / node.loss_w_per_c
+                far += [settle, settle + 1.0]
+            for target, max_steps in [*((t, 10_000) for t in targets), *((t, 300) for t in far)]:
+                got = min_heating_slots(node, node.temp_c, target, dt_min, max_steps)
+                want = reference_min_heating_slots(node, target, dt_min, max_steps)
+                assert got == want, (node, target.hex(), max_steps)
+                outcomes.add("none" if got is None else "zero" if got == 0 else "some")
         assert outcomes == {"none", "zero", "some"}
 
 
